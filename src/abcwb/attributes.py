@@ -175,11 +175,6 @@ def restrict_predicate(pi: Predicate, x: str) -> Predicate:
     raise TypeError(pi)
 
 
-def update_env(env: AttributeEnv, assigns) -> AttributeEnv:
-    """Pointwise override; repeated identifiers apply left to right."""
-    return env.updated(assigns)
-
-
 # ---------------------------------------------------------------------------
 # Finite universe and semantic predicate equivalence
 
@@ -193,12 +188,18 @@ class Universe:
 
     ``values`` must cover every literal and attribute value of the program
     under analysis; ``witness`` is one name that does not occur in it.
+    ``memo`` holds the answers of ``is_ff`` and ``fingerprint`` over this
+    universe.  It lives and dies with the universe: fresh names minted
+    during one analysis give predicates no later analysis asks about.
     """
 
     values: frozenset[Value]
     witness: Name
     attrs: frozenset[str]
     budget: int = DEFAULT_BUDGET
+    memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     @staticmethod
     def for_program(program: Program, extra_values=(), budget: int = DEFAULT_BUDGET) -> "Universe":
@@ -265,9 +266,14 @@ def semantically_equiv(p1: Predicate, p2: Predicate, u: Universe) -> bool:
 
 
 def is_ff(p: Predicate, u: Universe) -> bool:
-    attrs = _mentioned_attrs((p,))
-    domain = _domain(u, (p,))
-    return not any(satisfies(env, p) for env in _enumerate_envs(attrs, domain, u.budget))
+    key = ("is_ff", p)
+    out = u.memo.get(key)
+    if out is None:
+        attrs = _mentioned_attrs((p,))
+        domain = _domain(u, (p,))
+        envs = _enumerate_envs(attrs, domain, u.budget)
+        out = u.memo[key] = not any(satisfies(env, p) for env in envs)
+    return out
 
 
 def is_tt(p: Predicate, u: Universe) -> bool:
@@ -285,6 +291,14 @@ def fingerprint(pi: Predicate, u: Universe) -> tuple:
     Emitted transition labels only mention universe values, which keeps
     fingerprints comparable across predicates.
     """
+    key = ("fingerprint", pi)
+    out = u.memo.get(key)
+    if out is None:
+        out = u.memo[key] = _fingerprint(pi, u)
+    return out
+
+
+def _fingerprint(pi: Predicate, u: Universe) -> tuple:
     attrs = _mentioned_attrs((pi,))
     domain = _domain(u, ())
     for n in free_names(pi):

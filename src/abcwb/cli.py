@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 
 from .attributes import Universe, UniverseTooLarge
@@ -120,10 +121,19 @@ def main(argv=None) -> int:
         raise SystemExit(3 if e.code else 0)
 
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        _sys.stdout.flush()
+        return code
     except UniverseTooLarge as e:
         print(f"error: resource bound exceeded: {e}", file=_sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left early (``abcwb explore ... | head``); point
+        # stdout at devnull so the final flush at exit cannot fail again,
+        # as the signal module's documentation advises
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        return 0
 
 
 def _dispatch(args) -> int:

@@ -46,9 +46,6 @@ class Lts:
     truncated: bool = False
     reasons: list[str] = field(default_factory=list)
 
-    def successors(self, i: int):
-        return [(lab, j) for (s, lab, j) in self.transitions if s == i]
-
 
 def state_rng(seed: int, state: System) -> random.Random:
     """Deterministic generator for one state under one run seed."""

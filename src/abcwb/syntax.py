@@ -2,7 +2,14 @@
 
 Components carry an attribute environment and a process; processes
 communicate by broadcast filtered through predicates over attributes.
-All nodes are immutable (frozen dataclasses) and safe to share.
+All nodes are immutable (frozen, slotted dataclasses) and safe to share.
+
+Every node also has three cache slots that are filled on first use and
+never change afterwards: its structural hash (leaves, whose hash costs
+no more than the lookup, leave it unused), its free names and whether it
+contains a binder.  They are not fields, so equality, ``repr`` and
+construction are unchanged; a term built once and shared by many states
+pays for each of them once.
 
 A single namespace of *names* is used throughout: a name can occur as a
 value atom (``Name``), as an expression placeholder awaiting substitution
@@ -14,24 +21,53 @@ internal canonical/fresh names and rejected by the parser.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 
 RESERVED_NAME = re.compile(r"_[nvfw]\d+$")
 
 
+class _Node:
+    """Base of every syntax node: the per-object caches (see module doc)."""
+
+    __slots__ = ("_hash", "_free", "_binders")
+
+
+# A node without child nodes: its hash is as cheap as a cache lookup, so
+# its ``_hash`` slot stays unused.
+_leaf = dataclass(frozen=True, slots=True)
+
+
+def _node(cls):
+    """Frozen slotted dataclass whose structural hash is computed once."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self):
+        # an unset slot reads as the default: cheaper than catching the
+        # AttributeError, which matters because every new node misses once
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Values
 
 
-class Value:
+class Value(_Node):
     """Base class for message and attribute values."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_leaf
 class Name(Value):
     atom: str
 
@@ -39,7 +75,7 @@ class Name(Value):
         return f"'{self.atom}'"
 
 
-@dataclass(frozen=True)
+@_leaf
 class Int(Value):
     n: int
 
@@ -47,7 +83,7 @@ class Int(Value):
         return str(self.n)
 
 
-@dataclass(frozen=True)
+@_leaf
 class Bool(Value):
     b: bool
 
@@ -55,7 +91,7 @@ class Bool(Value):
         return "tt" if self.b else "ff"
 
 
-@dataclass(frozen=True)
+@_node
 class TupleV(Value):
     items: tuple[Value, ...]
 
@@ -81,52 +117,47 @@ def value_sort_key(v: Value):
 
 
 def names_in_value(v: Value) -> frozenset[str]:
-    if isinstance(v, Name):
-        return frozenset((v.atom,))
-    if isinstance(v, TupleV):
-        out: frozenset[str] = frozenset()
-        for i in v.items:
-            out |= names_in_value(i)
-        return out
-    return frozenset()
+    """Names occurring in a value; a value binds nothing, so these are its
+    free names (cached on the value)."""
+    return free_names(v)
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 
 
-class Expression:
+class Expression(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Lit(Expression):
     value: Value
 
 
-@dataclass(frozen=True)
+@_leaf
 class Var(Expression):
     name: str
 
 
-@dataclass(frozen=True)
+@_leaf
 class Attr(Expression):
     attr: str
 
 
-@dataclass(frozen=True)
+@_leaf
 class ThisAttr(Expression):
     attr: str
 
 
-@dataclass(frozen=True)
+@_node
 class Arith(Expression):
     op: str  # one of + - *
     lhs: Expression
     rhs: Expression
 
 
-@dataclass(frozen=True)
+@_leaf
 class Rand(Expression):
     bound: int  # uniform draw from [0, bound)
 
@@ -135,40 +166,40 @@ class Rand(Expression):
 # Predicates
 
 
-class Predicate:
+class Predicate(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_leaf
 class TT(Predicate):
     pass
 
 
-@dataclass(frozen=True)
+@_leaf
 class FF(Predicate):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Cmp(Predicate):
     op: str  # one of = != < <= > >=
     lhs: Expression
     rhs: Expression
 
 
-@dataclass(frozen=True)
+@_node
 class And(Predicate):
     lhs: Predicate
     rhs: Predicate
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Predicate):
     lhs: Predicate
     rhs: Predicate
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Predicate):
     inner: Predicate
 
@@ -181,54 +212,54 @@ FF_ = FF()
 # Processes
 
 
-class Process:
+class Process(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_leaf
 class Nil(Process):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Out(Process):
     exprs: tuple[Expression, ...]
     pred: Predicate
     cont: Process
 
 
-@dataclass(frozen=True)
+@_node
 class In(Process):
     pred: Predicate
     vars: tuple[str, ...]
     cont: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Upd(Process):
     assigns: tuple[tuple[str, Expression], ...]
     cont: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Aware(Process):
     pred: Predicate
     cont: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Process):
     left: Process
     right: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Par(Process):
     left: Process
     right: Process
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Process):
     name: str
     args: tuple[Expression, ...] = ()
@@ -243,8 +274,8 @@ NIL = Nil()
 UNDEFINED = object()  # distinguishable "unbound attribute" outcome
 
 
-@dataclass(frozen=True)
-class AttributeEnv:
+@_node
+class AttributeEnv(_Node):
     """Partial map from attribute identifiers to values (sorted, immutable)."""
 
     bindings: tuple[tuple[str, Value], ...] = ()
@@ -277,29 +308,29 @@ class AttributeEnv:
 # Systems
 
 
-class System:
+class System(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Comp(System):
     env: AttributeEnv
     proc: Process
 
 
-@dataclass(frozen=True)
+@_node
 class SysPar(System):
     left: System
     right: System
 
 
-@dataclass(frozen=True)
+@_node
 class Bang(System):
     inner: System
     fuel: Optional[int] = None  # remaining unfoldings; None = not yet bounded
 
 
-@dataclass(frozen=True)
+@_node
 class Nu(System):
     name: str
     inner: System
@@ -322,92 +353,109 @@ Node = Union[Value, Expression, Predicate, Process, System]
 # Name bookkeeping
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _union(*parts: frozenset[str]) -> frozenset[str]:
+    """Union of name sets that returns an operand itself when it already
+    covers the others, so a node mostly shares its child's cached set."""
+    out = _NO_NAMES
+    for part in parts:
+        if part <= out:
+            continue
+        out = part if out <= part else out | part
+    return out
+
+
 def free_names(node: Node) -> frozenset[str]:
-    """Free names of a node.
+    """Free names of a node (cached on the node).
 
     Attribute identifiers are not names; attribute *values* in an
     environment are free unless captured by a restriction.
     """
-    if isinstance(node, Value):
-        return names_in_value(node)
-    if isinstance(node, Lit):
-        return names_in_value(node.value)
-    if isinstance(node, Var):
+    out = getattr(node, "_free", None)
+    if out is None:
+        out = _free_names(node)
+        object.__setattr__(node, "_free", out)
+    return out
+
+
+def _free_names(node: Node) -> frozenset[str]:
+    # node classes have no subclasses, so the exact type decides
+    kind = type(node)
+    if kind is Par or kind is Sum or kind is SysPar:
+        return _union(free_names(node.left), free_names(node.right))
+    if kind is Cmp or kind is Arith or kind is And or kind is Or:
+        return _union(free_names(node.lhs), free_names(node.rhs))
+    if kind is Lit:
+        return free_names(node.value)
+    if kind is Name:
+        return frozenset((node.atom,))
+    if kind is Var:
         return frozenset((node.name,))
-    if isinstance(node, (Attr, ThisAttr, Rand)):
-        return frozenset()
-    if isinstance(node, Arith):
-        return free_names(node.lhs) | free_names(node.rhs)
-    if isinstance(node, (TT, FF)):
-        return frozenset()
-    if isinstance(node, Cmp):
-        return free_names(node.lhs) | free_names(node.rhs)
-    if isinstance(node, (And, Or)):
-        return free_names(node.lhs) | free_names(node.rhs)
-    if isinstance(node, Not):
+    if kind is In:
+        out = _union(free_names(node.pred), free_names(node.cont))
+        return out - frozenset(node.vars) if not out.isdisjoint(node.vars) else out
+    if kind is Out:
+        exprs = (free_names(e) for e in node.exprs)
+        return _union(free_names(node.pred), free_names(node.cont), *exprs)
+    if kind is Upd:
+        exprs = (free_names(e) for _, e in node.assigns)
+        return _union(free_names(node.cont), *exprs)
+    if kind is Aware:
+        return _union(free_names(node.pred), free_names(node.cont))
+    if kind is Not:
         return free_names(node.inner)
-    if isinstance(node, Nil):
-        return frozenset()
-    if isinstance(node, Out):
-        out = free_names(node.pred) | free_names(node.cont)
-        for e in node.exprs:
-            out |= free_names(e)
-        return out
-    if isinstance(node, In):
-        return (free_names(node.pred) | free_names(node.cont)) - frozenset(node.vars)
-    if isinstance(node, Upd):
-        out = free_names(node.cont)
-        for _, e in node.assigns:
-            out |= free_names(e)
-        return out
-    if isinstance(node, Aware):
-        return free_names(node.pred) | free_names(node.cont)
-    if isinstance(node, (Sum, Par)):
-        return free_names(node.left) | free_names(node.right)
-    if isinstance(node, Call):
-        out: frozenset[str] = frozenset()
-        for e in node.args:
-            out |= free_names(e)
-        return out
-    if isinstance(node, Comp):
-        out = free_names(node.proc)
-        for _, v in node.env.bindings:
-            out |= names_in_value(v)
-        return out
-    if isinstance(node, SysPar):
-        return free_names(node.left) | free_names(node.right)
-    if isinstance(node, Bang):
+    if kind is Call:
+        return _union(*(free_names(e) for e in node.args))
+    if kind is Comp:
+        return _union(free_names(node.proc), free_names(node.env))
+    if kind is AttributeEnv:
+        return _union(*(free_names(v) for _, v in node.bindings))
+    if kind is TupleV:
+        return _union(*(free_names(i) for i in node.items))
+    if kind is Bang:
         return free_names(node.inner)
-    if isinstance(node, Nu):
-        return free_names(node.inner) - frozenset((node.name,))
+    if kind is Nu:
+        out = free_names(node.inner)
+        return out - {node.name} if node.name in out else out
+    if kind in (Int, Bool, Attr, ThisAttr, Rand, TT, FF, Nil):
+        return _NO_NAMES
     raise TypeError(node)
 
 
+def has_binders(node: Node) -> bool:
+    """Whether an input prefix or a restriction occurs in a node (cached)."""
+    out = getattr(node, "_binders", None)
+    if out is not None:
+        return out
+    if isinstance(node, (In, Nu)):
+        out = True
+    elif isinstance(node, (Out, Upd, Aware)):
+        out = has_binders(node.cont)
+    elif isinstance(node, (Sum, Par, SysPar)):
+        out = has_binders(node.left) or has_binders(node.right)
+    elif isinstance(node, Comp):
+        out = has_binders(node.proc)
+    elif isinstance(node, Bang):
+        out = has_binders(node.inner)
+    else:  # values, expressions, predicates, environments, nil and calls
+        out = False
+    object.__setattr__(node, "_binders", out)
+    return out
+
+
 def bound_names(node: Node) -> frozenset[str]:
-    if isinstance(node, (Value, Expression)):
-        return frozenset()
-    if isinstance(node, (TT, FF, Cmp)):
-        return frozenset()
-    if isinstance(node, (And, Or)):
-        return bound_names(node.lhs) | bound_names(node.rhs)
-    if isinstance(node, Not):
-        return bound_names(node.inner)
-    if isinstance(node, Nil):
-        return frozenset()
-    if isinstance(node, Out):
-        return bound_names(node.cont)
+    if not has_binders(node):
+        return _NO_NAMES
     if isinstance(node, In):
         return frozenset(node.vars) | bound_names(node.cont)
-    if isinstance(node, (Upd, Aware)):
+    if isinstance(node, (Out, Upd, Aware)):
         return bound_names(node.cont)
-    if isinstance(node, (Sum, Par)):
+    if isinstance(node, (Sum, Par, SysPar)):
         return bound_names(node.left) | bound_names(node.right)
-    if isinstance(node, Call):
-        return frozenset()
     if isinstance(node, Comp):
         return bound_names(node.proc)
-    if isinstance(node, SysPar):
-        return bound_names(node.left) | bound_names(node.right)
     if isinstance(node, Bang):
         return bound_names(node.inner)
     if isinstance(node, Nu):
@@ -522,16 +570,6 @@ def _alpha_in(node: In, var: str, fresh: str) -> In:
         new_vars,
         rename_free(node.cont, var, fresh),
     )
-
-
-def alpha_rename(sys: System, old: str, fresh: str) -> System:
-    """Alpha-convert the outermost restriction binding ``old`` to ``fresh``.
-
-    ``fresh`` must not occur in ``sys``.
-    """
-    if isinstance(sys, Nu) and sys.name == old:
-        return Nu(fresh, rename_free(sys.inner, old, fresh))
-    raise ValueError(f"no outermost restriction on {old!r}")
 
 
 def substitute(node, subst: Mapping[str, Value]):
@@ -806,55 +844,113 @@ def canonicalize(sys: System) -> System:
     Two systems are alpha-equivalent iff their canonical forms are equal.
     Restriction binders become ``_n<k>``, input binders ``_v<k>``; the
     counters are shared across the whole term so numbering is positional.
+    A counter skips the names that occur free in the binder's scope; the
+    free-name set is alpha-invariant, so the choice is too.
+
+    The term is walked once, carrying a renaming ``rho`` from the binders
+    in scope to their canonical names, so no binder is renamed into a name
+    another one still uses.  A node whose children come back unchanged is
+    returned itself, and a node without binders whose free names ``rho``
+    leaves alone is returned without being walked: a successor built from
+    a canonical state keeps most of its nodes, and their cached fields.
     """
     counter = {"n": 0, "v": 0}
 
-    def canon_proc(p: Process) -> Process:
-        if isinstance(p, Nil):
-            return p
-        if isinstance(p, Out):
-            return Out(p.exprs, p.pred, canon_proc(p.cont))
-        if isinstance(p, In):
-            for var in p.vars:
-                fresh = _pick(counter, "v", free_names(p) - {var})
-                if var != fresh:
-                    p = _alpha_in(p, var, fresh)
-            return In(p.pred, p.vars, canon_proc(p.cont))
-        if isinstance(p, Upd):
-            return Upd(p.assigns, canon_proc(p.cont))
-        if isinstance(p, Aware):
-            return Aware(p.pred, canon_proc(p.cont))
-        if isinstance(p, Sum):
-            return Sum(canon_proc(p.left), canon_proc(p.right))
-        if isinstance(p, Par):
-            return Par(canon_proc(p.left), canon_proc(p.right))
-        if isinstance(p, Call):
-            return p
-        raise TypeError(p)
-
-    def canon_sys(s: System) -> System:
-        if isinstance(s, Comp):
-            return Comp(s.env, canon_proc(s.proc))
-        if isinstance(s, SysPar):
-            return SysPar(canon_sys(s.left), canon_sys(s.right))
-        if isinstance(s, Bang):
-            return Bang(canon_sys(s.inner), s.fuel)
-        if isinstance(s, Nu):
-            fresh = _pick(counter, "n", free_names(s.inner) - {s.name})
-            inner = s.inner if s.name == fresh else rename_free(s.inner, s.name, fresh)
-            return Nu(fresh, canon_sys(inner))
-        raise TypeError(s)
-
-    def _pick(counter, kind: str, avoid: frozenset[str]) -> str:
-        # skip canonical names that already occur free in the subterm; the
-        # free-name set is alpha-invariant, so the choice is too
+    def pick(kind: str, taken) -> str:
         while True:
             cand = f"_{kind}{counter[kind]}"
             counter[kind] += 1
-            if cand not in avoid:
+            if cand not in taken:
                 return cand
 
-    return canon_sys(sys)
+    def scope(node, rho):
+        # the binder's free names as they read after renaming
+        names = free_names(node)
+        return {rho.get(x, x) for x in names} if rho else names
+
+    def walk_all(items: tuple, rho) -> tuple:
+        out = tuple(walk(i, rho) for i in items)
+        return items if all(a is b for a, b in zip(out, items)) else out
+
+    def walk_pairs(pairs: tuple, rho) -> tuple:
+        out = tuple((k, walk(x, rho)) for k, x in pairs)
+        return pairs if all(a[1] is b[1] for a, b in zip(out, pairs)) else out
+
+    def walk(node, rho):
+        if not has_binders(node) and (not rho or free_names(node).isdisjoint(rho)):
+            return node
+        # node classes have no subclasses, so the exact type decides; the
+        # most frequent kinds come first
+        kind = type(node)
+        if kind is Par or kind is Sum or kind is SysPar:
+            left, right = walk(node.left, rho), walk(node.right, rho)
+            if left is node.left and right is node.right:
+                return node
+            return kind(left, right)
+        if kind is In:
+            taken = scope(node, rho)
+            vars_ = tuple(pick("v", taken) for _ in node.vars)
+            inner = _bind(rho, zip(node.vars, vars_))
+            pred, cont = walk(node.pred, inner), walk(node.cont, inner)
+            if vars_ == node.vars and pred is node.pred and cont is node.cont:
+                return node
+            return In(pred, vars_, cont)
+        if kind is Out:
+            exprs = walk_all(node.exprs, rho)
+            pred, cont = walk(node.pred, rho), walk(node.cont, rho)
+            if exprs is node.exprs and pred is node.pred and cont is node.cont:
+                return node
+            return Out(exprs, pred, cont)
+        if kind is Comp:
+            env, proc = walk(node.env, rho), walk(node.proc, rho)
+            return node if env is node.env and proc is node.proc else Comp(env, proc)
+        if kind is Upd:
+            assigns, cont = walk_pairs(node.assigns, rho), walk(node.cont, rho)
+            return node if assigns is node.assigns and cont is node.cont else Upd(assigns, cont)
+        if kind is Aware:
+            pred, cont = walk(node.pred, rho), walk(node.cont, rho)
+            return node if pred is node.pred and cont is node.cont else Aware(pred, cont)
+        if kind is Nu:
+            name = pick("n", scope(node, rho))
+            inner = walk(node.inner, _bind(rho, ((node.name, name),)))
+            return node if name == node.name and inner is node.inner else Nu(name, inner)
+        if kind is Bang:
+            inner = walk(node.inner, rho)
+            return node if inner is node.inner else Bang(inner, node.fuel)
+        # below: no binders, and some free name is renamed
+        if kind is Var:
+            return Var(rho[node.name])
+        if kind is Name:
+            return Name(rho[node.atom])
+        if kind is Lit:
+            return Lit(walk(node.value, rho))
+        if kind is Cmp or kind is Arith:
+            return kind(node.op, walk(node.lhs, rho), walk(node.rhs, rho))
+        if kind is And or kind is Or:
+            return kind(walk(node.lhs, rho), walk(node.rhs, rho))
+        if kind is Not:
+            return Not(walk(node.inner, rho))
+        if kind is Call:
+            return Call(node.name, walk_all(node.args, rho))
+        if kind is AttributeEnv:
+            return AttributeEnv(walk_pairs(node.bindings, rho))
+        if kind is TupleV:
+            return TupleV(walk_all(node.items, rho))
+        raise TypeError(node)
+
+    return walk(sys, {})
+
+
+def _bind(rho: dict, pairs) -> dict:
+    """``rho`` extended with binders and their new names; a binder that
+    keeps its name shadows any outer entry for it."""
+    inner = dict(rho)
+    for old, new in pairs:
+        if old == new:
+            inner.pop(old, None)
+        else:
+            inner[old] = new
+    return inner
 
 
 def alpha_equal(s1: System, s2: System) -> bool:

@@ -231,6 +231,8 @@ def _steps(sys, defs, universe, rng, notes):
 
 def _avoid_clash(lab: SOut, origin: System, sibling: System):
     """Rename extruded bound names of a label away from a sibling's names."""
+    if not lab.bound:
+        return lab, origin, sibling
     clashing = lab.bound & (free_names(sibling) | bound_names(sibling))
     if not clashing:
         return lab, origin, sibling
@@ -305,19 +307,3 @@ def sys_deliver(
         ]
 
     raise TypeError(sys)
-
-
-def external_input_steps(
-    sys: System,
-    pred: Predicate,
-    values: tuple[Value, ...],
-    defs: Definitions,
-    universe: Universe,
-    rng=None,
-) -> list[tuple[SIn, System]]:
-    """Input transitions of a whole system for one offered message."""
-    label = SIn(pred, values)
-    return [
-        (label, succ)
-        for succ in sys_deliver(sys, pred, values, defs, universe, rng)
-    ]

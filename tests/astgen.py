@@ -9,6 +9,7 @@ unambiguous.
 from __future__ import annotations
 
 import random
+from dataclasses import fields, is_dataclass
 
 from abcwb.syntax import (
     And,
@@ -38,6 +39,7 @@ from abcwb.syntax import (
     TT_,
     TupleV,
     Upd,
+    Var,
 )
 
 ATTRS = ("pa", "pb", "pc")
@@ -93,8 +95,6 @@ def _starts_with_bool(e) -> bool:
 
 
 def gen_var(rng, scope):
-    from abcwb.syntax import Var
-
     return Var(rng.choice(sorted(scope)))
 
 
@@ -164,3 +164,38 @@ def gen_system(rng: random.Random, depth: int = 2):
     if k == 1:
         return Bang(gen_system(rng, depth - 1))
     return Nu(rng.choice(NUS), gen_system(rng, depth - 1))
+
+
+RESERVED = ("_v0", "_v1", "_v2", "_v3", "_n0", "_n1", "_n2")
+
+
+def rename_binders(node, rng: random.Random, scramble: bool = False, env=None):
+    """Give every binder a random reserved name, both kinds mixed.
+
+    Occurrences follow their binder's new name without any check for
+    capture, so the result is alpha-equivalent to ``node`` unless an
+    inner binder took the name an outer one still uses in its scope.
+    With ``scramble`` the occurrences of an input's variables follow the
+    new names in reverse order, which rebinds them whenever it matters.
+    """
+    env = env or {}
+    if isinstance(node, Var):
+        return Var(env.get(node.name, node.name))
+    if isinstance(node, Name):
+        return Name(env.get(node.atom, node.atom))
+    if isinstance(node, In):
+        new = tuple(rng.sample(RESERVED, len(node.vars)))
+        targets = new[::-1] if scramble else new
+        inner = {**env, **dict(zip(node.vars, targets))}
+        return In(rename_binders(node.pred, rng, scramble, inner), new,
+                  rename_binders(node.cont, rng, scramble, inner))
+    if isinstance(node, Nu):
+        new = rng.choice(RESERVED)
+        inner = {**env, node.name: new}
+        return Nu(new, rename_binders(node.inner, rng, scramble, inner))
+    if is_dataclass(node):
+        return type(node)(*(rename_binders(getattr(node, f.name), rng, scramble, env)
+                            for f in fields(node)))
+    if isinstance(node, tuple):
+        return tuple(rename_binders(x, rng, scramble, env) for x in node)
+    return node

@@ -15,6 +15,7 @@ import pytest
 from abcwb.attributes import (
     UndefinedClosure,
     Universe,
+    UniverseTooLarge,
     close_predicate,
     eval_expr,
     fingerprint,
@@ -246,3 +247,38 @@ def test_fingerprint_constants():
     assert fingerprint(FF_, u) == fingerprint_ff(u)
     assert fingerprint(TT_, u) == fingerprint_tt(u)
     assert fingerprint(And(TT_, Not(FF_)), u) == fingerprint_tt(u)
+
+
+# -- per-universe memo of is_ff and fingerprint ------------------------------
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_memoised_answers_match_a_fresh_universe(seed):
+    rng = random.Random(seed)
+    warm = small_universe()
+    preds = [gen_pred(rng, frozenset(), depth=2) for _ in range(6)]
+    for p in preds + preds[:3]:  # the repeats are answered from the memo
+        assert is_ff(p, warm) == is_ff(p, small_universe())
+        assert fingerprint(p, warm) == fingerprint(p, small_universe())
+
+
+def test_a_new_universe_starts_with_an_empty_memo():
+    warm = small_universe()
+    is_ff(Cmp("=", Attr("a"), Lit(Int(0))), warm)
+    assert warm.memo
+    fresh = small_universe()
+    assert fresh.memo == {}
+    # the memo is not part of the universe's value
+    assert fresh == warm and hash(fresh) == hash(warm)
+
+
+def test_too_large_is_raised_on_every_call():
+    u = Universe(frozenset({Int(0)}), Name("_w0"), frozenset({"a", "b"}), budget=2)
+    p = And(Cmp("=", Attr("a"), Lit(Int(0))), Cmp("=", Attr("b"), Lit(Int(0))))
+    for _ in range(2):
+        with pytest.raises(UniverseTooLarge):
+            is_ff(p, u)
+        with pytest.raises(UniverseTooLarge):
+            fingerprint(p, u)
+    assert u.memo == {}

@@ -1,5 +1,9 @@
 """Command-line behavior: exit codes, reports, reproducibility."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from abcwb.cli import main
@@ -141,3 +145,23 @@ def test_check_encoding_rejects_garbage(tmp_path, capsys):
     f.write_text("a<v.nil\n")
     code, _, err = run(["check-encoding", str(f)], capsys)
     assert code == 3 and "error" in err
+
+
+@pytest.mark.parametrize("cmd", [["explore"], ["reach", "role='helper'"]])
+def test_closed_stdout_exits_quietly(corpus_dir, cmd):
+    # like ``abcwb explore robotics.abc | head -4``: the reader is gone
+    # before the report is written
+    argv = [cmd[0], path(corpus_dir, "robotics.abc"), *cmd[1:], "--max-states", "50"]
+    src = str(corpus_dir.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "abcwb.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert done.stderr == b""

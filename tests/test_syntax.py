@@ -137,3 +137,14 @@ def test_predicate_equality_is_structural():
     q = And(Cmp("=", Attr("a"), Lit(Bool(True))), TT_)
     assert p == q
     assert hash(p) == hash(q)
+
+
+def test_nodes_are_slotted_and_cache_their_hash_and_free_names():
+    def build():
+        return Nu("x", comp({"a": Name("x"), "b": Name("y")}, Out((Var("v"),), TT_, NIL)))
+
+    s, t = build(), build()
+    assert not hasattr(s, "__dict__")
+    assert hash(s) == hash(t) and s == t
+    assert free_names(s) == frozenset({"v", "y"})
+    assert free_names(s) is free_names(s)
