@@ -918,26 +918,41 @@ def check_barb_correspondence(p: BP) -> bool:
 
 
 def _tau_graph(init, steps, is_tau, canon, bound: int):
-    """Silent-step reachability; returns (has_cycle, truncated)."""
-    seen = {canon(init)}
-    stack = [(init, 0)]
+    """Silent-step cycle search; returns (has_cycle, truncated).
+
+    Depth-first with colours: only a silent step back to a state on the
+    current path closes a cycle.  Reaching a finished state again, as
+    both interleavings of ``tau.nil | tau.nil`` do, is not a cycle.
+    Paths are cut at ``bound`` states, which marks the search truncated.
+    """
+    on_path, done = 1, 2
+
+    def silent(state):
+        return (nxt for lab, nxt in steps(state) if is_tau(lab))
+
+    key = canon(init)
+    colour = {key: on_path}
+    path = [(key, silent(init))]
     truncated = False
-    has_cycle = False
-    while stack:
-        cur, d = stack.pop()
-        if d >= bound:
+    while path:
+        key, succs = path[-1]
+        nxt = next(succs, None)
+        if nxt is None:
+            colour[key] = done
+            path.pop()
+            continue
+        nkey = canon(nxt)
+        seen = colour.get(nkey)
+        if seen == on_path:
+            return True, truncated
+        if seen == done:
+            continue
+        if len(path) >= bound:
             truncated = True
             continue
-        for lab, nxt in steps(cur):
-            if not is_tau(lab):
-                continue
-            key = canon(nxt)
-            if key in seen:
-                has_cycle = True
-                continue
-            seen.add(key)
-            stack.append((nxt, d + 1))
-    return has_cycle, truncated
+        colour[nkey] = on_path
+        path.append((nkey, silent(nxt)))
+    return False, truncated
 
 
 def bpi_divergent(p: BP, bound: int = 50) -> tuple[bool, bool]:

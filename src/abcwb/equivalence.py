@@ -10,20 +10,29 @@ distinguishing messages can be built from mentioned values, which holds
 for equality-based predicates; it is the documented approximation
 otherwise.
 
-Bisimilarity is computed as a relational fixpoint: start from all state
-pairs and repeatedly delete pairs with an unmatchable move.  The round
-in which a pair dies gives a minimal-depth distinguishing strategy,
-which is reported as a nested witness.
+The joint space is an integer graph built once: states are numbered in
+discovery order and canonical labels are interned to numbers (tau is
+0).  Most stimuli are discarded by every component; ``sys_deliver`` then
+hands back the state object itself, which is recorded as a self-loop
+without canonicalising or hashing a term.
+
+Bisimilarity is computed by partition refinement over that graph: start
+from one block and split blocks by the set of (label, target block)
+moves of their states until nothing splits.  The round in which two
+states part gives a minimal-depth distinguishing strategy, which is
+reported as a nested witness, printed by mapping the numbers back to
+terms and labels.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 
 from .attributes import Universe, fingerprint, UniverseTooLarge
 from .component import Receives
-from .explorer import canon_label, label_text, state_rng
+from .explorer import canon_label, label_text, state_rng, state_seed
 from .syntax import (
     Definitions,
     In,
@@ -93,11 +102,22 @@ def stimulus_messages(
 
 @dataclass
 class _Space:
-    """Joint explored space of the two systems under comparison."""
+    """Joint explored space of the two systems under comparison.
 
-    succ: dict  # state -> dict[canonical label, frozenset of states]
+    States are numbered in discovery order and canonical labels are
+    interned to numbers, tau being 0, so refinement hashes and compares
+    ints rather than terms and nested label tuples.  ``states`` and
+    ``labels`` map the numbers back for the witness.
+    """
+
+    states: list  # state number -> canonical System
+    labels: list  # label number -> canonical label
+    succ: dict  # state number -> dict[label number, frozenset of state numbers]
     truncated: bool
     reasons: list
+
+
+TAU_LABEL = 0
 
 
 def _explore_pair(
@@ -109,98 +129,113 @@ def _explore_pair(
     max_states: int,
     seed: int,
     message_budget: int,
-) -> tuple[list[System], _Space]:
+) -> tuple[list[int], _Space]:
     """Explore both systems under outputs, silent steps, and stimuli.
 
     The stimulus pool starts from the arity baseline and grows with
     every output either side is seen to emit, re-offered to already
-    visited states until a fixpoint.
-    """
-    inits = [canonicalize(set_fuel(r, repl_bound)) for r in roots]
-    messages: list[tuple[Predicate, tuple[Value, ...]]] = []
-    msg_keys: set = set()
-    for pred, vals in stimulus_messages(roots, defs, universe, message_budget):
-        key = (fingerprint(pred, universe), vals)
-        if key not in msg_keys:
-            msg_keys.add(key)
-            messages.append((pred, vals))
+    visited states until a fixpoint.  Returns the numbers of the two
+    initial states and the numbered space.
 
-    succ: dict[System, dict] = {}
+    A stimulus that every component discards comes back from
+    ``sys_deliver`` as the state object itself; it is recorded as a
+    self-loop without canonicalising, since states are canonical.
+    """
+    labels: list[tuple] = [canon_label(TAU, universe)]
+    label_ids: dict[tuple, int] = {labels[0]: TAU_LABEL}
+
+    def intern(lab_key: tuple) -> int:
+        k = label_ids.get(lab_key)
+        if k is None:
+            k = label_ids[lab_key] = len(labels)
+            labels.append(lab_key)
+        return k
+
     reasons: list[str] = []
     truncated = False
-    states: list[System] = []
-    queue: list[System] = []
-    offered: dict[System, int] = {}  # how many stimuli each state has seen
 
-    def add_state(s: System) -> bool:
+    def note_truncation(reason: str):
         nonlocal truncated
-        if s in succ:
-            return True
-        if len(states) >= max_states:
-            truncated = True
-            if "state budget exhausted" not in reasons:
-                reasons.append("state budget exhausted")
-            return False
-        succ[s] = {}
-        offered[s] = 0
-        states.append(s)
-        queue.append(s)
-        return True
+        truncated = True
+        if reason not in reasons:
+            reasons.append(reason)
 
-    def record(s: System, lab_key: tuple, t: System):
-        if add_state(t):
-            succ[s].setdefault(lab_key, set()).add(t)
-
-    for init in inits:
-        add_state(init)
+    # (predicate, values, label number) of every stimulus, in offer order
+    messages: list[tuple[Predicate, tuple[Value, ...], int]] = []
+    msg_keys: set[tuple] = set()
 
     def add_message(pred, vals):
-        key = (fingerprint(pred, universe), vals)
+        key = canon_label(SIn(pred, vals), universe)
         if key in msg_keys:
             return
         if len(messages) >= message_budget:
-            nonlocal truncated
-            truncated = True
-            if "stimulus budget exhausted" not in reasons:
-                reasons.append("stimulus budget exhausted")
+            note_truncation("stimulus budget exhausted")
             return
         msg_keys.add(key)
-        messages.append((pred, vals))
+        messages.append((pred, vals, intern(key)))
+
+    for pred, vals in stimulus_messages(roots, defs, universe, message_budget):
+        add_message(pred, vals)  # the baseline never exceeds the budget
+
+    index: dict[System, int] = {}
+    states: list[System] = []
+    succ: dict[int, dict[int, set[int]]] = {}
+    seeds: list[int] = []  # each state's generator seed, set when stepped
+    offered: list[int] = []  # how many stimuli each state has seen
+
+    def add_state(s: System) -> int | None:
+        i = index.get(s)
+        if i is not None:
+            return i
+        if len(states) >= max_states:
+            note_truncation("state budget exhausted")
+            return None
+        i = index[s] = len(states)
+        states.append(s)
+        succ[i] = {}
+        offered.append(0)
+        return i
+
+    inits = [add_state(canonicalize(set_fuel(r, repl_bound))) for r in roots]
 
     pos = 0
     while True:
         progressed = False
-        while pos < len(queue):
-            s = queue[pos]
+        while pos < len(states):
+            i, s = pos, states[pos]
             pos += 1
             progressed = True
-            rng = state_rng(seed, s)
+            seeds.append(state_seed(seed, s))
+            moves = succ[i]
             notes: list[str] = []
-            for lab, t in system_steps(s, defs, universe, rng, notes):
+            for lab, t in system_steps(s, defs, universe, random.Random(seeds[i]), notes):
                 if isinstance(lab, SOut):
                     add_message(lab.pred, lab.values)
-                record(s, canon_label(lab, universe), canonicalize(t))
+                k = intern(canon_label(lab, universe))
+                j = add_state(canonicalize(t))
+                if j is not None:
+                    moves.setdefault(k, set()).add(j)
             for note in notes:
-                truncated = True
-                if note not in reasons:
-                    reasons.append(note)
+                note_truncation(note)
         # offer any not-yet-offered stimuli to every known state
-        for s in list(states):
-            n = offered[s]
+        for i in range(len(states)):
+            n = offered[i]
             if n >= len(messages):
                 continue
             progressed = True
-            rng = state_rng(seed, s)
-            for pred, vals in messages[n:]:
-                key = canon_label(SIn(pred, vals), universe)
+            s, moves = states[i], succ[i]
+            rng = random.Random(seeds[i])
+            for pred, vals, k in messages[n:]:
                 for t in sys_deliver(s, pred, vals, defs, universe, rng):
-                    record(s, key, canonicalize(t))
-            offered[s] = len(messages)
-        if not progressed and pos >= len(queue):
+                    j = i if t is s else add_state(canonicalize(t))
+                    if j is not None:
+                        moves.setdefault(k, set()).add(j)
+            offered[i] = len(messages)
+        if not progressed and pos >= len(states):
             break
 
-    frozen = {s: {k: frozenset(v) for k, v in d.items()} for s, d in succ.items()}
-    return inits, _Space(frozen, truncated, reasons)
+    frozen = {i: {k: frozenset(v) for k, v in d.items()} for i, d in succ.items()}
+    return inits, _Space(states, labels, frozen, truncated, reasons)
 
 
 @dataclass
@@ -214,27 +249,29 @@ class BisimResult:
 def _refine(space: _Space, weak: bool):
     """Partition refinement by successor signatures.
 
-    Returns the (possibly saturated) successor map, the final block
-    assignment, and the partition history; two states are related iff
-    they end up in the same block.
+    Returns the (possibly saturated) successor map, the final block of
+    each state (a list indexed by state number), and the partition
+    history; two states are related iff they end up in the same block.
     """
     succ = space.succ
     if weak:
         succ = _weak_closure(succ)
-    states = list(succ)
-    block = {s: 0 for s in states}
+    n = len(succ)
+    block = [0] * n
     history = [block]
+    count = 1
     while True:
         keys: dict = {}
-        refined = {}
-        for s in states:
+        refined = []
+        for s in range(n):
+            # block numbers are below n, so lab * n + block names the pair
             sig = frozenset(
-                (lab, block[t]) for lab, ts in succ[s].items() for t in ts
+                lab * n + block[t] for lab, ts in succ[s].items() for t in ts
             )
-            key = (block[s], sig)
-            refined[s] = keys.setdefault(key, len(keys))
-        if len(keys) == len(set(block.values())):
+            refined.append(keys.setdefault((block[s], sig), len(keys)))
+        if len(keys) == count:
             return succ, refined, history
+        count = len(keys)
         block = refined
         history.append(block)
 
@@ -248,35 +285,40 @@ def _sep_round(p, q, history) -> int:
 
 
 def _mismatch(p, q, succ, block):
-    """An attacker move from p that q cannot answer into the same block."""
+    """An attacker move from p that q cannot answer into the same block.
+
+    Targets are tried in discovery order, a move back to p itself last:
+    such a stutter restates the pair rather than explaining it.
+    """
     for lab, targets in succ[p].items():
         answers = succ[q].get(lab, frozenset())
-        for t in targets:
-            if not any(block[t] == block[u] for u in answers):
+        answer_blocks = {block[u] for u in answers}
+        for t in sorted(targets, key=lambda t: (t == p, t)):
+            if block[t] not in answer_blocks:
                 return (lab, t, answers)
     return None
 
 
 def _weak_closure(succ):
     """Saturate: tau* a tau* for visible moves, tau* for silent ones."""
-    states = list(succ)
-    tclo: dict = {}
-    for s in states:
+    n = len(succ)
+    tclo: list[frozenset[int]] = []
+    for s in range(n):
         seen = {s}
         stack = [s]
         while stack:
             cur = stack.pop()
-            for t in succ[cur].get(("tau",), frozenset()):
+            for t in succ[cur].get(TAU_LABEL, ()):
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
-        tclo[s] = frozenset(seen)
+        tclo.append(frozenset(seen))
     weak: dict = {}
-    for s in states:
-        d: dict = {("tau",): set(tclo[s])}
+    for s in range(n):
+        d: dict = {TAU_LABEL: set(tclo[s])}
         for mid in tclo[s]:
             for lab, targets in succ[mid].items():
-                if lab == ("tau",):
+                if lab == TAU_LABEL:
                     continue
                 acc = d.setdefault(lab, set())
                 for t in targets:
@@ -285,7 +327,7 @@ def _weak_closure(succ):
     return weak
 
 
-def _build_witness(p, q, succ, block, history, depth=0):
+def _build_witness(p, q, space, succ, block, history, depth=0):
     if depth > 50:
         return {"note": "witness truncated"}
     for first, second, side in ((p, q, "left"), (q, p, "right")):
@@ -294,16 +336,16 @@ def _build_witness(p, q, succ, block, history, depth=0):
             lab, t, answers = miss
             node = {
                 "side": side,
-                "label": label_text(lab),
-                "from": pretty_system(first),
-                "to": pretty_system(t),
+                "label": label_text(space.labels[lab]),
+                "from": pretty_system(space.states[first]),
+                "to": pretty_system(space.states[t]),
             }
             if answers:
                 # every answer is already distinguished from t; recurse
                 # on one separated as early as possible
-                u = min(answers, key=lambda u: _sep_round(t, u, history))
+                u = min(sorted(answers), key=lambda u: _sep_round(t, u, history))
                 node["continues"] = _build_witness(
-                    t, u, succ, block, history, depth + 1
+                    t, u, space, succ, block, history, depth + 1
                 )
             else:
                 node["continues"] = None  # the move is missing outright
@@ -342,7 +384,7 @@ def bisimilar(
     succ, block, history = _refine(space, weak)
     if block[i1] == block[i2]:
         return BisimResult(True, None, space.truncated, space.reasons)
-    witness = _build_witness(i1, i2, succ, block, history)
+    witness = _build_witness(i1, i2, space, succ, block, history)
     return BisimResult(False, witness, space.truncated, space.reasons)
 
 

@@ -47,10 +47,15 @@ class Lts:
     reasons: list[str] = field(default_factory=list)
 
 
+def state_seed(seed: int, state: System) -> int:
+    """Integer seed of one state's generator under one run seed."""
+    key = f"{seed}:{pretty_system(state)}".encode()
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+
+
 def state_rng(seed: int, state: System) -> random.Random:
     """Deterministic generator for one state under one run seed."""
-    key = f"{seed}:{pretty_system(state)}".encode()
-    return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+    return random.Random(state_seed(seed, state))
 
 
 def canon_label(lab, universe: Universe) -> tuple:

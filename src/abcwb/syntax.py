@@ -496,7 +496,13 @@ def rename_value(v: Value, old: str, new: str) -> Value:
 
 
 def rename_free(node, old: str, new: str):
-    """Rename every free occurrence of name ``old`` (atoms and vars) to ``new``."""
+    """Rename every free occurrence of name ``old`` (atoms and vars) to ``new``.
+
+    A node in which ``old`` is not free comes back as itself, with its
+    caches and sharing intact.
+    """
+    if old not in free_names(node):
+        return node
     if isinstance(node, Value):
         return rename_value(node, old, new)
     if isinstance(node, Lit):
@@ -573,8 +579,11 @@ def _alpha_in(node: In, var: str, fresh: str) -> In:
 
 
 def substitute(node, subst: Mapping[str, Value]):
-    """Capture-avoiding substitution of values for free variable occurrences."""
-    if not subst:
+    """Capture-avoiding substitution of values for free variable occurrences.
+
+    A node in which no substituted variable is free comes back as itself.
+    """
+    if not subst or free_names(node).isdisjoint(subst):
         return node
     if isinstance(node, Lit):
         return node

@@ -267,7 +267,9 @@ def sys_deliver(
 
     Every returned system is a valid input outcome; a component that
     discards contributes itself unchanged.  Parallel branches all handle
-    the message, so outcomes multiply across them.
+    the message, so outcomes multiply across them.  An outcome in which
+    every part discards is ``sys`` itself, not a rebuilt equal node, so
+    a caller can recognise a discarded message by identity.
     """
     if isinstance(sys, Comp):
         got = deliver(sys.env, sys.proc, pred, values, defs, rng)
@@ -278,7 +280,12 @@ def sys_deliver(
     if isinstance(sys, SysPar):
         lefts = sys_deliver(sys.left, pred, values, defs, universe, rng, notes)
         rights = sys_deliver(sys.right, pred, values, defs, universe, rng, notes)
-        return [SysPar(l, r) for l in lefts for r in rights]
+        left, right = sys.left, sys.right
+        return [
+            sys if l is left and r is right else SysPar(l, r)
+            for l in lefts
+            for r in rights
+        ]
 
     if isinstance(sys, Bang):
         if sys.fuel == 0:
@@ -302,7 +309,7 @@ def sys_deliver(
             inner = rename_free(inner, y, fresh)
             y = fresh
         return [
-            Nu(y, inner2)
+            sys if inner2 is sys.inner and y == sys.name else Nu(y, inner2)
             for inner2 in sys_deliver(inner, pred, values, defs, universe, rng, notes)
         ]
 

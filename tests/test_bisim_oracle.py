@@ -1,0 +1,101 @@
+"""Differential tests: the numbered bisimulation engine against a
+state-keyed greatest-fixpoint reference (``bisim_oracle``)."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from abcwb.attributes import Universe, UniverseTooLarge
+from abcwb.equivalence import _explore_pair, bisimilar
+from abcwb.syntax import Comp, FF_, NIL, Nu, Out, SysPar
+
+from astgen import gen_env, gen_system
+from bisim_oracle import explore, oracle_bisimilar, related, saturate
+from conftest import load_corpus
+
+# the bounds `abcwb bisim` runs with by default
+CLI_BOUNDS = dict(repl_bound=3, max_states=2000, seed=0, message_budget=2000)
+
+
+def _edges(succ) -> int:
+    return sum(len(ts) for moves in succ.values() for ts in moves.values())
+
+
+def _corpus_pair(left, right):
+    l, r = load_corpus(left), load_corpus(right)
+    main = r.main
+    if left == right:  # the same system with its outer operands swapped
+        main = SysPar(main.right, main.left)
+    return l.main, main, {**l.defs, **r.defs}
+
+
+@pytest.mark.parametrize(
+    "left, right, equivalent",
+    [
+        ("channels.abc", "pubsub.abc", False),
+        ("groups.abc", "adaptation.abc", False),
+        ("pubsub.abc", "pubsub.abc", True),
+    ],
+)
+def test_corpus_verdicts_match_the_oracle(left, right, equivalent):
+    s1, s2, defs = _corpus_pair(left, right)
+    universe = Universe.for_systems([s1, s2])
+    (i1, i2), succ = explore((s1, s2), defs, universe, **CLI_BOUNDS)
+    for weak, moves in ((False, succ), (True, saturate(succ))):
+        res = bisimilar(s1, s2, defs, universe, weak=weak)
+        assert res.equivalent == related(moves, i1, i2) == equivalent, weak
+        assert not res.truncated
+
+
+def test_channels_pubsub_joint_space_size():
+    s1, s2, defs = _corpus_pair("channels.abc", "pubsub.abc")
+    universe = Universe.for_systems([s1, s2])
+    _, space = _explore_pair((s1, s2), defs, universe, **CLI_BOUNDS)
+    assert len(space.succ) == 774
+    assert _edges(space.succ) == 63_838
+    _, succ = explore((s1, s2), defs, universe, **CLI_BOUNDS)
+    assert (len(succ), _edges(succ)) == (774, 63_838)
+    # every label number names one canonical label, tau first
+    assert space.labels[0] == ("tau",)
+    assert len(set(space.labels)) == len(space.labels)
+
+
+def _variant(rng: random.Random, a):
+    """A second system for ``a``: unrelated, or a variant that is
+    bisimilar (strongly, or only weakly) or nearly so."""
+    k = rng.randrange(5)
+    if k == 0:
+        return gen_system(rng)
+    if k == 1:
+        if isinstance(a, SysPar):
+            return SysPar(a.right, a.left)
+        return SysPar(a, Comp(gen_env(rng), NIL))  # an inert component
+    if k == 2:
+        return Nu("zz", a)
+    if k == 3 and isinstance(a, Comp):
+        return Comp(a.env, Out((), FF_, a.proc))  # one silent step first
+    return SysPar(a, gen_system(rng, 1))
+
+
+def _outcome(decide):
+    try:
+        return decide()
+    except UniverseTooLarge:
+        return "UniverseTooLarge"
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_random_pairs_match_the_oracle(seed):
+    rng = random.Random(seed)
+    a = gen_system(rng)
+    b = _variant(rng, a)
+    kw = dict(repl_bound=1, max_states=30, seed=seed % 7, message_budget=200)
+    universe = Universe.for_systems([a, b])
+    for weak in (False, True):
+        engine = _outcome(
+            lambda: bisimilar(a, b, {}, universe, weak=weak, **kw).equivalent
+        )
+        oracle = _outcome(lambda: oracle_bisimilar(a, b, {}, universe, weak=weak, **kw))
+        assert engine == oracle, (weak, seed)

@@ -10,6 +10,7 @@ from abcwb.bpi import (
     BOut,
     BTAU,
     BpiParseError,
+    abc_divergent,
     bpi_barbs,
     bpi_divergent,
     bpi_steps,
@@ -101,6 +102,33 @@ def test_divergence_detected():
     assert div
     calm, _ = bpi_divergent(parse_bpi("a<v>.nil"))
     assert not calm
+
+
+@pytest.mark.parametrize(
+    "text, bound, expected",
+    [
+        # a diamond: both interleavings meet in one state, no cycle
+        ("tau.nil | tau.nil", 50, (False, False)),
+        ("(tau.nil | tau.nil) | tau.nil", 50, (False, False)),
+        ("rec T(). tau.T() @ ()", 50, (True, False)),
+        ("rec T(). tau.tau.T() @ ()", 50, (True, False)),
+        ("tau.nil | rec T(). tau.T() @ ()", 50, (True, False)),
+        ("tau.tau.tau.nil", 50, (False, False)),
+        ("tau.tau.tau.nil", 2, (False, True)),
+    ],
+)
+def test_divergence_verdict_of_each_side(text, bound, expected):
+    term = parse_bpi(text)
+    sys, defs = encode(term)
+    assert bpi_divergent(term, bound) == expected
+    assert abc_divergent(sys, defs, bound) == expected
+
+
+def test_corpus_t16_diverges_on_both_sides(corpus_dir):
+    term = parse_bpi((corpus_dir / "bpi" / "t16.bpi").read_text())
+    sys, defs = encode(term)
+    assert bpi_divergent(term) == (True, False)
+    assert abc_divergent(sys, defs) == (True, False)
 
 
 def test_parse_error_reported():

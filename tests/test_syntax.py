@@ -79,6 +79,16 @@ def test_rename_free_avoids_capture_by_renaming_binder():
     assert isinstance(r, Nu) and r.name != "x"
 
 
+def test_noop_substitution_and_renaming_return_the_node_itself():
+    # the binder x would be renamed if anything were substituted below it
+    proc = Par(In(TT_, ("x",), Out((Var("x"),), TT_, NIL)), Out((Var("w"),), TT_, NIL))
+    assert substitute(proc, {"v": Name("x")}) is proc
+    assert substitute(proc, {"w": Int(1)}).left is proc.left
+    s = Nu("x", comp({"a": Name("y")}))
+    assert rename_free(s, "z", "x") is s
+    assert rename_free(s, "x", "q") is s
+
+
 def test_canonicalize_alpha_equivalent_nus():
     a = Nu("x", comp({"a": Name("x")}))
     b = Nu("z", comp({"a": Name("z")}))

@@ -21,9 +21,11 @@ from abcwb.syntax import (
     Sum,
     SysPar,
     TT_,
+    Var,
+    canonicalize,
     pretty_system,
 )
-from abcwb.system import SOut, TAU, set_fuel, system_steps
+from abcwb.system import SOut, TAU, set_fuel, sys_deliver, system_steps
 
 
 def comps(s):
@@ -147,6 +149,20 @@ def test_private_name_does_not_clash_with_sibling():
     for lab in outs:
         if lab.bound:
             assert lab.values[0] != Name("x")
+
+
+def test_a_discarded_message_returns_the_system_itself():
+    listener = Comp(AttributeEnv.of({}), In(Cmp("=", Var("x"), Lit(Name("go"))), ("x",), NIL))
+    s = Nu("y", SysPar(listener, Comp(AttributeEnv.of({}), NIL)))
+    u = universe_of(s)
+    (same,) = sys_deliver(s, TT_, (Name("stop"),), {}, u)
+    assert same is s
+    (moved,) = sys_deliver(s, TT_, (Name("go"),), {}, u)
+    assert moved != s
+    # a message naming the bound y renames the binder: equal up to alpha only
+    (renamed,) = sys_deliver(s, TT_, (Name("y"),), {}, u)
+    assert renamed is not s and renamed.name != "y"
+    assert canonicalize(renamed) == canonicalize(s)
 
 
 # -- four components mid-run: the query synchronization ----------------------
