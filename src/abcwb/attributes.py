@@ -19,7 +19,6 @@ from .syntax import (
     Arith,
     Attr,
     AttributeEnv,
-    Bool,
     Cmp,
     Expression,
     FF,
@@ -34,13 +33,12 @@ from .syntax import (
     Rand,
     ThisAttr,
     TT,
-    TT_,
-    TupleV,
     Value,
     Var,
     collect_attrs,
     collect_values,
     free_names,
+    map_children,
     value_sort_key,
 )
 
@@ -130,28 +128,12 @@ def close_predicate(pi: Predicate, env: AttributeEnv) -> Predicate:
     Raises ``UndefinedClosure`` on an unbound ``this`` reference, which
     makes the enclosing send not enabled.
     """
-
-    def close_expr(e: Expression) -> Expression:
-        if isinstance(e, ThisAttr):
-            v = env.get(e.attr)
-            if v is UNDEFINED:
-                raise UndefinedClosure(e.attr)
-            return Lit(v)
-        if isinstance(e, Arith):
-            return Arith(e.op, close_expr(e.lhs), close_expr(e.rhs))
-        return e
-
-    if isinstance(pi, (TT, FF)):
-        return pi
-    if isinstance(pi, Cmp):
-        return Cmp(pi.op, close_expr(pi.lhs), close_expr(pi.rhs))
-    if isinstance(pi, And):
-        return And(close_predicate(pi.lhs, env), close_predicate(pi.rhs, env))
-    if isinstance(pi, Or):
-        return Or(close_predicate(pi.lhs, env), close_predicate(pi.rhs, env))
-    if isinstance(pi, Not):
-        return Not(close_predicate(pi.inner, env))
-    raise TypeError(pi)
+    if type(pi) is ThisAttr:
+        v = env.get(pi.attr)
+        if v is UNDEFINED:
+            raise UndefinedClosure(pi.attr)
+        return Lit(v)
+    return map_children(pi, close_predicate, env)
 
 
 def restrict_predicate(pi: Predicate, x: str) -> Predicate:
@@ -160,19 +142,9 @@ def restrict_predicate(pi: Predicate, x: str) -> Predicate:
     Conjunction and disjunction distribute, negation commutes.  The atom
     rule is generalized from equality to every comparison operator.
     """
-    if isinstance(pi, (TT, FF)):
-        return pi
-    if isinstance(pi, Cmp):
-        if x in free_names(pi.lhs) | free_names(pi.rhs):
-            return FF_
-        return pi
-    if isinstance(pi, And):
-        return And(restrict_predicate(pi.lhs, x), restrict_predicate(pi.rhs, x))
-    if isinstance(pi, Or):
-        return Or(restrict_predicate(pi.lhs, x), restrict_predicate(pi.rhs, x))
-    if isinstance(pi, Not):
-        return Not(restrict_predicate(pi.inner, x))
-    raise TypeError(pi)
+    if type(pi) is Cmp:
+        return FF_ if x in free_names(pi) else pi
+    return map_children(pi, restrict_predicate, x)
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +175,15 @@ class Universe:
 
     @staticmethod
     def for_program(program: Program, extra_values=(), budget: int = DEFAULT_BUDGET) -> "Universe":
-        values = set(collect_values(program.main)) | set(extra_values)
-        attrs = set(program.attrs) | set(collect_attrs(program.main))
-        for _, (_, body) in sorted(program.defs.items()):
-            values |= collect_values(body)
-            attrs |= collect_attrs(body)
-        used = {v.atom for v in values if isinstance(v, Name)}
-        k = 0
-        while f"_w{k}" in used:
-            k += 1
-        return Universe(frozenset(values), Name(f"_w{k}"), frozenset(attrs), budget)
+        """The universe of a program's system and definition bodies, and
+        of the attributes it declares."""
+        bodies = [body for _, (_, body) in sorted(program.defs.items())]
+        u = Universe.for_systems([program.main, *bodies], extra_values, budget)
+        return Universe(u.values, u.witness, u.attrs | program.attrs, budget)
 
     @staticmethod
     def for_systems(systems, extra_values=(), budget: int = DEFAULT_BUDGET) -> "Universe":
+        """The universe of the values and attributes some terms mention."""
         values: set[Value] = set(extra_values)
         attrs: set[str] = set()
         for s in systems:

@@ -51,8 +51,6 @@ from .syntax import (
     Var,
     alpha_equal,
     canonicalize,
-    free_names,
-    names_in_value,
 )
 from .system import SOut, TAU, system_steps
 
@@ -483,8 +481,6 @@ def _replace_calls(p, rname, rparams, rbody):
     if isinstance(p, GNil):
         return p
     if isinstance(p, GIn):
-        if rname in ():  # recursion variables and names never collide here
-            pass
         return GIn(p.chan, p.vars, _replace_calls(p.cont, rname, rparams, rbody))
     if isinstance(p, GOut):
         return GOut(p.chan, p.vals, _replace_calls(p.cont, rname, rparams, rbody))

@@ -214,11 +214,13 @@ def _dispatch(args) -> int:
         )
         kind = "weakly" if args.weak else "strongly"
         print(f"# seed {args.seed}")
+        if res.truncated:
+            # a state cut off by a bound lacks moves, so no verdict is sound
+            verdict = f"{kind} bisimilar" if res.equivalent else f"not {kind} bisimilar"
+            print(f"{verdict} on the truncated space "
+                  f"({'; '.join(res.reasons)}); inconclusive")
+            return 2
         if res.equivalent:
-            if res.truncated:
-                print(f"{kind} bisimilar on the truncated space "
-                      f"({'; '.join(res.reasons)}); inconclusive")
-                return 2
             print(f"{kind} bisimilar")
             return 0
         print(f"not {kind} bisimilar")

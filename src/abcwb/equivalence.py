@@ -31,7 +31,6 @@ import random
 from dataclasses import dataclass, field
 
 from .attributes import Universe, fingerprint, UniverseTooLarge
-from .component import Receives
 from .explorer import canon_label, label_text, state_rng, state_seed
 from .syntax import (
     Definitions,
@@ -42,6 +41,8 @@ from .syntax import (
     TT_,
     Value,
     canonicalize,
+    children,
+    has_binders,
     pretty_system,
     value_sort_key,
 )
@@ -60,19 +61,14 @@ def barbs(sys: System, defs: Definitions, universe: Universe = None) -> set:
     return out
 
 
-def _input_arities(sys: System) -> set[int]:
-    arities: set[int] = set()
-
-    def walk(node):
-        if isinstance(node, In):
-            arities.add(len(node.vars))
-        for attr in ("cont", "inner", "proc", "left", "right"):
-            child = getattr(node, attr, None)
-            if child is not None and not isinstance(child, (str, tuple, Predicate)):
-                walk(child)
-
-    walk(sys)
-    return arities
+def _input_arities(node) -> set[int]:
+    """Numbers of variables of the input prefixes in a term."""
+    if not has_binders(node):
+        return set()
+    out = set().union(*map(_input_arities, children(node)))
+    if type(node) is In:
+        out.add(len(node.vars))
+    return out
 
 
 DEFAULT_MESSAGE_BUDGET = 2000
@@ -381,6 +377,8 @@ def bisimilar(
         seed=seed,
         message_budget=message_budget,
     )
+    if i1 is None or i2 is None:  # the state budget ran out at the start
+        return BisimResult(False, None, True, space.reasons)
     succ, block, history = _refine(space, weak)
     if block[i1] == block[i2]:
         return BisimResult(True, None, space.truncated, space.reasons)

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 
 from .attributes import Universe, fingerprint
 from .syntax import (
+    Comp,
     Definitions,
-    Predicate,
     System,
     Value,
     canonicalize,
+    children,
     free_names,
     names_in_value,
     pretty_pred,
@@ -205,15 +206,9 @@ def reachable_matching(lts: Lts, match) -> int | None:
 
 def env_has(sys: System, attr: str, value: Value) -> bool:
     """Whether any component of the system maps ``attr`` to ``value``."""
-    from .syntax import Bang, Comp, Nu, SysPar
-
-    if isinstance(sys, Comp):
+    if type(sys) is Comp:
         return sys.env.get(attr) == value
-    if isinstance(sys, SysPar):
-        return env_has(sys.left, attr, value) or env_has(sys.right, attr, value)
-    if isinstance(sys, (Bang, Nu)):
-        return env_has(sys.inner, attr, value)
-    raise TypeError(sys)
+    return any(env_has(c, attr, value) for c in children(sys))
 
 
 def witness_path(lts: Lts, target: int) -> list[str]:

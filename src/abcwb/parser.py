@@ -59,6 +59,7 @@ from .syntax import (
     Upd,
     Value,
     Var,
+    children,
     free_names,
 )
 
@@ -610,7 +611,7 @@ def _resolve_calls(program: Program) -> None:
     """Check every call against the definition table (names and arity)."""
 
     def walk(node):
-        if isinstance(node, Call):
+        if type(node) is Call:
             if node.name not in program.defs:
                 raise ResolveError(f"unknown definition {node.name!r}")
             params, _ = program.defs[node.name]
@@ -619,16 +620,8 @@ def _resolve_calls(program: Program) -> None:
                     f"call to {node.name!r} with {len(node.args)} argument(s), "
                     f"definition takes {len(params)}"
                 )
-        for attr_name in ("cont", "inner"):
-            child = getattr(node, attr_name, None)
-            if child is not None:
-                walk(child)
-        for attr_name in ("left", "right"):
-            child = getattr(node, attr_name, None)
-            if child is not None and isinstance(child, (Process, System)):
-                walk(child)
-        if isinstance(node, Comp):
-            walk(node.proc)
+        for child in children(node):
+            walk(child)
 
     for name, (params, body) in program.defs.items():
         walk(body)
@@ -645,32 +638,6 @@ def _resolve_calls(program: Program) -> None:
 
 def _has_free_var(node, name: str) -> bool:
     """Whether ``name`` occurs free in variable position (``Var``)."""
-    if isinstance(node, Var):
-        return node.name == name
-    if isinstance(node, (Lit, Attr, ThisAttr, Rand)):
+    if name not in free_names(node):
         return False
-    if isinstance(node, (Arith, Cmp, And, Or)):
-        return _has_free_var(node.lhs, name) or _has_free_var(node.rhs, name)
-    if isinstance(node, Not):
-        return _has_free_var(node.inner, name)
-    if isinstance(node, Out):
-        return (
-            any(_has_free_var(e, name) for e in node.exprs)
-            or _has_free_var(node.pred, name)
-            or _has_free_var(node.cont, name)
-        )
-    if isinstance(node, In):
-        if name in node.vars:
-            return False
-        return _has_free_var(node.pred, name) or _has_free_var(node.cont, name)
-    if isinstance(node, Upd):
-        return any(_has_free_var(e, name) for _, e in node.assigns) or _has_free_var(
-            node.cont, name
-        )
-    if isinstance(node, Aware):
-        return _has_free_var(node.pred, name) or _has_free_var(node.cont, name)
-    if isinstance(node, (Sum, Par)):
-        return _has_free_var(node.left, name) or _has_free_var(node.right, name)
-    if isinstance(node, Call):
-        return any(_has_free_var(e, name) for e in node.args)
-    return False
+    return type(node) is Var or any(_has_free_var(c, name) for c in children(node))

@@ -4,12 +4,29 @@ Components carry an attribute environment and a process; processes
 communicate by broadcast filtered through predicates over attributes.
 All nodes are immutable (frozen, slotted dataclasses) and safe to share.
 
-Every node also has three cache slots that are filled on first use and
+Every node also has four cache slots that are filled on first use and
 never change afterwards: its structural hash (leaves, whose hash costs
-no more than the lookup, leave it unused), its free names and whether it
-contains a binder.  They are not fields, so equality, ``repr`` and
-construction are unchanged; a term built once and shared by many states
-pays for each of them once.
+no more than the lookup, leave it unused), its free names, its bound
+names and whether it contains a binder.  They are not fields, so
+equality, ``repr`` and construction are unchanged; a term built once and
+shared by many states pays for each of them once.
+
+Traversals are written over two functions that know the node kinds:
+``children(node)`` gives the child nodes in field order, and
+``map_children(node, f, *args)`` applies ``f(child, *args)`` to them in
+that same order.  Field order is ``Out``: payload expressions, predicate,
+continuation; ``In``: predicate, continuation; ``Upd``: assigned
+expressions, continuation; ``Comp``: environment, process; an
+environment's children are its values.  ``map_children`` returns the
+node itself when every child comes back as the same object and rebuilds
+it otherwise, so a traversal that changes nothing keeps the caches and
+the sharing.  A traversal treats only its special kinds by hand (the
+``In``/``Nu`` binders, the ``Var``/``Name`` leaves, attribute keys) and
+leaves the rest to these two.  ``free_names`` and ``has_binders`` keep
+their own dispatch: they run on every newly built node, where routing
+through ``children`` measured slower.  The broadcast pi-calculus in
+``bpi.py`` keeps its own traversals on purpose: it is the independent
+reference the encoding checks compare against.
 
 A single namespace of *names* is used throughout: a name can occur as a
 value atom (``Name``), as an expression placeholder awaiting substitution
@@ -22,6 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import is_ as _is
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -31,7 +49,7 @@ RESERVED_NAME = re.compile(r"_[nvfw]\d+$")
 class _Node:
     """Base of every syntax node: the per-object caches (see module doc)."""
 
-    __slots__ = ("_hash", "_free", "_binders")
+    __slots__ = ("_hash", "_free", "_bound", "_binders")
 
 
 # A node without child nodes: its hash is as cheap as a cache lookup, so
@@ -355,6 +373,9 @@ Node = Union[Value, Expression, Predicate, Process, System]
 
 _NO_NAMES: frozenset[str] = frozenset()
 
+# kinds without child nodes
+_LEAVES = frozenset((Name, Int, Bool, Var, Attr, ThisAttr, Rand, TT, FF, Nil))
+
 
 def _union(*parts: frozenset[str]) -> frozenset[str]:
     """Union of name sets that returns an operand itself when it already
@@ -419,7 +440,7 @@ def _free_names(node: Node) -> frozenset[str]:
     if kind is Nu:
         out = free_names(node.inner)
         return out - {node.name} if node.name in out else out
-    if kind in (Int, Bool, Attr, ThisAttr, Rand, TT, FF, Nil):
+    if kind in _LEAVES:  # Name and Var are handled above
         return _NO_NAMES
     raise TypeError(node)
 
@@ -446,20 +467,129 @@ def has_binders(node: Node) -> bool:
 
 
 def bound_names(node: Node) -> frozenset[str]:
+    """Names bound by an input prefix or a restriction anywhere in a node
+    (cached on the node)."""
     if not has_binders(node):
         return _NO_NAMES
-    if isinstance(node, In):
-        return frozenset(node.vars) | bound_names(node.cont)
-    if isinstance(node, (Out, Upd, Aware)):
-        return bound_names(node.cont)
-    if isinstance(node, (Sum, Par, SysPar)):
-        return bound_names(node.left) | bound_names(node.right)
-    if isinstance(node, Comp):
-        return bound_names(node.proc)
-    if isinstance(node, Bang):
-        return bound_names(node.inner)
-    if isinstance(node, Nu):
-        return frozenset((node.name,)) | bound_names(node.inner)
+    out = getattr(node, "_bound", None)
+    if out is None:
+        out = _union(*map(bound_names, children(node)))
+        kind = type(node)
+        if kind is In:
+            out = _union(frozenset(node.vars), out)
+        elif kind is Nu:
+            out = _union(frozenset((node.name,)), out)
+        object.__setattr__(node, "_bound", out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Generic traversal (see the module doc)
+
+
+def children(node: Node) -> tuple:
+    """The child nodes of a node, in field order."""
+    kind = type(node)
+    if kind is Par or kind is Sum or kind is SysPar:
+        return (node.left, node.right)
+    if kind is Cmp or kind is Arith or kind is And or kind is Or:
+        return (node.lhs, node.rhs)
+    if kind is In or kind is Aware:
+        return (node.pred, node.cont)
+    if kind is Out:
+        return (*node.exprs, node.pred, node.cont)
+    if kind is Upd:
+        return (*(e for _, e in node.assigns), node.cont)
+    if kind is Comp:
+        return (node.env, node.proc)
+    if kind is Bang or kind is Nu or kind is Not:
+        return (node.inner,)
+    if kind is Lit:
+        return (node.value,)
+    if kind is Call:
+        return node.args
+    if kind is TupleV:
+        return node.items
+    if kind is AttributeEnv:
+        return tuple(v for _, v in node.bindings)
+    if kind in _LEAVES:
+        return ()
+    raise TypeError(node)
+
+
+def _map_all(items: tuple, f, args) -> tuple:
+    out = tuple([f(i, *args) for i in items])
+    return items if all(map(_is, out, items)) else out
+
+
+def _map_pairs(pairs: tuple, f, args) -> tuple:
+    out = tuple([(k, f(x, *args)) for k, x in pairs])
+    return pairs if all(a[1] is b[1] for a, b in zip(out, pairs)) else out
+
+
+def map_children(node: Node, f, *args):
+    """``node`` with each child replaced by ``f(child, *args)``, children
+    taken in field order; ``node`` itself when every child comes back as
+    the same object."""
+    # node classes have no subclasses, so the exact type decides; the
+    # most frequent kinds come first
+    kind = type(node)
+    if kind is Par or kind is Sum or kind is SysPar:
+        left, right = f(node.left, *args), f(node.right, *args)
+        if left is node.left and right is node.right:
+            return node
+        return kind(left, right)
+    if kind is In:
+        pred, cont = f(node.pred, *args), f(node.cont, *args)
+        if pred is node.pred and cont is node.cont:
+            return node
+        return In(pred, node.vars, cont)
+    if kind is Out:
+        exprs = _map_all(node.exprs, f, args)
+        pred, cont = f(node.pred, *args), f(node.cont, *args)
+        if exprs is node.exprs and pred is node.pred and cont is node.cont:
+            return node
+        return Out(exprs, pred, cont)
+    if kind is Comp:
+        env, proc = f(node.env, *args), f(node.proc, *args)
+        return node if env is node.env and proc is node.proc else Comp(env, proc)
+    if kind is Upd:
+        assigns, cont = _map_pairs(node.assigns, f, args), f(node.cont, *args)
+        return node if assigns is node.assigns and cont is node.cont else Upd(assigns, cont)
+    if kind is Aware:
+        pred, cont = f(node.pred, *args), f(node.cont, *args)
+        return node if pred is node.pred and cont is node.cont else Aware(pred, cont)
+    if kind is Cmp or kind is Arith:
+        lhs, rhs = f(node.lhs, *args), f(node.rhs, *args)
+        if lhs is node.lhs and rhs is node.rhs:
+            return node
+        return kind(node.op, lhs, rhs)
+    if kind is And or kind is Or:
+        lhs, rhs = f(node.lhs, *args), f(node.rhs, *args)
+        return node if lhs is node.lhs and rhs is node.rhs else kind(lhs, rhs)
+    if kind is Lit:
+        value = f(node.value, *args)
+        return node if value is node.value else Lit(value)
+    if kind is Not:
+        inner = f(node.inner, *args)
+        return node if inner is node.inner else Not(inner)
+    if kind is Bang:
+        inner = f(node.inner, *args)
+        return node if inner is node.inner else Bang(inner, node.fuel)
+    if kind is Nu:
+        inner = f(node.inner, *args)
+        return node if inner is node.inner else Nu(node.name, inner)
+    if kind is Call:
+        args_ = _map_all(node.args, f, args)
+        return node if args_ is node.args else Call(node.name, args_)
+    if kind is TupleV:
+        items = _map_all(node.items, f, args)
+        return node if items is node.items else TupleV(items)
+    if kind is AttributeEnv:
+        bindings = _map_pairs(node.bindings, f, args)
+        return node if bindings is node.bindings else AttributeEnv(bindings)
+    if kind in _LEAVES:
+        return node
     raise TypeError(node)
 
 
@@ -487,14 +617,6 @@ def gensym(avoid: frozenset[str] = frozenset()) -> str:
 # Substitution and renaming
 
 
-def rename_value(v: Value, old: str, new: str) -> Value:
-    if isinstance(v, Name):
-        return Name(new) if v.atom == old else v
-    if isinstance(v, TupleV):
-        return TupleV(tuple(rename_value(i, old, new) for i in v.items))
-    return v
-
-
 def rename_free(node, old: str, new: str):
     """Rename every free occurrence of name ``old`` (atoms and vars) to ``new``.
 
@@ -503,68 +625,19 @@ def rename_free(node, old: str, new: str):
     """
     if old not in free_names(node):
         return node
-    if isinstance(node, Value):
-        return rename_value(node, old, new)
-    if isinstance(node, Lit):
-        return Lit(rename_value(node.value, old, new))
-    if isinstance(node, Var):
-        return Var(new) if node.name == old else node
-    if isinstance(node, (Attr, ThisAttr, Rand)):
-        return node
-    if isinstance(node, Arith):
-        return Arith(node.op, rename_free(node.lhs, old, new), rename_free(node.rhs, old, new))
-    if isinstance(node, (TT, FF)):
-        return node
-    if isinstance(node, Cmp):
-        return Cmp(node.op, rename_free(node.lhs, old, new), rename_free(node.rhs, old, new))
-    if isinstance(node, And):
-        return And(rename_free(node.lhs, old, new), rename_free(node.rhs, old, new))
-    if isinstance(node, Or):
-        return Or(rename_free(node.lhs, old, new), rename_free(node.rhs, old, new))
-    if isinstance(node, Not):
-        return Not(rename_free(node.inner, old, new))
-    if isinstance(node, Nil):
-        return node
-    if isinstance(node, Out):
-        return Out(
-            tuple(rename_free(e, old, new) for e in node.exprs),
-            rename_free(node.pred, old, new),
-            rename_free(node.cont, old, new),
-        )
-    if isinstance(node, In):
-        if old in node.vars:
-            return node  # shadowed
-        if new in node.vars:  # would capture: alpha-rename the binder away first
-            node = _alpha_in(node, new, gensym(free_names(node) | {old, new}))
-        return In(rename_free(node.pred, old, new), node.vars, rename_free(node.cont, old, new))
-    if isinstance(node, Upd):
-        return Upd(
-            tuple((a, rename_free(e, old, new)) for a, e in node.assigns),
-            rename_free(node.cont, old, new),
-        )
-    if isinstance(node, Aware):
-        return Aware(rename_free(node.pred, old, new), rename_free(node.cont, old, new))
-    if isinstance(node, Sum):
-        return Sum(rename_free(node.left, old, new), rename_free(node.right, old, new))
-    if isinstance(node, Par):
-        return Par(rename_free(node.left, old, new), rename_free(node.right, old, new))
-    if isinstance(node, Call):
-        return Call(node.name, tuple(rename_free(e, old, new) for e in node.args))
-    if isinstance(node, Comp):
-        env = AttributeEnv(tuple((a, rename_value(v, old, new)) for a, v in node.env.bindings))
-        return Comp(env, rename_free(node.proc, old, new))
-    if isinstance(node, SysPar):
-        return SysPar(rename_free(node.left, old, new), rename_free(node.right, old, new))
-    if isinstance(node, Bang):
-        return Bang(rename_free(node.inner, old, new), node.fuel)
-    if isinstance(node, Nu):
-        if node.name == old:
-            return node  # shadowed
-        if node.name == new:
-            fresh = gensym(free_names(node.inner) | {old, new})
-            node = Nu(fresh, rename_free(node.inner, node.name, fresh))
-        return Nu(node.name, rename_free(node.inner, old, new))
-    raise TypeError(node)
+    # below, ``old`` is free in the node, so no binder here is ``old``
+    kind = type(node)
+    if kind is Var:
+        return Var(new)
+    if kind is Name:
+        return Name(new)
+    if kind is In and new in node.vars:
+        # would capture: alpha-rename the binder away first
+        node = _alpha_in(node, new, gensym(free_names(node) | {old, new}))
+    elif kind is Nu and node.name == new:
+        fresh = gensym(free_names(node.inner) | {old, new})
+        node = Nu(fresh, rename_free(node.inner, new, fresh))
+    return map_children(node, rename_free, old, new)
 
 
 def _alpha_in(node: In, var: str, fresh: str) -> In:
@@ -579,62 +652,26 @@ def _alpha_in(node: In, var: str, fresh: str) -> In:
 
 
 def substitute(node, subst: Mapping[str, Value]):
-    """Capture-avoiding substitution of values for free variable occurrences.
+    """Capture-avoiding substitution of values for the free variables of a
+    process or one of its parts.
 
     A node in which no substituted variable is free comes back as itself.
+    Values, ``Name`` atoms among them, are never substituted into.
     """
     if not subst or free_names(node).isdisjoint(subst):
         return node
-    if isinstance(node, Lit):
-        return node
-    if isinstance(node, Var):
-        v = subst.get(node.name)
-        return Lit(v) if v is not None else node
-    if isinstance(node, (Attr, ThisAttr, Rand)):
-        return node
-    if isinstance(node, Arith):
-        return Arith(node.op, substitute(node.lhs, subst), substitute(node.rhs, subst))
-    if isinstance(node, (TT, FF)):
-        return node
-    if isinstance(node, Cmp):
-        return Cmp(node.op, substitute(node.lhs, subst), substitute(node.rhs, subst))
-    if isinstance(node, And):
-        return And(substitute(node.lhs, subst), substitute(node.rhs, subst))
-    if isinstance(node, Or):
-        return Or(substitute(node.lhs, subst), substitute(node.rhs, subst))
-    if isinstance(node, Not):
-        return Not(substitute(node.inner, subst))
-    if isinstance(node, Nil):
-        return node
-    if isinstance(node, Out):
-        return Out(
-            tuple(substitute(e, subst) for e in node.exprs),
-            substitute(node.pred, subst),
-            substitute(node.cont, subst),
-        )
-    if isinstance(node, In):
-        inner = {k: v for k, v in subst.items() if k not in node.vars}
-        if not inner:
-            return node
-        incoming = frozenset().union(*(names_in_value(v) for v in inner.values()))
+    kind = type(node)
+    if kind is Var:
+        return Lit(subst[node.name])
+    if kind is In:
+        subst = {k: v for k, v in subst.items() if k not in node.vars}
+        incoming = _union(*(names_in_value(v) for v in subst.values()))
         for var in node.vars:
             if var in incoming:
-                node = _alpha_in(node, var, gensym(free_names(node) | incoming | set(inner)))
-        return In(substitute(node.pred, inner), node.vars, substitute(node.cont, inner))
-    if isinstance(node, Upd):
-        return Upd(
-            tuple((a, substitute(e, subst)) for a, e in node.assigns),
-            substitute(node.cont, subst),
-        )
-    if isinstance(node, Aware):
-        return Aware(substitute(node.pred, subst), substitute(node.cont, subst))
-    if isinstance(node, Sum):
-        return Sum(substitute(node.left, subst), substitute(node.right, subst))
-    if isinstance(node, Par):
-        return Par(substitute(node.left, subst), substitute(node.right, subst))
-    if isinstance(node, Call):
-        return Call(node.name, tuple(substitute(e, subst) for e in node.args))
-    raise TypeError(node)
+                node = _alpha_in(node, var, gensym(free_names(node) | incoming | set(subst)))
+    elif kind is Lit:
+        return node
+    return map_children(node, substitute, subst)
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +734,9 @@ def pretty_proc(p: Process) -> str:
     if isinstance(p, Aware):
         return f"<{pretty_pred(p.pred)}>{_proc_atom(p.cont)}"
     if isinstance(p, Sum):
-        return f"{_sum_operand(p.left)} + {_sum_operand(p.right)}"
+        return f"{_proc_atom(p.left)} + {_proc_atom(p.right)}"
     if isinstance(p, Par):
-        return f"{_par_operand(p.left)} | {_par_operand(p.right)}"
+        return f"{_proc_atom(p.left)} | {_proc_atom(p.right)}"
     if isinstance(p, Call):
         if p.args:
             return f"{p.name}({', '.join(pretty_expr(e) for e in p.args)})"
@@ -708,18 +745,7 @@ def pretty_proc(p: Process) -> str:
 
 
 def _proc_atom(p: Process) -> str:
-    if isinstance(p, (Sum, Par)):
-        return f"({pretty_proc(p)})"
-    return pretty_proc(p)
-
-
-def _sum_operand(p: Process) -> str:
-    if isinstance(p, (Sum, Par)):
-        return f"({pretty_proc(p)})"
-    return pretty_proc(p)
-
-
-def _par_operand(p: Process) -> str:
+    """A process as a prefix continuation or a ``+``/``|`` operand."""
     if isinstance(p, (Sum, Par)):
         return f"({pretty_proc(p)})"
     return pretty_proc(p)
@@ -743,103 +769,38 @@ def _sys_operand(s: System) -> str:
     return pretty_system(s)
 
 
+def _subterms(node):
+    """Every node of a term, the term itself included."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(children(node))
+
+
 def collect_attrs(node) -> frozenset[str]:
     """All attribute identifiers mentioned anywhere in a node."""
-    if isinstance(node, (Value, TT, FF, Nil, Rand, Var, Lit)):
-        return frozenset()
-    if isinstance(node, (Attr, ThisAttr)):
-        return frozenset((node.attr,))
-    if isinstance(node, (Arith, Cmp, And, Or)):
-        return collect_attrs(node.lhs) | collect_attrs(node.rhs)
-    if isinstance(node, Not):
-        return collect_attrs(node.inner)
-    if isinstance(node, Out):
-        out = collect_attrs(node.pred) | collect_attrs(node.cont)
-        for e in node.exprs:
-            out |= collect_attrs(e)
-        return out
-    if isinstance(node, In):
-        return collect_attrs(node.pred) | collect_attrs(node.cont)
-    if isinstance(node, Upd):
-        out = collect_attrs(node.cont)
-        for a, e in node.assigns:
-            out |= frozenset((a,)) | collect_attrs(e)
-        return out
-    if isinstance(node, Aware):
-        return collect_attrs(node.pred) | collect_attrs(node.cont)
-    if isinstance(node, (Sum, Par)):
-        return collect_attrs(node.left) | collect_attrs(node.right)
-    if isinstance(node, Call):
-        out = frozenset()
-        for e in node.args:
-            out |= collect_attrs(e)
-        return out
-    if isinstance(node, Comp):
-        return frozenset(node.env.keys()) | collect_attrs(node.proc)
-    if isinstance(node, SysPar):
-        return collect_attrs(node.left) | collect_attrs(node.right)
-    if isinstance(node, (Bang, Nu)):
-        return collect_attrs(node.inner)
-    raise TypeError(node)
+    out = set()
+    for n in _subterms(node):
+        kind = type(n)
+        if kind is Attr or kind is ThisAttr:
+            out.add(n.attr)
+        elif kind is AttributeEnv:
+            out.update(n.keys())
+        elif kind is Upd:
+            out.update(a for a, _ in n.assigns)
+    return frozenset(out)
 
 
 def collect_values(node) -> frozenset[Value]:
-    """All literal values mentioned anywhere in a node (tuples flattened in)."""
-    out: set[Value] = set()
-
-    def add(v: Value):
-        out.add(v)
-        if isinstance(v, TupleV):
-            for i in v.items:
-                add(i)
-
-    def walk(n):
-        if isinstance(n, Value):
-            add(n)
-        elif isinstance(n, Lit):
-            add(n.value)
-        elif isinstance(n, (Var, Attr, ThisAttr, TT, FF, Nil)):
-            pass
-        elif isinstance(n, (Arith, Cmp, And, Or)):
-            walk(n.lhs)
-            walk(n.rhs)
-        elif isinstance(n, Not):
-            walk(n.inner)
-        elif isinstance(n, Rand):
-            for k in range(n.bound):
-                out.add(Int(k))
-        elif isinstance(n, Out):
-            for e in n.exprs:
-                walk(e)
-            walk(n.pred)
-            walk(n.cont)
-        elif isinstance(n, In):
-            walk(n.pred)
-            walk(n.cont)
-        elif isinstance(n, Upd):
-            for _, e in n.assigns:
-                walk(e)
-            walk(n.cont)
-        elif isinstance(n, Aware):
-            walk(n.pred)
-            walk(n.cont)
-        elif isinstance(n, (Sum, Par)):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, Call):
-            for e in n.args:
-                walk(e)
-        elif isinstance(n, Comp):
-            for _, v in n.env.bindings:
-                add(v)
-            walk(n.proc)
-        elif isinstance(n, SysPar):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, (Bang, Nu)):
-            walk(n.inner)
-
-    walk(node)
+    """All literal values mentioned anywhere in a node (tuples flattened
+    in); ``rand(k)`` mentions ``0`` to ``k - 1``."""
+    out = set()
+    for n in _subterms(node):
+        if type(n) is Rand:
+            out.update(map(Int, range(n.bound)))
+        elif isinstance(n, Value):
+            out.add(n)
     return frozenset(out)
 
 
@@ -877,25 +838,10 @@ def canonicalize(sys: System) -> System:
         names = free_names(node)
         return {rho.get(x, x) for x in names} if rho else names
 
-    def walk_all(items: tuple, rho) -> tuple:
-        out = tuple(walk(i, rho) for i in items)
-        return items if all(a is b for a, b in zip(out, items)) else out
-
-    def walk_pairs(pairs: tuple, rho) -> tuple:
-        out = tuple((k, walk(x, rho)) for k, x in pairs)
-        return pairs if all(a[1] is b[1] for a, b in zip(out, pairs)) else out
-
     def walk(node, rho):
         if not has_binders(node) and (not rho or free_names(node).isdisjoint(rho)):
             return node
-        # node classes have no subclasses, so the exact type decides; the
-        # most frequent kinds come first
         kind = type(node)
-        if kind is Par or kind is Sum or kind is SysPar:
-            left, right = walk(node.left, rho), walk(node.right, rho)
-            if left is node.left and right is node.right:
-                return node
-            return kind(left, right)
         if kind is In:
             taken = scope(node, rho)
             vars_ = tuple(pick("v", taken) for _ in node.vars)
@@ -904,48 +850,16 @@ def canonicalize(sys: System) -> System:
             if vars_ == node.vars and pred is node.pred and cont is node.cont:
                 return node
             return In(pred, vars_, cont)
-        if kind is Out:
-            exprs = walk_all(node.exprs, rho)
-            pred, cont = walk(node.pred, rho), walk(node.cont, rho)
-            if exprs is node.exprs and pred is node.pred and cont is node.cont:
-                return node
-            return Out(exprs, pred, cont)
-        if kind is Comp:
-            env, proc = walk(node.env, rho), walk(node.proc, rho)
-            return node if env is node.env and proc is node.proc else Comp(env, proc)
-        if kind is Upd:
-            assigns, cont = walk_pairs(node.assigns, rho), walk(node.cont, rho)
-            return node if assigns is node.assigns and cont is node.cont else Upd(assigns, cont)
-        if kind is Aware:
-            pred, cont = walk(node.pred, rho), walk(node.cont, rho)
-            return node if pred is node.pred and cont is node.cont else Aware(pred, cont)
         if kind is Nu:
             name = pick("n", scope(node, rho))
             inner = walk(node.inner, _bind(rho, ((node.name, name),)))
             return node if name == node.name and inner is node.inner else Nu(name, inner)
-        if kind is Bang:
-            inner = walk(node.inner, rho)
-            return node if inner is node.inner else Bang(inner, node.fuel)
-        # below: no binders, and some free name is renamed
+        # a leaf that got here is a free name that rho renames
         if kind is Var:
             return Var(rho[node.name])
         if kind is Name:
             return Name(rho[node.atom])
-        if kind is Lit:
-            return Lit(walk(node.value, rho))
-        if kind is Cmp or kind is Arith:
-            return kind(node.op, walk(node.lhs, rho), walk(node.rhs, rho))
-        if kind is And or kind is Or:
-            return kind(walk(node.lhs, rho), walk(node.rhs, rho))
-        if kind is Not:
-            return Not(walk(node.inner, rho))
-        if kind is Call:
-            return Call(node.name, walk_all(node.args, rho))
-        if kind is AttributeEnv:
-            return AttributeEnv(walk_pairs(node.bindings, rho))
-        if kind is TupleV:
-            return TupleV(walk_all(node.items, rho))
-        raise TypeError(node)
+        return map_children(node, walk, rho)
 
     return walk(sys, {})
 

@@ -25,21 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attributes import Universe, is_ff, restrict_predicate
-from .component import DISCARDS, Receives, deliver, output_steps
+from .component import Receives, deliver, output_steps
 from .syntax import (
-    AttributeEnv,
     Bang,
     Comp,
     Definitions,
-    FF_,
     Nu,
     Predicate,
     SysPar,
     System,
     Value,
     bound_names,
+    children,
     free_names,
     gensym,
+    map_children,
     names_in_value,
     rename_free,
 )
@@ -74,16 +74,11 @@ Label = object  # SOut | SIn | Tau
 
 def set_fuel(sys: System, fuel: int) -> System:
     """Stamp a replication budget on every bang that has none yet."""
-    if isinstance(sys, Comp):
-        return sys
-    if isinstance(sys, SysPar):
-        return SysPar(set_fuel(sys.left, fuel), set_fuel(sys.right, fuel))
-    if isinstance(sys, Bang):
-        f = sys.fuel if sys.fuel is not None else fuel
-        return Bang(set_fuel(sys.inner, fuel), f)
-    if isinstance(sys, Nu):
-        return Nu(sys.name, set_fuel(sys.inner, fuel))
-    raise TypeError(sys)
+    if type(sys) is Comp:
+        return sys  # processes hold no bangs
+    if type(sys) is Bang and sys.fuel is None:
+        sys = Bang(sys.inner, fuel)
+    return map_children(sys, set_fuel, fuel)
 
 
 def _msg_names(pred: Predicate, values) -> frozenset[str]:
@@ -99,21 +94,14 @@ def freshen_binders(sys: System) -> System:
     taken = set(free_names(sys))
 
     def walk(s: System) -> System:
-        if isinstance(s, Comp):
+        if type(s) is Comp:
             return s
-        if isinstance(s, SysPar):
-            return SysPar(walk(s.left), walk(s.right))
-        if isinstance(s, Bang):
-            return Bang(walk(s.inner), s.fuel)
-        if isinstance(s, Nu):
-            name, inner = s.name, s.inner
-            if name in taken:
-                fresh = gensym(frozenset(taken) | free_names(inner))
-                inner = rename_free(inner, name, fresh)
-                name = fresh
-            taken.add(name)
-            return Nu(name, walk(inner))
-        raise TypeError(s)
+        if type(s) is Nu:
+            if s.name in taken:
+                fresh = gensym(frozenset(taken) | free_names(s.inner))
+                s = Nu(fresh, rename_free(s.inner, s.name, fresh))
+            taken.add(s.name)
+        return map_children(s, walk)
 
     return walk(sys)
 
@@ -137,18 +125,16 @@ def system_steps(
 
 
 def _dup_nu(sys: System, seen=None) -> bool:
+    """Whether two restrictions of a system bind the same name."""
     if seen is None:
         seen = set()
-    if isinstance(sys, Nu):
+    if type(sys) is Comp:
+        return False
+    if type(sys) is Nu:
         if sys.name in seen:
             return True
         seen.add(sys.name)
-        return _dup_nu(sys.inner, seen)
-    if isinstance(sys, (SysPar,)):
-        return _dup_nu(sys.left, seen) or _dup_nu(sys.right, seen)
-    if isinstance(sys, Bang):
-        return _dup_nu(sys.inner, seen)
-    return False
+    return any(_dup_nu(c, seen) for c in children(sys))
 
 
 def _steps(sys, defs, universe, rng, notes):

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from abcwb.cli import main
+from abcwb.parser import parse_program
+from abcwb.syntax import SysPar, pretty_system
 
 
 def run(argv, capsys):
@@ -165,3 +167,20 @@ def test_closed_stdout_exits_quietly(corpus_dir, cmd):
         os.close(write_end)
     assert done.returncode == 0
     assert done.stderr == b""
+
+
+@pytest.mark.parametrize("bound, code", [(1, 2), (3, 2), (10, 2), (50, 2), (2000, 0)])
+def test_bisim_on_a_truncated_space_is_inconclusive(corpus_dir, tmp_path, capsys, bound, code):
+    # pubsub against itself with its outer || operands swapped: bisimilar
+    # on the full space (2000 states is the default bound)
+    prog = parse_program((corpus_dir / "pubsub.abc").read_text())
+    swapped = tmp_path / "swapped.abc"
+    main_ = SysPar(prog.main.right, prog.main.left)
+    swapped.write_text(f"attrs: {', '.join(sorted(prog.attrs))}\n\nsystem:\n  {pretty_system(main_)}\n")
+    argv = ["bisim", path(corpus_dir, "pubsub.abc"), str(swapped), "--max-states", str(bound)]
+    got, out, _ = run(argv, capsys)
+    assert got == code
+    if code == 2:
+        assert "inconclusive" in out and "state budget exhausted" in out
+    else:
+        assert "strongly bisimilar\n" in out

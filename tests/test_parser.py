@@ -73,8 +73,9 @@ def test_reserved_identifiers_rejected():
 
 
 def test_unknown_definition_rejected():
-    with pytest.raises(ResolveError):
-        parse_program("attrs: a\n\nsystem:\n  {a := 1}: Ghost()\n")
+    for main in ("{a := 1}: Ghost()", "!({a := 1}: Ghost())", "nu x ({a := 1}: Ghost())"):
+        with pytest.raises(ResolveError, match="unknown definition"):
+            parse_program(f"attrs: a\n\nsystem:\n  {main}\n")
 
 
 def test_definition_arity_checked():

@@ -4,26 +4,38 @@ import random
 
 from abcwb.syntax import (
     And,
+    Arith,
     Attr,
     AttributeEnv,
+    Aware,
+    Bang,
     Bool,
+    Call,
     Cmp,
     Comp,
+    FF_,
     In,
     Int,
     Lit,
     Name,
     NIL,
+    Not,
     Nu,
+    Or,
     Out,
     Par,
+    Rand,
+    Sum,
     SysPar,
+    ThisAttr,
     TT_,
     TupleV,
+    Upd,
     Var,
     alpha_equal,
     bound_names,
     canonicalize,
+    collect_attrs,
     collect_values,
     free_names,
     pretty_system,
@@ -32,6 +44,7 @@ from abcwb.syntax import (
 )
 
 from astgen import gen_system
+from debruijn import debruijn
 
 
 def comp(env=None, proc=NIL):
@@ -64,6 +77,11 @@ def test_substitute_is_capture_avoiding():
     # substituting under a binder for the same variable must not touch it
     inner = In(TT_, ("v",), Out((Var("v"),), TT_, NIL))
     assert substitute(inner, {"v": Int(3)}) == inner
+    # a value naming the input variable x must not be captured by it
+    p = In(Cmp("=", Var("x"), Var("v")), ("x",), Out((Var("v"), Var("x")), TT_, NIL))
+    q = substitute(p, {"v": Name("x")})
+    want = In(Cmp("=", Var("z"), Lit(Name("x"))), ("z",), Out((Lit(Name("x")), Var("z")), TT_, NIL))
+    assert debruijn(comp(proc=q)) == debruijn(comp(proc=want))
 
 
 def test_rename_free_stops_at_binder():
@@ -77,6 +95,11 @@ def test_rename_free_avoids_capture_by_renaming_binder():
     r = rename_free(s, "y", "x")
     assert free_names(r) == frozenset({"x"})
     assert isinstance(r, Nu) and r.name != "x"
+    assert debruijn(r) == debruijn(Nu("z", comp({"a": Name("x"), "b": Name("z")})))
+    # the same under an input prefix that binds x
+    p = In(Cmp("=", Var("x"), Lit(Name("y"))), ("x",), Out((Var("y"), Var("x")), TT_, NIL))
+    want = In(Cmp("=", Var("z"), Lit(Name("x"))), ("z",), Out((Var("x"), Var("z")), TT_, NIL))
+    assert debruijn(comp(proc=rename_free(p, "y", "x"))) == debruijn(comp(proc=want))
 
 
 def test_noop_substitution_and_renaming_return_the_node_itself():
@@ -134,6 +157,24 @@ def test_collect_values_reaches_env_and_payload():
     s = comp({"a": Int(4)}, Out((Lit(Name("m")),), TT_, NIL))
     vals = collect_values(s)
     assert Int(4) in vals and Name("m") in vals
+
+
+def test_collect_attrs_and_values_see_every_node_kind():
+    # every node kind occurs, and each attribute and value in one place
+    proc = Sum(
+        Out((Arith("+", Attr("a1"), Rand(2)),), Or(Cmp("=", ThisAttr("a2"), Lit(Int(5))), FF_), NIL),
+        Par(
+            In(And(Not(Cmp("=", Attr("a3"), Var("x"))), TT_), ("x",),
+               Upd((("a4", Lit(Bool(True))),), NIL)),
+            Aware(Cmp("=", Attr("a5"), Lit(TupleV((Name("m"), Int(7))))), Call("D", (Attr("a6"),))),
+        ),
+    )
+    s = Nu("r", SysPar(Bang(comp({"a7": Name("n")}, proc)), comp({"a8": Int(9)})))
+    assert collect_attrs(s) == {f"a{k}" for k in range(1, 9)}
+    assert collect_values(s) == {
+        Int(0), Int(1), Int(5), Bool(True), TupleV((Name("m"), Int(7))), Name("m"), Int(7),
+        Name("n"), Int(9),
+    }
 
 
 def test_env_binding_order_is_canonical():

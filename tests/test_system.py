@@ -25,7 +25,9 @@ from abcwb.syntax import (
     canonicalize,
     pretty_system,
 )
-from abcwb.system import SOut, TAU, set_fuel, sys_deliver, system_steps
+from abcwb.system import SOut, TAU, freshen_binders, set_fuel, sys_deliver, system_steps
+
+from debruijn import debruijn
 
 
 def comps(s):
@@ -149,6 +151,20 @@ def test_private_name_does_not_clash_with_sibling():
     for lab in outs:
         if lab.bound:
             assert lab.values[0] != Name("x")
+
+
+def test_freshen_binders_separates_equal_restrictions():
+    half = Nu("x", Comp(AttributeEnv.of({"a": Name("x")}), Out((Lit(Name("x")),), TT_, NIL)))
+    # nu x (...) || nu x (...), alone and beside a free x
+    for free in (False, True):
+        s = SysPar(half, half)
+        if free:
+            s = SysPar(s, Comp(AttributeEnv.of({"b": Name("x")}), NIL))
+        fresh = freshen_binders(s)
+        pair = fresh.left if free else fresh
+        names = {pair.left.name, pair.right.name}
+        assert len(names) == 2 and ("x" in names) != free
+        assert debruijn(fresh) == debruijn(s)
 
 
 def test_a_discarded_message_returns_the_system_itself():
