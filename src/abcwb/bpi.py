@@ -15,17 +15,30 @@ the channel position and compares it against ``a``.  The point of the
 predicate ``a = a`` is restriction: hiding ``a`` falsifies it for the
 outside, which demotes the step to a silent one, exactly like the
 source restriction does.  An internal step becomes a send with an
-unsatisfiable predicate.
+unsatisfiable predicate.  A ``rec`` becomes a definition; since
+restriction is system-level and definitions are closed in the target,
+restriction under a prefix and a ``rec`` body that mentions a name bound
+outside it have no image.
 
 ``check_correspondence`` replays both sides in lockstep and demands a
 bijection between their steps, with translated continuations matching
 the target's successors up to renaming of binders.
+
+The source syntax is walked through two local functions, independent of
+``syntax.children``/``map_children``: ``_bchildren(p)`` gives a node's
+child terms and ``_bmap(p, f, *args)`` rebuilds it from ``f`` applied to
+each.  Input variables, ``nu`` and ``rec`` parameters are crossed by one
+capture-avoiding binder rule, ``_bscope``.  Fresh names are ``_f<k>``,
+drawn per call and skipping every name of the term at hand; the parser
+rejects such reserved names.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 from .attributes import Universe, fingerprint, fingerprint_tt
@@ -44,13 +57,19 @@ from .syntax import (
     Par,
     Process,
     Program,
+    RESERVED_NAME,
     Sum,
     SysPar,
     System,
     FF_,
     Var,
     alpha_equal,
+    bound_names,
     canonicalize,
+    free_names,
+    fresh_names,
+    gensym,
+    rename_free,
 )
 from .system import SOut, TAU, system_steps
 
@@ -136,93 +155,150 @@ class BCall(BP):
 
 BNIL = PG(GNil())
 
-
-def bfree(p, bound: frozenset = frozenset()) -> frozenset[str]:
-    if isinstance(p, GNil):
-        return frozenset()
-    if isinstance(p, GIn):
-        out = frozenset() if p.chan in bound else frozenset((p.chan,))
-        return out | bfree(p.cont, bound | frozenset(p.vars))
-    if isinstance(p, GOut):
-        out = frozenset(n for n in (p.chan, *p.vals) if n not in bound)
-        return out | bfree(p.cont, bound)
-    if isinstance(p, GTau):
-        return bfree(p.cont, bound)
-    if isinstance(p, GSum):
-        return bfree(p.left, bound) | bfree(p.right, bound)
-    if isinstance(p, PG):
-        return bfree(p.g, bound)
-    if isinstance(p, BPar):
-        return bfree(p.left, bound) | bfree(p.right, bound)
-    if isinstance(p, BNu):
-        return bfree(p.inner, bound | {p.name})
-    if isinstance(p, BRec):
-        inner = bfree(p.body, bound | frozenset(p.params))
-        return inner | frozenset(a for a in p.args if a not in bound)
-    if isinstance(p, BCall):
-        return frozenset(a for a in p.args if a not in bound)
-    raise TypeError(p)
+def _bchildren(p) -> tuple:
+    """The child terms of a node, in field order."""
+    # node classes have no subclasses, so the exact type decides
+    kind = type(p)
+    if kind is PG:
+        return (p.g,)
+    if kind is GIn or kind is GOut or kind is GTau:
+        return (p.cont,)
+    if kind is GSum or kind is BPar:
+        return (p.left, p.right)
+    if kind is BNu:
+        return (p.inner,)
+    if kind is BRec:
+        return (p.body,)
+    return ()
 
 
-_FRESH = itertools.count()
+def _bmap(p, f, *args):
+    """``p`` with ``f(child, *args)`` for each child, in field order;
+    ``p`` itself when every child comes back as the same object."""
+    kind = type(p)
+    if kind is PG:
+        g = f(p.g, *args)
+        return p if g is p.g else PG(g)
+    if kind is GIn or kind is GOut or kind is GTau:
+        cont = f(p.cont, *args)
+        return p if cont is p.cont else dataclasses.replace(p, cont=cont)
+    if kind is GSum or kind is BPar:
+        left, right = f(p.left, *args), f(p.right, *args)
+        return p if left is p.left and right is p.right else kind(left, right)
+    if kind is BNu:
+        inner = f(p.inner, *args)
+        return p if inner is p.inner else BNu(p.name, inner)
+    if kind is BRec:
+        body = f(p.body, *args)
+        return p if body is p.body else BRec(p.name, p.params, body, p.args)
+    return p
 
 
-def _bfresh(avoid) -> str:
-    while True:
-        cand = f"_f{next(_FRESH)}"
-        if cand not in avoid:
-            return cand
+def _bsyms(p) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names a node uses itself, and the names it binds in its
+    children (a binder never scopes over the node's own uses)."""
+    kind = type(p)
+    if kind is GOut:
+        return (p.chan, *p.vals), ()
+    if kind is GIn:
+        return (p.chan,), p.vars
+    if kind is BNu:
+        return (), (p.name,)
+    if kind is BRec:
+        return p.args, p.params
+    if kind is BCall:
+        return p.args, ()
+    return (), ()
 
 
-def bsubst(p, sub: dict[str, str]):
-    """Capture-avoiding name-for-name substitution."""
-    if not sub:
+def bfree(p) -> frozenset[str]:
+    uses, binds = _bsyms(p)
+    inner = frozenset().union(*map(bfree, _bchildren(p)))
+    return inner.difference(binds).union(uses)
+
+
+def _bnames(p) -> set[str]:
+    """Every name of a term, free or bound."""
+    names = set()
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        uses, binds = _bsyms(q)
+        names.update(uses, binds)
+        todo += _bchildren(q)
+    return names
+
+
+def _supply(p):
+    """Fresh names for one call on ``p``: every name of ``p`` is skipped.
+    Those are collected when the first fresh name is drawn."""
+    yield from fresh_names(_bnames(p))
+
+
+def _bscope(binders, body, sub: dict[str, str], avoid=frozenset()):
+    """The binder rule: ``binders`` scoping over ``body``, with ``sub``
+    pushed under them; returns the new binders and body.
+
+    The binders shadow their own entries of ``sub``.  A binder that is
+    in ``avoid``, or that would capture the image of a name free in
+    ``body``, is renamed to a fresh name throughout ``body``.
+    """
+    inner = {k: v for k, v in sub.items() if k not in binders}
+    if not any(x in avoid or x in inner.values() for x in binders):
+        return binders, bsubst(body, inner)
+    free = bfree(body)
+    inner = {k: v for k, v in inner.items() if k in free}
+    used = {*free, *avoid, *inner.values(), *binders}
+    for x in binders:
+        if x in avoid or x in inner.values():
+            inner[x] = gensym(used)
+            used.add(inner[x])
+    return tuple(inner.get(x, x) for x in binders), bsubst(body, inner)
+
+
+def bsubst(p, sub: dict[str, str], avoid=frozenset()):
+    """Capture-avoiding simultaneous name-for-name substitution.
+
+    A binder of ``p`` itself that is in ``avoid`` is renamed as well.
+    """
+    if not sub and not avoid:
         return p
 
     def s(n: str) -> str:
         return sub.get(n, n)
 
-    if isinstance(p, GNil):
-        return p
     if isinstance(p, GIn):
-        inner = {k: v for k, v in sub.items() if k not in p.vars}
-        vars_ = p.vars
-        cont = p.cont
-        clash = frozenset(vars_) & frozenset(inner.values())
-        for v in sorted(clash):
-            fresh = _bfresh(bfree(cont) | set(inner) | set(inner.values()) | set(vars_))
-            cont = bsubst(cont, {v: fresh})
-            vars_ = tuple(fresh if x == v else x for x in vars_)
-        return GIn(s(p.chan), vars_, bsubst(cont, inner))
-    if isinstance(p, GOut):
-        return GOut(s(p.chan), tuple(s(v) for v in p.vals), bsubst(p.cont, sub))
-    if isinstance(p, GTau):
-        return GTau(bsubst(p.cont, sub))
-    if isinstance(p, GSum):
-        return GSum(bsubst(p.left, sub), bsubst(p.right, sub))
-    if isinstance(p, PG):
-        return PG(bsubst(p.g, sub))
-    if isinstance(p, BPar):
-        return BPar(bsubst(p.left, sub), bsubst(p.right, sub))
+        vars_, cont = _bscope(p.vars, p.cont, sub, avoid)
+        return GIn(s(p.chan), vars_, cont)
     if isinstance(p, BNu):
-        inner_sub = {k: v for k, v in sub.items() if k != p.name}
-        name, inner = p.name, p.inner
-        if name in inner_sub.values():
-            fresh = _bfresh(bfree(inner) | set(inner_sub) | set(inner_sub.values()))
-            inner = bsubst(inner, {name: fresh})
-            name = fresh
-        return BNu(name, bsubst(inner, inner_sub))
+        (name,), inner = _bscope((p.name,), p.inner, sub, avoid)
+        return BNu(name, inner)
     if isinstance(p, BRec):
-        inner_sub = {k: v for k, v in sub.items() if k not in p.params}
-        return BRec(
-            p.name,
-            p.params,
-            bsubst(p.body, inner_sub),
-            tuple(s(a) for a in p.args),
-        )
+        params, body = _bscope(p.params, p.body, sub, avoid)
+        return BRec(p.name, params, body, tuple(map(s, p.args)))
+    if isinstance(p, GOut):
+        return GOut(s(p.chan), tuple(map(s, p.vals)), bsubst(p.cont, sub))
     if isinstance(p, BCall):
-        return BCall(p.name, tuple(s(a) for a in p.args))
-    raise TypeError(p)
+        return BCall(p.name, tuple(map(s, p.args)))
+    return _bmap(p, bsubst, sub)
+
+
+def _replace_calls(p, name: str, replace, carried=frozenset()):
+    """Replace each call to recursion variable ``name`` that no inner
+    ``rec`` of that name shadows by ``replace(call)``.
+
+    ``carried`` holds the free names a replacement brings in besides the
+    call's arguments; a binder above a replaced call that would capture
+    one is renamed first.
+    """
+    if isinstance(p, BCall):
+        return replace(p) if p.name == name else p
+    if isinstance(p, BRec) and p.name == name:
+        return p
+    out = _bmap(p, _replace_calls, name, replace, carried)
+    if out is not p and not carried.isdisjoint(_bsyms(p)[1]):
+        out = _bmap(bsubst(p, {}, carried), _replace_calls, name, replace, carried)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +309,7 @@ class BpiParseError(Exception):
     pass
 
 
-_BIDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _btokens(text: str) -> list[str]:
@@ -248,7 +324,7 @@ def _btokens(text: str) -> list[str]:
             while i < len(text) and text[i] != "\n":
                 i += 1
             continue
-        m = _BIDENT.match(text, i)
+        m = _IDENT.match(text, i)
         if m:
             toks.append(m.group())
             i = m.end()
@@ -324,24 +400,21 @@ class _BParser:
         t, n = self.peek(), self.peek(1)
         if t == "tau":
             return True
-        return _IDENTB.match(t) is not None and n in ("(", "<") and self._prefix_like()
+        return _IDENT.fullmatch(t) is not None and n in ("(", "<") and self._prefix_like()
 
     def _prefix_like(self) -> bool:
         # a(x).P and a<v>.P have a "." after the closing bracket; a call
-        # A(x) does not
-        depth = 0
-        i = self.pos + 1
-        open_, close = (("(", ")") if self.peek(1) == "(" else ("<", ">"))
+        # A(x) does not, and only prefixes use angle brackets
         if self.peek(1) == "<":
-            return True  # only prefixes use angle brackets
-        while i < len(self.toks):
-            if self.toks[i] == open_:
+            return True
+        depth = 0
+        for i in range(self.pos + 1, len(self.toks)):
+            if self.toks[i] == "(":
                 depth += 1
-            elif self.toks[i] == close:
+            elif self.toks[i] == ")":
                 depth -= 1
                 if depth == 0:
                     return self.toks[i + 1] == "."
-            i += 1
         return False
 
     def gsum(self) -> BG:
@@ -380,8 +453,10 @@ class _BParser:
 
     def ident(self) -> str:
         t = self.next()
-        if _IDENTB.match(t) is None or t in ("nu", "rec", "tau", "nil"):
+        if _IDENT.fullmatch(t) is None or t in ("nu", "rec", "tau", "nil"):
             raise BpiParseError(f"expected an identifier, found {t!r}")
+        if RESERVED_NAME.match(t):
+            raise BpiParseError(f"identifier {t!r} is reserved")
         return t
 
     def name_list(self, open_, close) -> tuple[str, ...]:
@@ -396,9 +471,6 @@ class _BParser:
         return tuple(out)
 
 
-_IDENTB = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-
-
 def parse_bpi(text: str) -> BP:
     p = _BParser(_btokens(text))
     term = p.proc()
@@ -409,35 +481,15 @@ def parse_bpi(text: str) -> BP:
 
 
 def _check_calls(p, recs: dict[str, int]):
-    if isinstance(p, (GNil,)):
-        return
-    if isinstance(p, (GIn, GOut, GTau)):
-        _check_calls(p.cont, recs)
-        return
-    if isinstance(p, GSum):
-        _check_calls(p.left, recs)
-        _check_calls(p.right, recs)
-        return
-    if isinstance(p, PG):
-        _check_calls(p.g, recs)
-        return
-    if isinstance(p, BPar):
-        _check_calls(p.left, recs)
-        _check_calls(p.right, recs)
-        return
-    if isinstance(p, BNu):
-        _check_calls(p.inner, recs)
-        return
-    if isinstance(p, BRec):
-        _check_calls(p.body, {**recs, p.name: len(p.params)})
-        return
     if isinstance(p, BCall):
         if p.name not in recs:
             raise BpiParseError(f"call to unknown recursion variable {p.name!r}")
         if recs[p.name] != len(p.args):
             raise BpiParseError(f"call to {p.name!r} with wrong arity")
-        return
-    raise TypeError(p)
+    if isinstance(p, BRec):
+        recs = {**recs, p.name: len(p.params)}
+    for child in _bchildren(p):
+        _check_calls(child, recs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +503,6 @@ class BOut:
     bound: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class BIn:
-    chan: str
-    vals: tuple[str, ...]
-
-
 class BTauL:
     def __repr__(self):
         return "BTAU"
@@ -465,66 +511,34 @@ class BTauL:
 BTAU = BTauL()
 
 
-def _unfold_rec(p: BRec) -> BP:
-    body = PG(p.body)
-    # the recursion variable stays callable inside its own body
-    return _instantiate(body, p.name, p.params, p.body, dict(zip(p.params, p.args)))
+def _copies(r: BRec) -> tuple:
+    """What ``_replace_calls`` takes after the term to put a copy of
+    ``r`` in place of each call to it: the name, the copy, and the names
+    free in ``r``, which a copy brings in besides the call's arguments."""
+
+    def copy(call: BCall) -> BRec:
+        return BRec(r.name, r.params, r.body, call.args)
+
+    return r.name, copy, bfree(r.body).difference(r.params)
 
 
-def _instantiate(term, rname, rparams, rbody, sub):
-    """Substitute args and replace recursive calls with fresh BRec nodes."""
-    term = _replace_calls(term, rname, rparams, rbody)
-    return bsubst(term, {k: v for k, v in sub.items() if k != v})
-
-
-def _replace_calls(p, rname, rparams, rbody):
-    if isinstance(p, GNil):
-        return p
-    if isinstance(p, GIn):
-        return GIn(p.chan, p.vars, _replace_calls(p.cont, rname, rparams, rbody))
-    if isinstance(p, GOut):
-        return GOut(p.chan, p.vals, _replace_calls(p.cont, rname, rparams, rbody))
-    if isinstance(p, GTau):
-        return GTau(_replace_calls(p.cont, rname, rparams, rbody))
-    if isinstance(p, GSum):
-        return GSum(
-            _replace_calls(p.left, rname, rparams, rbody),
-            _replace_calls(p.right, rname, rparams, rbody),
-        )
-    if isinstance(p, PG):
-        return PG(_replace_calls(p.g, rname, rparams, rbody))
-    if isinstance(p, BPar):
-        return BPar(
-            _replace_calls(p.left, rname, rparams, rbody),
-            _replace_calls(p.right, rname, rparams, rbody),
-        )
-    if isinstance(p, BNu):
-        return BNu(p.name, _replace_calls(p.inner, rname, rparams, rbody))
-    if isinstance(p, BRec):
-        if p.name == rname:
-            return p  # shadowed by the inner recursion
-        return BRec(
-            p.name,
-            p.params,
-            _replace_calls(p.body, rname, rparams, rbody),
-            p.args,
-        )
-    if isinstance(p, BCall):
-        if p.name == rname:
-            return BRec(rname, rparams, rbody, p.args)
-        return p
-    raise TypeError(p)
+def _unfold_rec(p: BRec) -> PG:
+    """The body with the arguments for the parameters and, for each call,
+    a copy of the whole ``rec`` applied to the call's arguments."""
+    body = bsubst(PG(p.body), {x: a for x, a in zip(p.params, p.args) if x != a})
+    return _replace_calls(body, *_copies(p))
 
 
 def bpi_deliver(p: BP, chan: str, vals: tuple[str, ...]) -> list[BP]:
     """All ways a process absorbs one broadcast; never empty.
 
     A listener on the right channel with the right arity must take the
-    message; everyone else stays put.
+    message; everyone else stays put (a ``rec`` that does not listen
+    stays folded).
     """
-    if isinstance(p, PG):
-        outcomes = _gsum_deliver(p.g, chan, vals)
-        return outcomes if outcomes else [p]
+    if isinstance(p, (PG, BRec)):
+        g = p.g if isinstance(p, PG) else _unfold_rec(p).g
+        return _gsum_deliver(g, chan, vals) or [p]
     if isinstance(p, BPar):
         return [
             BPar(l, r)
@@ -532,16 +546,9 @@ def bpi_deliver(p: BP, chan: str, vals: tuple[str, ...]) -> list[BP]:
             for r in bpi_deliver(p.right, chan, vals)
         ]
     if isinstance(p, BNu):
-        name, inner = p.name, p.inner
-        if name == chan or name in vals:
-            fresh = _bfresh(bfree(inner) | {chan, *vals, name})
-            inner = bsubst(inner, {name: fresh})
-            name = fresh
-        return [BNu(name, q) for q in bpi_deliver(inner, chan, vals)]
-    if isinstance(p, BRec):
-        return bpi_deliver(_unfold_rec(p), chan, vals)
-    if isinstance(p, BCall):
-        raise ValueError(f"unbound recursion variable {p.name!r}")
+        if p.name == chan or p.name in vals:
+            p = bsubst(p, {}, frozenset((chan, *vals)))
+        return [BNu(p.name, q) for q in bpi_deliver(p.inner, chan, vals)]
     raise TypeError(p)
 
 
@@ -569,25 +576,27 @@ def bpi_steps(p: BP) -> list[tuple[object, BP]]:
         return _gsum_acts(p.g)
     if isinstance(p, BPar):
         out = []
-        for lab, l2 in bpi_steps(p.left):
-            if lab is BTAU:
-                out.append((BTAU, BPar(l2, p.right)))
-            else:
-                lab, l2, sibling = _bavoid_clash(lab, l2, p.right)
-                for r2 in bpi_deliver(sibling, lab.chan, lab.vals):
-                    out.append((lab, BPar(l2, r2)))
-        for lab, r2 in bpi_steps(p.right):
-            if lab is BTAU:
-                out.append((BTAU, BPar(p.left, r2)))
-            else:
-                lab, r2, sibling = _bavoid_clash(lab, r2, p.left)
-                for l2 in bpi_deliver(sibling, lab.chan, lab.vals):
-                    out.append((lab, BPar(l2, r2)))
+        for mine, other, join in (
+            (p.left, p.right, BPar),
+            (p.right, p.left, lambda r, l: BPar(l, r)),
+        ):
+            for lab, m2 in bpi_steps(mine):
+                if lab is BTAU:
+                    out.append((BTAU, join(m2, other)))
+                    continue
+                if lab.bound:
+                    lab, m2 = _bavoid_clash(lab, m2, bfree(other))
+                for o2 in bpi_deliver(other, lab.chan, lab.vals):
+                    out.append((lab, join(m2, o2)))
         return out
     if isinstance(p, BNu):
         y = p.name
         out = []
         for lab, q in bpi_steps(p.inner):
+            if lab is not BTAU and y in lab.bound:
+                # an inner name of the same spelling is extruded; y is not
+                # free inside, or a sibling would have renamed it apart
+                lab, q = _bavoid_clash(lab, q, {y})
             if lab is BTAU:
                 out.append((BTAU, BNu(y, q)))
             elif lab.chan == y:
@@ -604,25 +613,20 @@ def bpi_steps(p: BP) -> list[tuple[object, BP]]:
         return out
     if isinstance(p, BRec):
         return bpi_steps(_unfold_rec(p))
-    if isinstance(p, BCall):
-        raise ValueError(f"unbound recursion variable {p.name!r}")
     raise TypeError(p)
 
 
-def _bavoid_clash(lab: BOut, origin: BP, sibling: BP):
-    clashing = lab.bound & bfree(sibling)
-    if not clashing:
-        return lab, origin, sibling
-    chan, vals, bound = lab.chan, list(lab.vals), set(lab.bound)
-    for b in sorted(clashing):
-        fresh = _bfresh(bfree(sibling) | bfree(origin) | {chan, *vals} | bound)
-        origin = bsubst(origin, {b: fresh})
-        vals = [fresh if v == b else v for v in vals]
-        if chan == b:
-            chan = fresh
-        bound.discard(b)
-        bound.add(fresh)
-    return BOut(chan, tuple(vals), frozenset(bound)), origin, sibling
+def _bavoid_clash(lab: BOut, origin: BP, outside) -> tuple[BOut, BP]:
+    """Rename the names a send extrudes away from ``outside``, the names
+    free where the send goes."""
+    if lab.bound.isdisjoint(outside):
+        return lab, origin
+    old = tuple(sorted(lab.bound))
+    outside = frozenset(outside).union({lab.chan, *lab.vals}.difference(lab.bound))
+    new, origin = _bscope(old, origin, {}, outside)
+    ren = dict(zip(old, new))
+    chan, *vals = (ren.get(n, n) for n in (lab.chan, *lab.vals))
+    return BOut(chan, tuple(vals), frozenset(new)), origin
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +634,12 @@ def _bavoid_clash(lab: BOut, origin: BP, sibling: BP):
 
 
 def encode(p: BP) -> tuple[System, Definitions]:
-    """Translate a broadcast pi term into an attribute-calculus system."""
-    defs: Definitions = {}
-    counter = itertools.count()
-    sys = _enc_proc(p, frozenset(), defs, counter)
-    return sys, defs
+    """Translate a broadcast pi term into an attribute-calculus system.
+
+    Raises ``ValueError`` on a term the translation has no image for.
+    """
+    enc = _Encoder(p, {})
+    return enc.proc(p), enc.defs
 
 
 def encode_program(p: BP) -> Program:
@@ -646,113 +651,105 @@ def _enc_name(n: str, scope: frozenset[str]):
     return Var(n) if n in scope else Lit(Name(n))
 
 
-def _enc_proc(p: BP, scope: frozenset[str], defs: Definitions, counter) -> System:
-    if isinstance(p, PG):
-        return Comp(AttributeEnv.of({}), _enc_guard(p.g, scope, defs, counter))
-    if isinstance(p, BPar):
-        return SysPar(
-            _enc_proc(p.left, scope, defs, counter),
-            _enc_proc(p.right, scope, defs, counter),
-        )
-    if isinstance(p, BNu):
-        return Nu(p.name, _enc_proc(p.inner, scope, defs, counter))
-    if isinstance(p, BRec):
-        dname = f"{p.name}_{next(counter)}" if p.name in defs else p.name
-        body = p.body if dname == p.name else _rename_rec(p.body, p.name, dname)
-        defs[dname] = (
-            p.params,
-            _enc_guard(body, scope | frozenset(p.params), defs, counter),
-        )
-        return Comp(
-            AttributeEnv.of({}),
-            Call(dname, tuple(_enc_name(a, scope) for a in p.args)),
-        )
-    if isinstance(p, BCall):
-        return Comp(
-            AttributeEnv.of({}),
-            Call(p.name, tuple(_enc_name(a, scope) for a in p.args)),
-        )
-    raise TypeError(p)
+class _Encoder:
+    """One translation of a term.
 
+    It holds the definitions made so far, the definition name of each
+    ``rec`` (a table that later translations of successor terms share,
+    so that they call the same definitions), and a supply of fresh
+    ``_f`` names that skips every name of the term.  ``scope`` holds the
+    names bound by an input or a ``rec`` parameter, which become
+    variables; ``hidden`` the restrictions around the component at hand.
 
-def _rename_rec(g, old: str, new: str):
-    """Rename a recursion variable (not a channel name) in a guarded body."""
-    if isinstance(g, GNil):
-        return g
-    if isinstance(g, GIn):
-        return GIn(g.chan, g.vars, _rename_rec_p(g.cont, old, new))
-    if isinstance(g, GOut):
-        return GOut(g.chan, g.vals, _rename_rec_p(g.cont, old, new))
-    if isinstance(g, GTau):
-        return GTau(_rename_rec_p(g.cont, old, new))
-    if isinstance(g, GSum):
-        return GSum(_rename_rec(g.left, old, new), _rename_rec(g.right, old, new))
-    raise TypeError(g)
-
-
-def _rename_rec_p(p, old: str, new: str):
-    if isinstance(p, PG):
-        return PG(_rename_rec(p.g, old, new))
-    if isinstance(p, BPar):
-        return BPar(_rename_rec_p(p.left, old, new), _rename_rec_p(p.right, old, new))
-    if isinstance(p, BNu):
-        return BNu(p.name, _rename_rec_p(p.inner, old, new))
-    if isinstance(p, BRec):
-        if p.name == old:
-            return p
-        return BRec(p.name, p.params, _rename_rec(p.body, old, new), p.args)
-    if isinstance(p, BCall):
-        return BCall(new if p.name == old else p.name, p.args)
-    raise TypeError(p)
-
-
-def _enc_guard(g: BG, scope: frozenset[str], defs, counter) -> Process:
-    if isinstance(g, GNil):
-        return NIL
-    if isinstance(g, GOut):
-        ch = _enc_name(g.chan, scope)
-        exprs = (ch,) + tuple(_enc_name(v, scope) for v in g.vals)
-        pred = Cmp("=", ch, ch)
-        return Out(exprs, pred, _enc_cont(g.cont, scope, defs, counter))
-    if isinstance(g, GIn):
-        y = f"_f{next(_FRESH)}"
-        pred = Cmp("=", Var(y), _enc_name(g.chan, scope))
-        cont = _enc_cont(g.cont, scope | frozenset(g.vars), defs, counter)
-        return In(pred, (y,) + g.vars, cont)
-    if isinstance(g, GTau):
-        return Out((), FF_, _enc_cont(g.cont, scope, defs, counter))
-    if isinstance(g, GSum):
-        return Sum(
-            _enc_guard(g.left, scope, defs, counter),
-            _enc_guard(g.right, scope, defs, counter),
-        )
-    raise TypeError(g)
-
-
-def _enc_cont(p: BP, scope: frozenset[str], defs, counter) -> Process:
-    """Continuation of a prefix: stays at process level when possible.
-
-    Parallel and restriction below a prefix have no process-level image
-    in the target (parallel components and restriction are system-level
-    there), so those shapes are rejected; the correspondence corpus
-    keeps parallelism and restriction at the top or directly under
-    replication-free contexts, which is the standard normal form for
-    this translation.
+    A shape with no image in the target raises ``ValueError``:
+    restriction is system-level there, so it may not occur under a
+    prefix; and a definition is closed, so the body of a ``rec`` may not
+    mention a name bound outside it.
     """
-    if isinstance(p, PG):
-        return _enc_guard(p.g, scope, defs, counter)
-    if isinstance(p, BRec):
-        sys = _enc_proc(p, scope, defs, counter)
-        return sys.proc
-    if isinstance(p, BCall):
-        return Call(p.name, tuple(_enc_name(a, scope) for a in p.args))
-    if isinstance(p, BPar):
-        inner_l = _enc_cont(p.left, scope, defs, counter)
-        inner_r = _enc_cont(p.right, scope, defs, counter)
-        return Par(inner_l, inner_r)
-    raise ValueError(
-        "restriction under a prefix has no image in the target calculus"
-    )
+
+    def __init__(self, p: BP, recs: dict):
+        self.defs: Definitions = {}
+        self.recs = recs
+        self.fresh = _supply(p)
+        self.counter = itertools.count()
+        self.hidden: frozenset[str] = frozenset()
+        # the recs around the term being translated, each in its closed
+        # form (see ``define``) and with its definition name
+        self.enclosing: list[tuple[BRec, str]] = []
+
+    def proc(self, p: BP, hidden: frozenset[str] = frozenset()) -> System:
+        if isinstance(p, BPar):
+            return SysPar(self.proc(p.left, hidden), self.proc(p.right, hidden))
+        if isinstance(p, BNu):
+            return Nu(p.name, self.proc(p.inner, hidden | {p.name}))
+        self.hidden = hidden
+        return Comp(AttributeEnv.of({}), self.cont(p, frozenset()))
+
+    def cont(self, p: BP, scope: frozenset[str]) -> Process:
+        """A process below the system level; parallel becomes ``Par``."""
+        if isinstance(p, PG):
+            return self.guard(p.g, scope)
+        if isinstance(p, BPar):
+            return Par(self.cont(p.left, scope), self.cont(p.right, scope))
+        if isinstance(p, BRec):
+            return Call(self.define(p, scope), tuple(_enc_name(a, scope) for a in p.args))
+        if isinstance(p, BCall):
+            dname = next(d for r, d in reversed(self.enclosing) if r.name == p.name)
+            return Call(dname, tuple(_enc_name(a, scope) for a in p.args))
+        raise ValueError("restriction under a prefix has no image in the target calculus")
+
+    def define(self, p: BRec, scope: frozenset[str]) -> str:
+        """The definition name of a ``rec``; the definition is made on
+        first use.
+
+        A rec is known by the form it has once it is a successor term on
+        its own: unfolding puts copies of the enclosing recs in place of
+        its calls to them.
+        """
+        closed = p
+        for r, _ in self.enclosing:
+            closed = _replace_calls(closed, *_copies(r))
+        outside = self.hidden | scope
+        if outside and not outside.isdisjoint(bfree(p.body).difference(p.params)):
+            raise ValueError(
+                f"rec {p.name} mentions a name bound outside it; "
+                "a definition in the target calculus is closed"
+            )
+        key = (closed.name, closed.params, closed.body)
+        dname = self.recs.get(key)
+        if dname is None:
+            dname = p.name
+            while dname in self.recs.values():
+                dname = f"{p.name}_{next(self.counter)}"
+            # named before its body, which may hold a rec of the same name
+            self.recs[key] = dname
+            self.enclosing.append((closed, dname))
+            self.defs[dname] = (p.params, self.guard(p.body, frozenset(p.params)))
+            self.enclosing.pop()
+        return dname
+
+    def guard(self, g: BG, scope: frozenset[str]) -> Process:
+        if isinstance(g, GNil):
+            return NIL
+        if isinstance(g, GOut):
+            ch = _enc_name(g.chan, scope)
+            exprs = (ch,) + tuple(_enc_name(v, scope) for v in g.vals)
+            return Out(exprs, Cmp("=", ch, ch), self.cont(g.cont, scope))
+        if isinstance(g, GIn):
+            y = next(self.fresh)
+            vars_, cont = g.vars, g.cont
+            if g.chan in vars_:
+                # the variable would capture the channel in the predicate
+                z = next(self.fresh)
+                vars_ = tuple(z if v == g.chan else v for v in vars_)
+                cont = bsubst(cont, {g.chan: z})
+            pred = Cmp("=", Var(y), _enc_name(g.chan, scope))
+            return In(pred, (y,) + vars_, self.cont(cont, scope | frozenset(vars_)))
+        if isinstance(g, GTau):
+            return Out((), FF_, self.cont(g.cont, scope))
+        if isinstance(g, GSum):
+            return Sum(self.guard(g.left, scope), self.guard(g.right, scope))
+        raise TypeError(g)
 
 
 # ---------------------------------------------------------------------------
@@ -767,42 +764,31 @@ class Correspondence:
     truncated: bool = False
 
 
+def _canon_send(names, bound) -> tuple:
+    """A send on ``names[0]`` carrying ``names[1:]``, with its extruded
+    names renamed ``_n0, _n1, ...`` in order of first occurrence."""
+    extruded = dict.fromkeys(n for n in names if n in bound)
+    ren = {n: f"_n{i}" for i, n in enumerate(extruded)}
+    chan, *vals = (ren.get(n, n) for n in names)
+    return ("out", chan, tuple(vals), tuple(ren.values()))
+
+
 def _canon_bpi_label(lab) -> tuple:
     if lab is BTAU:
         return ("tau",)
-    order = [n for n in (lab.chan, *lab.vals) if n in lab.bound]
-    seen: list[str] = []
-    for n in order:
-        if n not in seen:
-            seen.append(n)
-    ren = {n: f"_n{i}" for i, n in enumerate(seen)}
-    chan = ren.get(lab.chan, lab.chan)
-    vals = tuple(ren.get(v, v) for v in lab.vals)
-    return ("out", chan, vals, tuple(ren[n] for n in seen))
+    return _canon_send((lab.chan, *lab.vals), lab.bound)
 
 
 def _canon_abc_label(lab, universe: Universe) -> tuple:
     """Project a target label onto source vocabulary: channel and payload."""
     if lab is TAU:
         return ("tau",)
-    assert isinstance(lab, SOut)
     vals = lab.values
-    if not vals or not isinstance(vals[0], Name):
+    if not vals or not all(isinstance(v, Name) for v in vals):
         return ("unexpected", str(vals))
     if fingerprint(lab.pred, universe) != fingerprint_tt(universe):
         return ("unexpected-pred", str(lab.pred))
-    names = []
-    for v in vals:
-        assert isinstance(v, Name)
-        names.append(v.atom)
-    order = [n for n in names if n in lab.bound]
-    seen: list[str] = []
-    for n in order:
-        if n not in seen:
-            seen.append(n)
-    ren = {n: f"_n{i}" for i, n in enumerate(seen)}
-    mapped = [ren.get(n, n) for n in names]
-    return ("out", mapped[0], tuple(mapped[1:]), tuple(ren[n] for n in seen))
+    return _canon_send(tuple(v.atom for v in vals), lab.bound)
 
 
 def check_correspondence(
@@ -813,19 +799,21 @@ def check_correspondence(
     At every reached pair the multiset of source steps and target steps
     must agree label by label, and each matched target successor must be
     the translation of the matched source successor up to renaming of
-    binders.
+    binders.  Pairs are visited breadth-first, so each is counted at its
+    shallowest depth.
     """
-    sys0, defs = encode(p)
+    first = _Encoder(p, {})
+    sys0, defs = first.proc(p), first.defs
     universe = Universe.for_systems([sys0])
     failures: list[str] = []
     seen: set[tuple] = set()
-    frontier: list[tuple[BP, System, int]] = [(p, sys0, 0)]
+    frontier = deque([(p, sys0, canonicalize(sys0), 0)])
     checked = 0
     truncated = False
 
     while frontier:
-        src, tgt, d = frontier.pop()
-        key = (src, canonicalize(tgt))
+        src, tgt, canon_tgt, d = frontier.popleft()
+        key = (src, canon_tgt)
         if key in seen:
             continue
         seen.add(key)
@@ -837,14 +825,11 @@ def check_correspondence(
             truncated = True
             continue
 
-        src_steps = bpi_steps(src)
-        tgt_steps = system_steps(tgt, defs, universe)
-
         by_label_src: dict[tuple, list[BP]] = {}
-        for lab, q in src_steps:
+        for lab, q in bpi_steps(src):
             by_label_src.setdefault(_canon_bpi_label(lab), []).append(q)
         by_label_tgt: dict[tuple, list[System]] = {}
-        for lab, t in tgt_steps:
+        for lab, t in system_steps(tgt, defs, universe):
             by_label_tgt.setdefault(_canon_abc_label(lab, universe), []).append(t)
 
         if set(by_label_src) != set(by_label_tgt):
@@ -862,22 +847,19 @@ def check_correspondence(
                     f"{len(src_succs)} source vs {len(tgt_succs)} target"
                 )
                 continue
-            unmatched = list(tgt_succs)
+            # each target successor is canonicalised once
+            unmatched = [(canonicalize(t), t) for t in tgt_succs]
             for q in src_succs:
-                enc_q, _ = encode(q)
-                hit = None
-                for t in unmatched:
-                    if alpha_equal(canonicalize(enc_q), canonicalize(t)):
-                        hit = t
-                        break
+                canon_q = canonicalize(_Encoder(q, first.recs).proc(q))
+                hit = next((i for i, (c, _) in enumerate(unmatched) if c == canon_q), None)
                 if hit is None:
                     failures.append(
                         f"no target successor translates source continuation "
                         f"after {lab_key} at depth {d}"
                     )
                 else:
-                    unmatched.remove(hit)
-                    frontier.append((q, hit, d + 1))
+                    canon_t, t = unmatched.pop(hit)
+                    frontier.append((q, t, canon_t, d + 1))
 
     return Correspondence(not failures, checked, failures, truncated)
 
@@ -981,18 +963,19 @@ def check_name_invariance(p: BP, renamings=None) -> bool:
             if len(fn) >= 2:
                 rot = dict(zip(fn, fn[1:] + fn[:1]))
                 renamings.append(rot)
-    from .syntax import rename_free as _rf
 
     for sigma in renamings:
         lhs, _ = encode(bsubst(p, sigma))
         rhs, _ = encode(p)
         # simultaneous renaming: go through temporaries so chained maps
-        # like a->b, b->a do not collapse
-        temps = {old: f"_f{next(_FRESH)}" for old in sigma}
+        # like a->b, b->a do not collapse; they avoid every name of rhs,
+        # so that no binder of it is captured
+        fresh = fresh_names(free_names(rhs) | bound_names(rhs) | set(sigma.values()))
+        temps = {old: next(fresh) for old in sigma}
         for old, tmp in temps.items():
-            rhs = _rf(rhs, old, tmp)
+            rhs = rename_free(rhs, old, tmp)
         for old, new in sigma.items():
-            rhs = _rf(rhs, temps[old], new)
+            rhs = rename_free(rhs, temps[old], new)
         if not alpha_equal(lhs, rhs):
             return False
     return True

@@ -262,14 +262,15 @@ def _dispatch(args) -> int:
         try:
             with open(args.file) as f:
                 term = parse_bpi(f.read())
+            # a term outside the translatable fragment raises ValueError
+            prog = encode_program(term)
         except FileNotFoundError:
             print(f"error: no such file: {args.file}", file=_sys.stderr)
             return 3
-        except BpiParseError as e:
+        except (BpiParseError, ValueError) as e:
             print(f"error: {args.file}: {e}", file=_sys.stderr)
             return 3
         if args.cmd == "encode":
-            prog = encode_program(term)
             from .syntax import pretty_proc
 
             for name, (params, body) in sorted(prog.defs.items()):

@@ -323,9 +323,15 @@ def _weak_closure(succ):
     return weak
 
 
-def _build_witness(p, q, space, succ, block, history, depth=0):
-    if depth > 50:
-        return {"note": "witness truncated"}
+def _build_witness(p, q, space, succ, history):
+    """The move that parted ``p`` and ``q``, then the pair it leads to.
+
+    The move is read off the partition one round before the pair parted,
+    so every answer to it was parted from its target in an earlier round:
+    each level is strictly shallower, and the chain ends in a move with no
+    answer at all.
+    """
+    block = history[_sep_round(p, q, history) - 1]
     for first, second, side in ((p, q, "left"), (q, p, "right")):
         miss = _mismatch(first, second, succ, block)
         if miss:
@@ -337,16 +343,13 @@ def _build_witness(p, q, space, succ, block, history, depth=0):
                 "to": pretty_system(space.states[t]),
             }
             if answers:
-                # every answer is already distinguished from t; recurse
-                # on one separated as early as possible
+                # recurse on the answer parted from t as early as possible
                 u = min(sorted(answers), key=lambda u: _sep_round(t, u, history))
-                node["continues"] = _build_witness(
-                    t, u, space, succ, block, history, depth + 1
-                )
+                node["continues"] = _build_witness(t, u, space, succ, history)
             else:
                 node["continues"] = None  # the move is missing outright
             return node
-    return None
+    raise AssertionError("a parted pair has a distinguishing move")
 
 
 def bisimilar(
@@ -382,7 +385,7 @@ def bisimilar(
     succ, block, history = _refine(space, weak)
     if block[i1] == block[i2]:
         return BisimResult(True, None, space.truncated, space.reasons)
-    witness = _build_witness(i1, i2, space, succ, block, history)
+    witness = _build_witness(i1, i2, space, succ, history)
     return BisimResult(False, witness, space.truncated, space.reasons)
 
 

@@ -4,12 +4,12 @@ Components carry an attribute environment and a process; processes
 communicate by broadcast filtered through predicates over attributes.
 All nodes are immutable (frozen, slotted dataclasses) and safe to share.
 
-Every node also has four cache slots that are filled on first use and
+Every node also has three cache slots that are filled on first use and
 never change afterwards: its structural hash (leaves, whose hash costs
-no more than the lookup, leave it unused), its free names, its bound
-names and whether it contains a binder.  They are not fields, so
-equality, ``repr`` and construction are unchanged; a term built once and
-shared by many states pays for each of them once.
+no more than the lookup, leave it unused), its free names and whether
+it contains a binder.  They are not fields, so equality, ``repr`` and
+construction are unchanged; a term built once and shared by many states
+pays for each of them once.
 
 Traversals are written over two functions that know the node kinds:
 ``children(node)`` gives the child nodes in field order, and
@@ -37,6 +37,7 @@ internal canonical/fresh names and rejected by the parser.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from operator import is_ as _is
@@ -49,7 +50,7 @@ RESERVED_NAME = re.compile(r"_[nvfw]\d+$")
 class _Node:
     """Base of every syntax node: the per-object caches (see module doc)."""
 
-    __slots__ = ("_hash", "_free", "_bound", "_binders")
+    __slots__ = ("_hash", "_free", "_binders")
 
 
 # A node without child nodes: its hash is as cheap as a cache lookup, so
@@ -467,19 +468,15 @@ def has_binders(node: Node) -> bool:
 
 
 def bound_names(node: Node) -> frozenset[str]:
-    """Names bound by an input prefix or a restriction anywhere in a node
-    (cached on the node)."""
+    """Names bound by an input prefix or a restriction anywhere in a node."""
     if not has_binders(node):
         return _NO_NAMES
-    out = getattr(node, "_bound", None)
-    if out is None:
-        out = _union(*map(bound_names, children(node)))
-        kind = type(node)
-        if kind is In:
-            out = _union(frozenset(node.vars), out)
-        elif kind is Nu:
-            out = _union(frozenset((node.name,)), out)
-        object.__setattr__(node, "_bound", out)
+    out = _union(*map(bound_names, children(node)))
+    kind = type(node)
+    if kind is In:
+        return _union(frozenset(node.vars), out)
+    if kind is Nu:
+        return _union(frozenset((node.name,)), out)
     return out
 
 
@@ -593,24 +590,18 @@ def map_children(node: Node, f, *args):
     raise TypeError(node)
 
 
-class _Gensym:
-    def __init__(self, prefix: str = "_f"):
-        self.prefix = prefix
-        self.counter = 0
-
-    def fresh(self, avoid: frozenset[str]) -> str:
-        while True:
-            cand = f"{self.prefix}{self.counter}"
-            self.counter += 1
-            if cand not in avoid:
-                return cand
+def fresh_names(taken):
+    """The names ``_f0, _f1, ...`` that are not in ``taken``, in order."""
+    return (n for k in itertools.count() if (n := f"_f{k}") not in taken)
 
 
-_GENSYM = _Gensym()
+def gensym(avoid) -> str:
+    """The first name ``_f0, _f1, ...`` not in ``avoid``.
 
-
-def gensym(avoid: frozenset[str] = frozenset()) -> str:
-    return _GENSYM.fresh(avoid)
+    There is no global counter: a name depends only on ``avoid``, so a
+    step or a check does not depend on what ran earlier in the process.
+    """
+    return next(fresh_names(avoid))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +624,7 @@ def rename_free(node, old: str, new: str):
         return Name(new)
     if kind is In and new in node.vars:
         # would capture: alpha-rename the binder away first
-        node = _alpha_in(node, new, gensym(free_names(node) | {old, new}))
+        node = _alpha_in(node, new, gensym(free_names(node) | {old, new, *node.vars}))
     elif kind is Nu and node.name == new:
         fresh = gensym(free_names(node.inner) | {old, new})
         node = Nu(fresh, rename_free(node.inner, new, fresh))
@@ -668,7 +659,8 @@ def substitute(node, subst: Mapping[str, Value]):
         incoming = _union(*(names_in_value(v) for v in subst.values()))
         for var in node.vars:
             if var in incoming:
-                node = _alpha_in(node, var, gensym(free_names(node) | incoming | set(subst)))
+                taken = free_names(node) | incoming | set(subst) | set(node.vars)
+                node = _alpha_in(node, var, gensym(taken))
     elif kind is Lit:
         return node
     return map_children(node, substitute, subst)

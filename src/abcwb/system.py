@@ -188,6 +188,13 @@ def _steps(sys, defs, universe, rng, notes):
             if lab is TAU:
                 out.append((TAU, Nu(y, inner2)))
                 continue
+            if y in lab.bound:
+                # a name extruded from below was renamed to y away from its
+                # siblings, which do not mention y: this restriction is
+                # vacuous and keeps its place under another name
+                fresh = gensym(free_names(inner2) | lab.bound)
+                out.append((lab, Nu(fresh, inner2)))
+                continue
             pred_names = free_names(lab.pred)
             value_names = frozenset()
             for v in lab.values:

@@ -1,0 +1,87 @@
+"""Seeded random broadcast-pi terms for the correspondence checks.
+
+The terms are built to make renaming necessary.  Binders draw from the
+same names that channels and payloads use, so an input variable, a
+restriction or a ``rec`` parameter often has the name of something free
+around it.  Recursion variables draw from two names, so a ``rec`` nested
+in another often shadows it.  Every restriction sends its own name away
+(extrusion), often to a sibling that mentions that name free.
+
+Every term stays in the fragment the translation covers:
+- no restriction under a prefix;
+- no ``rec`` whose body mentions a name bound outside it;
+- no ``rec`` whose body mentions a name that a restriction anywhere in
+  the term binds: a definition is global in the target, so a
+  restriction that moves around a call captures the definition's names;
+- no parallel composition under a prefix: the translation puts both
+  branches in one component, where a broadcast of one branch does not
+  reach the other.
+The name ``k`` is never bound, so every scope has a free name to use.
+"""
+
+from __future__ import annotations
+
+import random
+
+from abcwb.bpi import BCall, BNu, BPar, BRec, GIn, GNil, GOut, GSum, GTau, PG
+
+BINDABLE = ("a", "b", "c")
+RESTRICTED = ("a", "b")
+NAMES = BINDABLE + ("k",)
+RECS = ("A", "B")
+
+
+def gen_term(rng: random.Random, depth: int = 3):
+    """A term: parallel components and restrictions at the top level."""
+    return _top(rng, depth, frozenset())
+
+
+def _top(rng, depth, outer):
+    # ``outer`` holds the names bound around this point, which no rec
+    # below may mention
+    k = rng.randrange(4) if depth > 0 else 0
+    if k == 1:
+        return BPar(_top(rng, depth - 1, outer), _top(rng, depth - 1, outer))
+    if k == 2:
+        n = rng.choice(RESTRICTED)
+        inner = outer | {n}
+        cont = _cont(rng, depth - 1, NAMES, inner, {})
+        send = PG(GOut(rng.choice(NAMES), (n,), cont))
+        return BNu(n, BPar(send, _top(rng, depth - 1, inner)))
+    return _cont(rng, depth, NAMES, outer, {})
+
+
+def _cont(rng, depth, pool, outer, recs):
+    """What may follow a prefix: a sum of prefixes, a rec or a call to an
+    enclosing one; ``pool`` holds the names that may occur here and
+    ``recs`` the arity of each recursion variable in scope."""
+    k = rng.randrange(4) if depth > 0 else 0
+    if k == 1 and recs:
+        name = rng.choice(sorted(recs))
+        return BCall(name, tuple(rng.choice(pool) for _ in range(recs[name])))
+    if k == 2:
+        name = rng.choice(RECS)
+        params = tuple(rng.sample(BINDABLE, rng.randrange(3)))
+        # the body sees its parameters and the names nothing binds
+        body_pool = tuple(sorted(set(pool) - outer - set(RESTRICTED) | set(params)))
+        body_recs = {**recs, name: len(params)}
+        body = _guard(rng, depth - 1, body_pool, frozenset(params), body_recs)
+        return BRec(name, params, body, tuple(rng.choice(pool) for _ in params))
+    return PG(_guard(rng, depth, pool, outer, recs))
+
+
+def _guard(rng, depth, pool, outer, recs):
+    k = rng.randrange(5) if depth > 0 else 0
+    if k == 0:
+        return GNil()
+    if k == 1:
+        vals = tuple(rng.choice(pool) for _ in range(rng.randrange(3)))
+        return GOut(rng.choice(pool), vals, _cont(rng, depth - 1, pool, outer, recs))
+    if k == 2:
+        vars_ = tuple(rng.sample(BINDABLE, rng.randrange(1, 3)))
+        inner_pool = tuple(sorted({*pool, *vars_}))
+        cont = _cont(rng, depth - 1, inner_pool, outer | set(vars_), recs)
+        return GIn(rng.choice(pool), vars_, cont)
+    if k == 3:
+        return GTau(_cont(rng, depth - 1, pool, outer, recs))
+    return GSum(_guard(rng, depth - 1, pool, outer, recs), _guard(rng, depth - 1, pool, outer, recs))

@@ -1,13 +1,18 @@
 """The broadcast-pi side: reference semantics, the translation into the
 attribute calculus, and the lockstep correspondence suite."""
 
+import random
+import re
 import time
+from collections import Counter
 
 import pytest
 
+from abcwb import bpi, syntax
 from abcwb.bpi import (
-    BIn,
     BOut,
+    BCall,
+    BRec,
     BTAU,
     BpiParseError,
     abc_divergent,
@@ -21,6 +26,7 @@ from abcwb.bpi import (
     encode,
     parse_bpi,
 )
+from bpigen import gen_term
 from abcwb.attributes import Universe, satisfies
 from abcwb.syntax import (
     Cmp,
@@ -131,11 +137,41 @@ def test_corpus_t16_diverges_on_both_sides(corpus_dir):
     assert abc_divergent(sys, defs) == (True, False)
 
 
+def test_substitution_renames_a_rec_parameter_that_would_capture():
+    p = parse_bpi("b(y). rec A(x). a<x, y>.A(x) @ (z) | b<x>.nil")
+    (lab, q), = bpi_steps(p)
+    assert lab == BOut("b", ("x",))
+    # y received the free x, not the parameter x of A
+    assert [lab for lab, _ in bpi_steps(q)] == [BOut("a", ("z", "x"))]
+
+
+def test_unfolding_renames_a_binder_that_would_capture_the_copy():
+    p = parse_bpi("rec A(x). w(w). x<w>.A(x) @ (v) | w<u>.nil | u<k>.nil")
+    for chan in ("w", "v", "u"):
+        (p,) = [q for lab, q in bpi_steps(p) if lab.chan == chan]
+    # the unfolded copy of A listens on the free w, so nobody heard u<k>
+    assert bpi_steps(p) == []
+
+
+def test_extruding_a_shadowing_restriction_keeps_the_outer_one():
+    p = parse_bpi("nu c (nil | nu c (k<c>.nil))")
+    (lab, q), = bpi_steps(p)
+    assert lab.bound == frozenset(lab.vals)
+    assert isinstance(q, bpi.BNu) and q.name not in lab.bound
+
+
 def test_parse_error_reported():
     with pytest.raises(BpiParseError):
         parse_bpi("a<v.nil")
     with pytest.raises(BpiParseError):
         parse_bpi("rec A(x). nil @ ()")  # wrong call arity
+
+
+def test_reserved_names_are_rejected():
+    with pytest.raises(BpiParseError, match="reserved"):
+        parse_bpi("a(_f0).b<_f0, c>.nil | a<c>.nil")
+    with pytest.raises(BpiParseError, match="reserved"):
+        parse_bpi("nu _n1 (a<_n1>.nil)")
 
 
 # -- translation shape -------------------------------------------------------
@@ -182,6 +218,53 @@ def test_recursion_translates_to_definition():
     assert len(defs) == 1
 
 
+def test_a_shadowing_rec_gets_its_own_definition():
+    term = parse_bpi("rec A(). a<v>. rec A(). b<v>.A() @ () @ ()")
+    _, defs = encode(term)
+    assert sorted(defs) == ["A", "A_0"]
+    assert check_correspondence(term).ok
+
+
+def test_input_variable_named_like_its_channel():
+    term = parse_bpi("a(a).a<v>.nil | a<b>.nil")
+    assert check_correspondence(term).ok
+    assert check_name_invariance(term)
+
+
+def test_encoding_does_not_depend_on_earlier_calls():
+    term = parse_bpi("a(x).b(y).x<y>.nil | nu c (a<c>.c<v>.nil)")
+    first = encode(term)
+    check_correspondence(term)
+    check_name_invariance(term)
+    assert encode(term) == encode(term) == first
+
+
+def test_name_invariance_captures_no_binder(monkeypatch):
+    # the temporaries avoid the encoding's own binders, so no input
+    # binder is captured and alpha-renamed through ``syntax.gensym``
+    term = parse_bpi("a(x).b(y).x<y>.nil | c<d>.nil")
+    drawn = []
+    real = syntax.gensym
+    monkeypatch.setattr(syntax, "gensym", lambda avoid: drawn.append(avoid) or real(avoid))
+    assert check_name_invariance(term)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a(x).nu k x<k>.nil", "restriction under a prefix"),
+    ("a(y). rec A(). y<v>.A() @ ()", "rec A mentions a name bound outside it"),
+    ("nu c (rec A(). c<v>.A() @ ())", "rec A mentions a name bound outside it"),
+    # the same rec, free beside it, is translated first in one order
+    ("rec A(). c<v>.A() @ () | nu c (rec A(). c<v>.A() @ ())",
+     "rec A mentions a name bound outside it"),
+    ("nu c (rec A(). c<v>.A() @ ()) | rec A(). c<v>.A() @ ()",
+     "rec A mentions a name bound outside it"),
+])
+def test_untranslatable_terms_are_refused(text, message):
+    with pytest.raises(ValueError, match=message):
+        encode(parse_bpi(text))
+
+
 # -- the full corpus, checked in lockstep ------------------------------------
 
 
@@ -213,3 +296,66 @@ def test_corpus_divergence_correspondence(corpus_dir):
 def test_corpus_name_invariance(corpus_dir):
     for name, term in _corpus_terms(corpus_dir):
         assert check_name_invariance(term), name
+
+
+def test_a_failing_pair_below_the_bound_is_not_hidden_by_a_deeper_visit():
+    # Y has no correct translation (parallel under a prefix); it is
+    # reached at depth 1 and again at depth 2, the bound
+    y = "tau.(a<v>.nil | a(x).nil)"
+    term = parse_bpi(f"tau.({y}) + tau.(tau.{y})")
+    res = check_correspondence(term, depth=2)
+    assert not res.ok
+    assert res.failures[0].endswith("at depth 1")
+
+
+def test_generated_terms_correspond(monkeypatch):
+    hits = Counter()
+
+    def spy(name, hit):
+        real = getattr(bpi, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            for key in hit(args, out):
+                hits[key] += 1
+            return out
+
+        monkeypatch.setattr(bpi, name, wrapper)
+
+    spy("gensym", lambda args, out: ["fresh name"])
+    spy("_bavoid_clash", lambda args, out: ["extrusion renamed"] * (out[0] != args[0]))
+    spy("_replace_calls", lambda args, out: (
+        ["call replaced"] * (isinstance(args[0], BCall) and args[0].name == args[1])
+        + ["rec shadowed"] * (isinstance(args[0], BRec) and args[0].name == args[1])
+    ))
+    failing = []
+    for seed in range(300):
+        term = gen_term(random.Random(seed), 4)
+        res = check_correspondence(term, depth=5)
+        # the one known defect: see test_extruded_names_match_by_position
+        assert all(_EXTRUDING.search(f) for f in res.failures), (seed, term, res.failures[:2])
+        if not res.ok:
+            failing.append(seed)
+        assert check_barb_correspondence(term), (seed, term)
+        assert check_divergence_correspondence(term), (seed, term)
+        assert check_name_invariance(term), (seed, term)
+    assert set(hits) == {"fresh name", "extrusion renamed", "call replaced", "rec shadowed"}
+    # pinned, so that a regression in extrusion or renaming that fails
+    # in the same way on another term does not pass unseen
+    assert failing == _EXTRUSION_FAILURES
+
+
+_EXTRUSION_FAILURES = [16, 39, 45, 51, 101, 107, 120, 169, 213, 245, 262, 270, 273]
+
+
+# a failure after a send that extrudes names, such as
+# "... after ('out', 'k', ('_n0',), ('_n0',)) at depth 1"
+_EXTRUDING = re.compile(r"^no target successor .* \('_n\d+'(, '_n\d+')*,?\)\) at depth \d+$")
+
+
+@pytest.mark.xfail(strict=True, reason="the two sides pick their own fresh names for an "
+                   "extruded name, and successors are compared by spelling")
+def test_extruded_names_match_by_position():
+    # the target renames one of the two restrictions of r before the
+    # step, so it extrudes a name the source still spells r
+    assert check_correspondence(parse_bpi("nu r (a<r>.r<v>.nil) | nu r (d<r>.r<w>.nil)")).ok

@@ -142,6 +142,19 @@ def test_check_encoding_ok(corpus_dir, capsys):
     assert "step bijection: ok" in out
 
 
+@pytest.mark.parametrize("cmd", ["encode", "check-encoding"])
+@pytest.mark.parametrize("text, message", [
+    ("a(_f0).b<_f0, c>.nil | a<c>.nil", "identifier '_f0' is reserved"),
+    ("a(x).nu k x<k>.nil", "restriction under a prefix has no image"),
+])
+def test_encoding_refuses_a_term_with_exit_3(tmp_path, capsys, cmd, text, message):
+    f = tmp_path / "term.bpi"
+    f.write_text(text + "\n")
+    code, out, err = run([cmd, str(f)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {f}: {message}")
+
+
 def test_check_encoding_rejects_garbage(tmp_path, capsys):
     f = tmp_path / "bad.bpi"
     f.write_text("a<v.nil\n")

@@ -128,3 +128,24 @@ def test_random_contexts_are_identical_for_both_sides():
 
     for desc, ctx in random_contexts(u.values, seed=9, count=20):
         assert pretty_system(ctx(s)) == pretty_system(ctx(s))
+
+
+def _witness_levels(witness):
+    levels = []
+    while witness is not None:
+        levels.append(witness)
+        witness = witness["continues"]
+    return levels
+
+
+@pytest.mark.parametrize("left, right", [
+    ("{a := 1}: ('m')@(tt).0", "{a := 1}: ('n')@(tt).0"),
+    ("{a := 1}: ()@(ff).('m')@(tt).0", "{a := 1}: ()@(ff).('n')@(tt).0"),
+])
+def test_weak_witness_ends_in_an_unanswered_move(left, right):
+    _, weak = both(mk(left), mk(right))
+    assert not weak.equivalent
+    levels = _witness_levels(weak.witness)
+    # no stutter that restates the pair: each level parts a shallower pair
+    assert len(levels) <= 2
+    assert all(level["from"] != level["to"] or level["label"] != "tau" for level in levels)

@@ -4,8 +4,7 @@ A change that must not move output keeps these digests; a change that
 moves output on purpose updates them (``python tests/test_golden.py``
 prints the current table) and says why.  Each command runs in a fresh
 interpreter, as a user runs it, under a fixed ``PYTHONHASHSEED`` (stdout
-must not depend on it anyway).  Weak-bisimulation witnesses are left
-out: they are a known-defective stutter chain, not output worth pinning.
+must not depend on it anyway).
 """
 
 import hashlib
@@ -26,8 +25,11 @@ COMMANDS = (
         "reach corpus/robotics.abc \"role='helper'\"",
         "bisim corpus/channels.abc corpus/pubsub.abc",
         "bisim corpus/groups.abc corpus/adaptation.abc",
+        "bisim --weak corpus/channels.abc corpus/pubsub.abc",
+        "bisim --weak corpus/groups.abc corpus/adaptation.abc",
     ]
     + [f"check-encoding corpus/bpi/t{k:02d}.bpi" for k in range(1, 23)]
+    + [f"encode corpus/bpi/t{k:02d}.bpi" for k in range(1, 23)]
 )
 
 # command -> (exit code, sha256 of stdout)
@@ -45,6 +47,8 @@ GOLDEN = {
     'reach corpus/robotics.abc "role=\'helper\'"': (0, 'b4c2e9b8b095288e96ccb4b54d352cf8a7570bc1f4562c98414528fa3cd96ee4'),
     'bisim corpus/channels.abc corpus/pubsub.abc': (1, '2cad691185635c938124001500dbd309824fc1f91cc0de2ab6086319321d3e41'),
     'bisim corpus/groups.abc corpus/adaptation.abc': (1, '2289a21ccd7299b33007e7370ef228e0a426cecf2d001dc5c9caa7a6db37c887'),
+    'bisim --weak corpus/channels.abc corpus/pubsub.abc': (1, '5f3d4a60e886d05bed1552e82c22b69be1ec1a51d10e6892805eb94d9c3b86c8'),
+    'bisim --weak corpus/groups.abc corpus/adaptation.abc': (1, 'bd13fa23b77b85f2ffa973d8fddda2a2f6d105e2735a3702caccc78be2a20de4'),
     'check-encoding corpus/bpi/t01.bpi': (0, 'ee82e30b0f8d8b7e8bce2c684dd1c991400c7e1e67d3874ecb3f809e41bf38eb'),
     'check-encoding corpus/bpi/t02.bpi': (0, '3799c84f3dea9f26eefca573d400888f4f542e85ae0fe196280444cea746f94b'),
     'check-encoding corpus/bpi/t03.bpi': (0, 'ee82e30b0f8d8b7e8bce2c684dd1c991400c7e1e67d3874ecb3f809e41bf38eb'),
@@ -67,6 +71,28 @@ GOLDEN = {
     'check-encoding corpus/bpi/t20.bpi': (0, '3799c84f3dea9f26eefca573d400888f4f542e85ae0fe196280444cea746f94b'),
     'check-encoding corpus/bpi/t21.bpi': (0, '566149c128b761dd12ab6ab2fcc1c653822daa5d4a813d125bbac88b1de82cf1'),
     'check-encoding corpus/bpi/t22.bpi': (0, '3799c84f3dea9f26eefca573d400888f4f542e85ae0fe196280444cea746f94b'),
+    'encode corpus/bpi/t01.bpi': (0, 'e92e9eafdb87badbef64982d93cd94a6ae9a378fcbc89df5c7e7397dc899749f'),
+    'encode corpus/bpi/t02.bpi': (0, 'fc855ef291448ea55a7f273915541f20176dc8c6d3ca3c8e631fd23487832bb8'),
+    'encode corpus/bpi/t03.bpi': (0, '29be1d5ef1481062e6d8cdd8c201d8d35d0df75fb09643dcb1494d3067641c0d'),
+    'encode corpus/bpi/t04.bpi': (0, 'd70e4d78995615600653c50227899cb7a389faf652d49705a5d18eaa1122049d'),
+    'encode corpus/bpi/t05.bpi': (0, 'ef067d1b889c8a2eadc403a23ef6ac09754d21e7826c5b92d04635528ffa745f'),
+    'encode corpus/bpi/t06.bpi': (0, '15e5c135bcd06fac1d10387a9e2139f8993ec6738e18cbf6ff603b5d20e8cf28'),
+    'encode corpus/bpi/t07.bpi': (0, 'e4cccda417e33d3758d80727e75865f40d4797925a75d561893313af00e1cd53'),
+    'encode corpus/bpi/t08.bpi': (0, '2d123ca5b930c4ce2a21446c243ae06568f248065c250fd41c42d59a36c365b5'),
+    'encode corpus/bpi/t09.bpi': (0, '53f8273050283b31e16eca1edf33e62733bf0d11efe54be6d30ce86d2ba4647c'),
+    'encode corpus/bpi/t10.bpi': (0, '59b65af34985cdb68882070536458c9cdd339b56d98a3c2a9bcbf3917681f6f3'),
+    'encode corpus/bpi/t11.bpi': (0, 'f351e51af108f934e8b6e2f85323c2caa779cc1cd5e1fd70f0be45625734b977'),
+    'encode corpus/bpi/t12.bpi': (0, '6fa8db23c2dfc31155a9f0db19449793c94d667e8ce7a6c2fd01e80112a31fb8'),
+    'encode corpus/bpi/t13.bpi': (0, '2b0eca6e13fa535d2769a7b17e1dac362fbaee6792ed85c1702b9376fefa6bdf'),
+    'encode corpus/bpi/t14.bpi': (0, '4ff340f933d9a4ec571070324bda670ff20f93f4892c2466c5344805544aeac6'),
+    'encode corpus/bpi/t15.bpi': (0, '49cd96f43425cd8c6652222fbdf9c19e54dcd213d3a3561ead811e949510a968'),
+    'encode corpus/bpi/t16.bpi': (0, '4fc44b441e1e3c74a468820be8678f76be3fbc1c01664700940d1dad3faabab8'),
+    'encode corpus/bpi/t17.bpi': (0, 'ecfe92c19546197c305f8794ce7ff93bf69e738ce47ced64d37a8339af7d1447'),
+    'encode corpus/bpi/t18.bpi': (0, '71ab678e7ec6539a97e8cee785159e5b7c5a2a2754586b9a4f029797082f2055'),
+    'encode corpus/bpi/t19.bpi': (0, '187ef2aa0b2196222797f2f4fb3c9bb6d39529dc0bfd1b14fac821fa4fcfac31'),
+    'encode corpus/bpi/t20.bpi': (0, '862dfb40d9d39fe8bd80326fa748a979ba305d57100aa2c0f7510ec5e6c7af5b'),
+    'encode corpus/bpi/t21.bpi': (0, '460f48ab6109b0e9957101200e315026c2c2a650b660fcaf123f5b7b7ffa1e20'),
+    'encode corpus/bpi/t22.bpi': (0, '6b336d56752cf14b334a6be8ae231910ff1c1c74377f70a252c5159fbfee466f'),
 }
 
 

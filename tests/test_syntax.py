@@ -38,6 +38,7 @@ from abcwb.syntax import (
     collect_attrs,
     collect_values,
     free_names,
+    gensym,
     pretty_system,
     rename_free,
     substitute,
@@ -100,6 +101,12 @@ def test_rename_free_avoids_capture_by_renaming_binder():
     p = In(Cmp("=", Var("x"), Lit(Name("y"))), ("x",), Out((Var("y"), Var("x")), TT_, NIL))
     want = In(Cmp("=", Var("z"), Lit(Name("x"))), ("z",), Out((Var("x"), Var("z")), TT_, NIL))
     assert debruijn(comp(proc=rename_free(p, "y", "x"))) == debruijn(comp(proc=want))
+
+
+def test_gensym_depends_only_on_what_it_avoids():
+    # no global counter: the same call gives the same name every time
+    assert gensym({"_f0", "a"}) == gensym({"_f0", "a"}) == "_f1"
+    assert gensym(frozenset()) == "_f0"
 
 
 def test_noop_substitution_and_renaming_return_the_node_itself():

@@ -153,6 +153,21 @@ def test_private_name_does_not_clash_with_sibling():
             assert lab.values[0] != Name("x")
 
 
+def test_a_vacuous_restriction_keeps_its_place_when_a_name_is_extruded():
+    # the sibling binds x, so the extruded x is renamed to the first
+    # fresh name, _f0, which the vacuous restriction around both has
+    inner = SysPar(
+        Nu("x", Comp(AttributeEnv.of({}), Out((Lit(Name("x")),), TT_, NIL))),
+        Comp(AttributeEnv.of({}), In(TT_, ("x",), NIL)),
+    )
+    s = Nu("_f0", inner)
+    ((lab, succ),) = system_steps(s, {}, universe_of(s))
+    assert lab.bound == {"_f0"} and lab.values == (Name("_f0"),)
+    empty = Comp(AttributeEnv.of({}), NIL)
+    assert isinstance(succ, Nu) and succ.name != "_f0"
+    assert succ.inner == SysPar(empty, empty)
+
+
 def test_freshen_binders_separates_equal_restrictions():
     half = Nu("x", Comp(AttributeEnv.of({"a": Name("x")}), Out((Lit(Name("x")),), TT_, NIL)))
     # nu x (...) || nu x (...), alone and beside a free x
