@@ -3,9 +3,12 @@
 Predicate equivalence quantifies over all environments; this module decides
 it relative to a finite ``Universe`` (every value mentioned by the program,
 plus one fresh witness name, plus an explicit "unbound" point per
-attribute).  For equality atoms over program values the decision is exact:
-any distinguishing environment can be built from mentioned values or the
-witness.  For ordering atoms it is the tool's documented semantics.
+attribute).  ``fingerprint`` is the one decision procedure: it keys a
+predicate by its satisfaction table over that domain, so two predicates are
+equivalent iff their keys are equal, and a predicate is unsatisfiable iff
+its key is ``FF_KEY``.  For equality atoms over program values the decision
+is exact: any distinguishing environment can be built from mentioned values
+or the witness.  For ordering atoms it is the tool's documented semantics.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .syntax import (
     Attr,
     AttributeEnv,
     Cmp,
+    Definitions,
     Expression,
     FF,
     FF_,
@@ -148,10 +152,14 @@ def restrict_predicate(pi: Predicate, x: str) -> Predicate:
 
 
 # ---------------------------------------------------------------------------
-# Finite universe and semantic predicate equivalence
+# Finite universe and the semantic key of a predicate
 
 
 DEFAULT_BUDGET = 10**6
+
+# the keys of every unsatisfiable and of every valid predicate
+FF_KEY = ((), (False,))
+TT_KEY = ((), (True,))
 
 
 @dataclass(frozen=True)
@@ -160,166 +168,83 @@ class Universe:
 
     ``values`` must cover every literal and attribute value of the program
     under analysis; ``witness`` is one name that does not occur in it.
-    ``memo`` holds the answers of ``is_ff`` and ``fingerprint`` over this
-    universe.  It lives and dies with the universe: fresh names minted
-    during one analysis give predicates no later analysis asks about.
+    ``memo`` maps predicates to their fingerprints over this universe.  It
+    lives and dies with the universe: fresh names minted during one
+    analysis give predicates no later analysis asks about.
     """
 
     values: frozenset[Value]
     witness: Name
-    attrs: frozenset[str]
     budget: int = DEFAULT_BUDGET
     memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
 
     @staticmethod
-    def for_program(program: Program, extra_values=(), budget: int = DEFAULT_BUDGET) -> "Universe":
-        """The universe of a program's system and definition bodies, and
-        of the attributes it declares."""
-        bodies = [body for _, (_, body) in sorted(program.defs.items())]
-        u = Universe.for_systems([program.main, *bodies], extra_values, budget)
-        return Universe(u.values, u.witness, u.attrs | program.attrs, budget)
+    def for_program(program: Program) -> "Universe":
+        """The universe of a program's system and definition bodies."""
+        return Universe.for_systems([program.main], program.defs)
 
     @staticmethod
-    def for_systems(systems, extra_values=(), budget: int = DEFAULT_BUDGET) -> "Universe":
-        """The universe of the values and attributes some terms mention."""
-        values: set[Value] = set(extra_values)
-        attrs: set[str] = set()
-        for s in systems:
-            values |= collect_values(s)
-            attrs |= collect_attrs(s)
+    def for_systems(systems, defs: Definitions = None) -> "Universe":
+        """The universe of the values that some terms, and the bodies of
+        the definitions they may call, mention."""
+        values: set[Value] = set()
+        for term in [*systems, *(body for _, body in (defs or {}).values())]:
+            values |= collect_values(term)
         used = {v.atom for v in values if isinstance(v, Name)}
         k = 0
         while f"_w{k}" in used:
             k += 1
-        return Universe(frozenset(values), Name(f"_w{k}"), frozenset(attrs), budget)
-
-
-def _domain(u: Universe, preds) -> list:
-    """Candidate attribute values: unbound, universe values, extra mentioned
-    names, and the witness, in a deterministic order."""
-    vals = set(u.values)
-    for p in preds:
-        vals |= {Name(n) for n in free_names(p)}
-    ordered = sorted(vals, key=value_sort_key)
-    return [UNDEFINED] + ordered + [u.witness]
-
-
-def _mentioned_attrs(preds) -> tuple[str, ...]:
-    out: set[str] = set()
-    for p in preds:
-        out |= collect_attrs(p)
-    return tuple(sorted(out))
-
-
-def _enumerate_envs(attrs: tuple[str, ...], domain: list, budget: int):
-    total = len(domain) ** len(attrs)
-    if total > budget:
-        raise UniverseTooLarge(f"{total} environments exceed budget {budget}")
-    for combo in itertools.product(domain, repeat=len(attrs)):
-        yield AttributeEnv(
-            tuple(sorted((a, v) for a, v in zip(attrs, combo) if v is not UNDEFINED))
-        )
-
-
-def semantically_equiv(p1: Predicate, p2: Predicate, u: Universe) -> bool:
-    """Same satisfaction on every universe environment over mentioned attrs."""
-    attrs = _mentioned_attrs((p1, p2))
-    domain = _domain(u, (p1, p2))
-    for env in _enumerate_envs(attrs, domain, u.budget):
-        if satisfies(env, p1) != satisfies(env, p2):
-            return False
-    return True
+        return Universe(frozenset(values), Name(f"_w{k}"))
 
 
 def is_ff(p: Predicate, u: Universe) -> bool:
-    key = ("is_ff", p)
-    out = u.memo.get(key)
-    if out is None:
-        attrs = _mentioned_attrs((p,))
-        domain = _domain(u, (p,))
-        envs = _enumerate_envs(attrs, domain, u.budget)
-        out = u.memo[key] = not any(satisfies(env, p) for env in envs)
-    return out
-
-
-def is_tt(p: Predicate, u: Universe) -> bool:
-    attrs = _mentioned_attrs((p,))
-    domain = _domain(u, (p,))
-    return all(satisfies(env, p) for env in _enumerate_envs(attrs, domain, u.budget))
+    """Whether no environment over ``u`` satisfies ``p``."""
+    return fingerprint(p, u) == FF_KEY
 
 
 def fingerprint(pi: Predicate, u: Universe) -> tuple:
     """Canonical semantic key: equal fingerprints iff equivalent over ``u``.
 
-    The satisfaction table over the predicate's mentioned attributes is
-    projected down to the attributes it actually depends on, so predicates
-    mentioning different (irrelevant) attributes still compare equal.
-    Emitted transition labels only mention universe values, which keeps
-    fingerprints comparable across predicates.
+    The key is the satisfaction table of ``pi`` over the attributes it
+    depends on, each ranging over "unbound", the universe values, the
+    names ``pi`` mentions and the witness.  Attributes it mentions but
+    does not depend on are projected away, so predicates that mention
+    different irrelevant attributes still compare equal.
     """
-    key = ("fingerprint", pi)
-    out = u.memo.get(key)
+    out = u.memo.get(pi)
     if out is None:
-        out = u.memo[key] = _fingerprint(pi, u)
+        out = u.memo[pi] = _fingerprint(pi, u)
     return out
 
 
 def _fingerprint(pi: Predicate, u: Universe) -> tuple:
-    attrs = _mentioned_attrs((pi,))
-    domain = _domain(u, ())
-    for n in free_names(pi):
-        if Name(n) not in u.values and Name(n) != u.witness:
-            # out-of-universe name: extend the domain just for this key;
-            # such predicates only arise transiently, never on labels
-            domain = _domain(u, (pi,))
-            break
+    attrs = tuple(sorted(collect_attrs(pi)))
+    names = {Name(n) for n in free_names(pi)}
+    domain = [UNDEFINED, *sorted(u.values | names, key=value_sort_key), u.witness]
     total = len(domain) ** len(attrs)
     if total > u.budget:
         raise UniverseTooLarge(f"{total} environments exceed budget {u.budget}")
 
-    table: dict[tuple, bool] = {}
-    for combo in itertools.product(range(len(domain)), repeat=len(attrs)):
-        env = AttributeEnv(
-            tuple(
-                sorted(
-                    (a, domain[i]) for a, i in zip(attrs, combo) if domain[i] is not UNDEFINED
-                )
-            )
+    # attrs is sorted, so the bindings are too; index 0 leaves one unbound
+    table = {
+        c: satisfies(AttributeEnv(tuple((a, domain[i]) for a, i in zip(attrs, c) if i)), pi)
+        for c in itertools.product(range(len(domain)), repeat=len(attrs))
+    }
+    # an attribute is relevant if changing it alone changes the answer
+    relevant = [
+        k for k in range(len(attrs))
+        if any(
+            table[c[:k] + (j,) + c[k + 1:]] != res
+            for c, res in table.items() if c[k] == 0
+            for j in range(1, len(domain))
         )
-        table[combo] = satisfies(env, pi)
-
-    # drop attributes the table does not depend on
-    relevant = []
-    for idx, a in enumerate(attrs):
-        depends = False
-        for combo, res in table.items():
-            if combo[idx] != 0:
-                continue
-            for j in range(1, len(domain)):
-                alt = combo[:idx] + (j,) + combo[idx + 1 :]
-                if table[alt] != res:
-                    depends = True
-                    break
-            if depends:
-                break
-        if depends:
-            relevant.append(idx)
-
-    rel_attrs = tuple(attrs[i] for i in relevant)
+    ]
     bits = []
     for combo in itertools.product(range(len(domain)), repeat=len(relevant)):
         full = [0] * len(attrs)
-        for i, j in zip(relevant, combo):
-            full[i] = j
+        for k, j in zip(relevant, combo):
+            full[k] = j
         bits.append(table[tuple(full)])
-    return (rel_attrs, tuple(bits))
-
-
-def fingerprint_ff(u: Universe) -> tuple:
-    return ((), (False,))
-
-
-def fingerprint_tt(u: Universe) -> tuple:
-    return ((), (True,))
+    return (tuple(attrs[k] for k in relevant), tuple(bits))

@@ -41,7 +41,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from .attributes import Universe, fingerprint, fingerprint_tt
+from .attributes import TT_KEY, Universe, fingerprint
 from .syntax import (
     Call,
     Cmp,
@@ -786,7 +786,7 @@ def _canon_abc_label(lab, universe: Universe) -> tuple:
     vals = lab.values
     if not vals or not all(isinstance(v, Name) for v in vals):
         return ("unexpected", str(vals))
-    if fingerprint(lab.pred, universe) != fingerprint_tt(universe):
+    if fingerprint(lab.pred, universe) != TT_KEY:
         return ("unexpected-pred", str(lab.pred))
     return _canon_send(tuple(v.atom for v in vals), lab.bound)
 
@@ -804,7 +804,7 @@ def check_correspondence(
     """
     first = _Encoder(p, {})
     sys0, defs = first.proc(p), first.defs
-    universe = Universe.for_systems([sys0])
+    universe = Universe.for_systems([sys0], defs)
     failures: list[str] = []
     seen: set[tuple] = set()
     frontier = deque([(p, sys0, canonicalize(sys0), 0)])
@@ -880,7 +880,7 @@ def bpi_barbs(p: BP) -> set[tuple[str, int]]:
 def abc_barbs_as_channels(sys: System, defs: Definitions, universe=None):
     """Observables of a translated system in source vocabulary."""
     if universe is None:
-        universe = Universe.for_systems([sys])
+        universe = Universe.for_systems([sys], defs)
     out = set()
     for lab, _ in system_steps(sys, defs, universe):
         if isinstance(lab, SOut) and lab.values and isinstance(lab.values[0], Name):
@@ -938,7 +938,7 @@ def bpi_divergent(p: BP, bound: int = 50) -> tuple[bool, bool]:
 
 
 def abc_divergent(sys: System, defs: Definitions, bound: int = 50) -> tuple[bool, bool]:
-    universe = Universe.for_systems([sys])
+    universe = Universe.for_systems([sys], defs)
     return _tau_graph(
         sys,
         lambda s: system_steps(s, defs, universe),

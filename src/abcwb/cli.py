@@ -200,8 +200,14 @@ def _dispatch(args) -> int:
     if args.cmd == "bisim":
         left = _load(args.left)
         right = _load(args.right)
+        clashes = sorted(n for n in left.defs.keys() & right.defs.keys()
+                         if left.defs[n] != right.defs[n])
+        if clashes:
+            print(f"error: {args.left} and {args.right} define "
+                  f"{', '.join(clashes)} differently", file=_sys.stderr)
+            return 3
         defs = {**left.defs, **right.defs}
-        universe = Universe.for_systems([left.main, right.main])
+        universe = Universe.for_systems([left.main, right.main], defs)
         res = bisimilar(
             left.main,
             right.main,

@@ -2,9 +2,11 @@
 
 A component is an attribute environment paired with a process.  Sends
 evaluate the message under the local environment and close every
-``this.`` reference in the carried predicate.  An incoming message is
-either received (possibly in several alternative ways) or discarded;
-these outcomes are mutually exclusive and total.
+``this.`` reference in the carried predicate; ``output_steps`` lists them
+as ``(predicate, values, env, process)`` tuples.  ``deliver`` lists every
+way a component receives an incoming message as ``(env, process)`` pairs;
+an empty list means it discards the message, so receiving and discarding
+are mutually exclusive and total.
 
 Attribute updates guard their action: the assignments are evaluated
 under the environment in force when the update is reached, and commit
@@ -13,8 +15,6 @@ component, including any pending updates, untouched.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .attributes import (
     UndefinedClosure,
@@ -41,31 +41,6 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class COut:
-    """A component's send: carried predicate (already closed) and payload."""
-
-    pred: Predicate
-    values: tuple[Value, ...]
-
-
-@dataclass(frozen=True)
-class Receives:
-    """All alternative acceptance outcomes for one incoming message."""
-
-    entries: tuple[tuple[AttributeEnv, Process], ...]
-
-
-class Discards:
-    """The component ignores the message and is left unchanged."""
-
-    def __repr__(self) -> str:
-        return "DISCARDS"
-
-
-DISCARDS = Discards()
-
-
 def unfold_call(call: Call, env: AttributeEnv, defs: Definitions, rng=None):
     """Instantiate a definition body; ``None`` if an argument is undefined."""
     params, body = defs[call.name]
@@ -80,7 +55,7 @@ def unfold_call(call: Call, env: AttributeEnv, defs: Definitions, rng=None):
 
 def output_steps(
     env: AttributeEnv, proc: Process, defs: Definitions, rng=None
-) -> list[tuple[COut, AttributeEnv, Process]]:
+) -> list[tuple[Predicate, tuple[Value, ...], AttributeEnv, Process]]:
     """All send transitions of a component, with their resulting state.
 
     The payload expressions are evaluated under the local environment;
@@ -100,7 +75,7 @@ def output_steps(
             pred = close_predicate(proc.pred, env)
         except UndefinedClosure:
             return []
-        return [(COut(pred, tuple(values)), env, proc.cont)]
+        return [(pred, tuple(values), env, proc.cont)]
     if isinstance(proc, Upd):
         committed = _commit(env, proc.assigns, rng)
         if committed is None:
@@ -116,10 +91,10 @@ def output_steps(
         )
     if isinstance(proc, Par):
         out = []
-        for label, env2, cont in output_steps(env, proc.left, defs, rng):
-            out.append((label, env2, Par(cont, proc.right)))
-        for label, env2, cont in output_steps(env, proc.right, defs, rng):
-            out.append((label, env2, Par(proc.left, cont)))
+        for pred, vals, env2, cont in output_steps(env, proc.left, defs, rng):
+            out.append((pred, vals, env2, Par(cont, proc.right)))
+        for pred, vals, env2, cont in output_steps(env, proc.right, defs, rng):
+            out.append((pred, vals, env2, Par(proc.left, cont)))
         return out
     if isinstance(proc, Call):
         body = unfold_call(proc, env, defs, rng)
@@ -147,8 +122,9 @@ def deliver(
     values: tuple[Value, ...],
     defs: Definitions,
     rng=None,
-):
-    """Offer one message to a component: ``Receives(...)`` or ``DISCARDS``.
+) -> list[tuple[AttributeEnv, Process]]:
+    """Offer one message to a component: every way it receives it, as
+    ``(env, process)`` pairs; none means it discards the message.
 
     A receive needs both checks to pass: the receiver's own predicate
     under the instantiated message, and the sender's predicate against
@@ -156,54 +132,39 @@ def deliver(
     compete: exactly one of them consumes the message per outcome.
     """
     if isinstance(proc, (Nil, Out)):
-        return DISCARDS
+        return []
     if isinstance(proc, In):
         if len(proc.vars) != len(values):
-            return DISCARDS
+            return []
         theta = dict(zip(proc.vars, values))
         own = substitute(proc.pred, theta)
         if satisfies(env, own) and satisfies(env, sender_pred):
-            return Receives(((env, substitute(proc.cont, theta)),))
-        return DISCARDS
+            return [(env, substitute(proc.cont, theta))]
+        return []
     if isinstance(proc, Upd):
+        # on a discard no outcome carries the committed environment
         committed = _commit(env, proc.assigns, rng)
         if committed is None:
-            return DISCARDS
-        inner = deliver(committed, proc.cont, sender_pred, values, defs, rng)
-        if isinstance(inner, Receives):
-            return inner
-        return DISCARDS  # the pending update is not committed on a discard
+            return []
+        return deliver(committed, proc.cont, sender_pred, values, defs, rng)
     if isinstance(proc, Aware):
         if satisfies(env, proc.pred):
             return deliver(env, proc.cont, sender_pred, values, defs, rng)
-        return DISCARDS
+        return []
     if isinstance(proc, Sum):
-        left = deliver(env, proc.left, sender_pred, values, defs, rng)
-        right = deliver(env, proc.right, sender_pred, values, defs, rng)
-        entries = []
-        if isinstance(left, Receives):
-            entries.extend(left.entries)
-        if isinstance(right, Receives):
-            entries.extend(right.entries)
-        if entries:
-            return Receives(tuple(entries))
-        return DISCARDS
+        return deliver(env, proc.left, sender_pred, values, defs, rng) + deliver(
+            env, proc.right, sender_pred, values, defs, rng
+        )
     if isinstance(proc, Par):
-        left = deliver(env, proc.left, sender_pred, values, defs, rng)
-        right = deliver(env, proc.right, sender_pred, values, defs, rng)
-        entries = []
-        if isinstance(left, Receives):
-            for env2, cont in left.entries:
-                entries.append((env2, Par(cont, proc.right)))
-        if isinstance(right, Receives):
-            for env2, cont in right.entries:
-                entries.append((env2, Par(proc.left, cont)))
-        if entries:
-            return Receives(tuple(entries))
-        return DISCARDS
+        out = []
+        for env2, cont in deliver(env, proc.left, sender_pred, values, defs, rng):
+            out.append((env2, Par(cont, proc.right)))
+        for env2, cont in deliver(env, proc.right, sender_pred, values, defs, rng):
+            out.append((env2, Par(proc.left, cont)))
+        return out
     if isinstance(proc, Call):
         body = unfold_call(proc, env, defs, rng)
         if body is None:
-            return DISCARDS
+            return []
         return deliver(env, body, sender_pred, values, defs, rng)
     raise TypeError(proc)

@@ -52,7 +52,7 @@ from .system import SIn, SOut, TAU, set_fuel, sys_deliver, system_steps
 def barbs(sys: System, defs: Definitions, universe: Universe = None) -> set:
     """Immediate observables: fingerprints and arities of enabled sends."""
     if universe is None:
-        universe = Universe.for_systems([sys])
+        universe = Universe.for_systems([sys], defs)
     rng = state_rng(0, sys)
     out = set()
     for lab, _ in system_steps(sys, defs, universe, rng):
@@ -366,7 +366,7 @@ def bisimilar(
 ) -> BisimResult:
     """Decide (strong or weak) bisimilarity on the bounded joint space."""
     if universe is None:
-        universe = Universe.for_systems([s1, s2])
+        universe = Universe.for_systems([s1, s2], defs)
     # identical states are related by the identity bisimulation; skip
     # the joint exploration entirely in that case
     if canonicalize(set_fuel(s1, repl_bound)) == canonicalize(set_fuel(s2, repl_bound)):
@@ -389,19 +389,11 @@ def bisimilar(
     return BisimResult(False, witness, space.truncated, space.reasons)
 
 
-def strong_bisimilar(s1, s2, defs, universe=None, **kw) -> BisimResult:
-    return bisimilar(s1, s2, defs, universe, weak=False, **kw)
-
-
-def weak_bisimilar(s1, s2, defs, universe=None, **kw) -> BisimResult:
-    return bisimilar(s1, s2, defs, universe, weak=True, **kw)
-
-
 # ---------------------------------------------------------------------------
 # Sampled congruence checks
 
 
-def sample_contexts(values, seed: int = 0):
+def sample_contexts(values):
     """A small deterministic family of one-hole system contexts."""
     from .syntax import (
         AttributeEnv,
@@ -490,9 +482,9 @@ def congruence_sample(
     many randomly nested contexts are generated from the seed.
     """
     if universe is None:
-        universe = Universe.for_systems([s1, s2])
+        universe = Universe.for_systems([s1, s2], defs)
     if count is None:
-        contexts = sample_contexts(universe.values, seed)
+        contexts = sample_contexts(universe.values)
     else:
         contexts = random_contexts(universe.values, seed, count)
     out = []

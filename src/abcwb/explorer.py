@@ -90,7 +90,7 @@ def canon_label(lab, universe: Universe) -> tuple:
     raise TypeError(lab)
 
 
-def label_text(lab, universe: Universe = None) -> str:
+def label_text(lab) -> str:
     if lab is TAU:
         return "tau"
     if isinstance(lab, SIn):
@@ -127,7 +127,7 @@ def build_lts(
     as truncated with a reason.
     """
     if universe is None:
-        universe = Universe.for_systems([sys])
+        universe = Universe.for_systems([sys], defs)
     init = canonicalize(set_fuel(sys, repl_bound))
     index: dict[System, int] = {init: 0}
     states = [init]
@@ -181,7 +181,7 @@ def random_trace(
 ) -> list[tuple[str, System]]:
     """One random walk; returns (label text, state) pairs after the start."""
     if universe is None:
-        universe = Universe.for_systems([sys])
+        universe = Universe.for_systems([sys], defs)
     state = canonicalize(set_fuel(sys, repl_bound))
     picker = random.Random(seed)
     out: list[tuple[str, System]] = []

@@ -262,6 +262,8 @@ class _Parser:
                 self.next()
                 self.expect("(")
                 b = self.expect("int")
+                if int(b.text) == 0:
+                    raise ParseError("rand(0) draws from an empty range", b.line, b.col)
                 self.expect(")")
                 return Rand(int(b.text))
             name = self.ident_name()

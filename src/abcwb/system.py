@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attributes import Universe, is_ff, restrict_predicate
-from .component import Receives, deliver, output_steps
+from .component import deliver, output_steps
 from .syntax import (
     Bang,
     Comp,
@@ -140,12 +140,12 @@ def _dup_nu(sys: System, seen=None) -> bool:
 def _steps(sys, defs, universe, rng, notes):
     if isinstance(sys, Comp):
         out = []
-        for label, env2, cont in output_steps(sys.env, sys.proc, defs, rng):
+        for pred, values, env2, cont in output_steps(sys.env, sys.proc, defs, rng):
             succ = Comp(env2, cont)
-            if is_ff(label.pred, universe):
+            if is_ff(pred, universe):
                 out.append((TAU, succ))  # a send nobody can satisfy is silent
             else:
-                out.append((SOut(frozenset(), label.pred, label.values), succ))
+                out.append((SOut(frozenset(), pred, values), succ))
         return out
 
     if isinstance(sys, SysPar):
@@ -266,9 +266,7 @@ def sys_deliver(
     """
     if isinstance(sys, Comp):
         got = deliver(sys.env, sys.proc, pred, values, defs, rng)
-        if isinstance(got, Receives):
-            return [Comp(env2, cont) for env2, cont in got.entries]
-        return [sys]
+        return [Comp(env2, cont) for env2, cont in got] if got else [sys]
 
     if isinstance(sys, SysPar):
         lefts = sys_deliver(sys.left, pred, values, defs, universe, rng, notes)

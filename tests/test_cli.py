@@ -197,3 +197,38 @@ def test_bisim_on_a_truncated_space_is_inconclusive(corpus_dir, tmp_path, capsys
         assert "inconclusive" in out and "state budget exhausted" in out
     else:
         assert "strongly bisimilar\n" in out
+
+
+def _abc(tmp_path, name, defs, system):
+    f = tmp_path / name
+    f.write_text(f"attrs: a\n{defs}\nsystem:\n  {system}\n")
+    return str(f)
+
+
+def test_bisim_universe_covers_definition_bodies(tmp_path, capsys):
+    # S sends on a = 5: no component has a = 5, but an input from outside
+    # could, so S's send is not the silent ff send of the right side
+    called = _abc(tmp_path, "left.abc", "def S() = ()@(a = 5).0", "{a := 0}: S()")
+    inlined = _abc(tmp_path, "inlined.abc", "", "{a := 0}: ()@(a = 5).0")
+    silent = _abc(tmp_path, "right.abc", "", "{a := 0}: ()@(ff).0")
+    assert run(["bisim", inlined, silent], capsys)[0] == 1
+    code, out, _ = run(["bisim", called, silent], capsys)
+    assert code == 1 and "not strongly bisimilar" in out
+
+
+def test_bisim_refuses_a_name_defined_differently_on_each_side(tmp_path, capsys):
+    left = _abc(tmp_path, "left.abc", "def P() = ()@(tt).0", "{a := 0}: P()")
+    right = _abc(tmp_path, "right.abc", "def P() = ()@(ff).0", "{a := 0}: P()")
+    same = _abc(tmp_path, "same.abc", "def P() = ()@(tt).0", "{a := 0}: P()")
+    code, out, err = run(["bisim", left, right], capsys)
+    assert code == 3 and out == "" and "P" in err
+    # the same definition on both sides is one definition
+    assert run(["bisim", left, same], capsys)[0] == 0
+
+
+def test_rand_needs_a_nonempty_range(tmp_path, capsys):
+    bad = _abc(tmp_path, "bad.abc", "", "{a := 0}: (rand(0))@(tt).0")
+    code, _, err = run(["explore", bad], capsys)
+    assert code == 3 and "rand(0)" in err
+    ok = _abc(tmp_path, "ok.abc", "", "{a := 0}: (rand(1))@(tt).0")
+    assert run(["explore", ok], capsys)[0] == 0

@@ -3,9 +3,9 @@
 import random
 
 from abcwb.attributes import Universe, fingerprint
-from abcwb.component import DISCARDS, Receives, deliver, output_steps
+from abcwb.component import deliver, output_steps
 from abcwb.parser import parse_process
-from abcwb.syntax import AttributeEnv, In, Int, Name, Par
+from abcwb.syntax import AttributeEnv, In, Int, Name, Par, Process
 
 from astgen import gen_env, gen_proc, gen_value
 
@@ -50,13 +50,13 @@ def test_rescuer_silent_send_updates_state(robotics):
     c = _robot1(robotics)
     u = Universe.for_program(robotics)
     steps = output_steps(c.env, c.proc, robotics.defs)
-    silent = [s for s in steps if s[0].values == ()]
+    silent = [s for s in steps if s[1] == ()]
     assert len(silent) == 1
-    label, env2, cont = silent[0]
+    pred, _, env2, cont = silent[0]
     from abcwb.attributes import is_ff
     from abcwb.syntax import TupleV
 
-    assert is_ff(label.pred, u)
+    assert is_ff(pred, u)
     assert env2.get("state") == Name("stop")
     assert env2.get("count") == Int(3)
     assert env2.get("vPosition") == TupleV((Int(3), Int(4)))
@@ -78,12 +78,12 @@ def test_rescuer_query_send_label(robotics):
     c = _robot1(robotics)
     u = Universe.for_program(robotics)
     steps = output_steps(c.env, c.proc, robotics.defs)
-    query = [s for s in steps if s[0].values != ()]
+    query = [s for s in steps if s[1] != ()]
     assert len(query) == 1
-    label, env2, _ = query[0]
-    assert label.values == (Int(1), Name("qry"), Name("explorer"))
+    pred, values, env2, _ = query[0]
+    assert values == (Int(1), Name("qry"), Name("explorer"))
     want = ppred("role = 'rescuer' || role = 'helping'", attrs=robotics.attrs)
-    assert fingerprint(label.pred, u) == fingerprint(want, u)
+    assert fingerprint(pred, u) == fingerprint(want, u)
     assert env2 == c.env  # plain send: no update committed
 
 
@@ -103,7 +103,7 @@ def test_explorer_discards_info_message(robotics):
     c = next(c for c in comps(robotics.main) if c.env.get("id") == Int(2))
     pred = ppred("role = 'explorer'", attrs=robotics.attrs)
     out = deliver(c.env, c.proc, pred, (Name("info"),), robotics.defs)
-    assert out is DISCARDS
+    assert out == []
     # nothing about the component is touched on a discard: same term, same env
     assert c == next(x for x in comps(robotics.main) if x.env.get("id") == Int(2))
 
@@ -119,31 +119,31 @@ def test_receive_requires_both_predicates():
     proc = pp("(x = 'go')(x).0")
     ok_pred = ppred("a = 1", attrs=("a",))
     bad_pred = ppred("a = 2", attrs=("a",))
-    assert isinstance(deliver(ENV, proc, ok_pred, (Name("go"),), DEFS), Receives)
+    assert len(deliver(ENV, proc, ok_pred, (Name("go"),), DEFS)) == 1
     # receiver-side predicate fails
-    assert deliver(ENV, proc, ok_pred, (Name("stop"),), DEFS) is DISCARDS
+    assert deliver(ENV, proc, ok_pred, (Name("stop"),), DEFS) == []
     # sender-side predicate fails against the receiver environment
-    assert deliver(ENV, proc, bad_pred, (Name("go"),), DEFS) is DISCARDS
+    assert deliver(ENV, proc, bad_pred, (Name("go"),), DEFS) == []
 
 
 def test_arity_mismatch_discards():
     proc = pp("(tt)(x, y).0")
     tt = ppred("tt")
-    assert deliver(ENV, proc, tt, (Int(1),), DEFS) is DISCARDS
-    assert isinstance(deliver(ENV, proc, tt, (Int(1), Int(2)), DEFS), Receives)
+    assert deliver(ENV, proc, tt, (Int(1),), DEFS) == []
+    assert len(deliver(ENV, proc, tt, (Int(1), Int(2)), DEFS)) == 1
 
 
 def test_sum_collects_both_branches():
     proc = pp("(tt)(x).('l')@(tt).0 + (tt)(x).('r')@(tt).0")
     out = deliver(ENV, proc, ppred("tt"), (Int(0),), DEFS)
-    assert isinstance(out, Receives) and len(out.entries) == 2
+    assert len(out) == 2
 
 
 def test_par_delivers_to_one_thread_per_outcome():
     proc = pp("(tt)(x).0 | (tt)(x).0")
     out = deliver(ENV, proc, ppred("tt"), (Int(0),), DEFS)
-    assert isinstance(out, Receives) and len(out.entries) == 2
-    for _, cont in out.entries:
+    assert len(out) == 2
+    for _, cont in out:
         # one side consumed, the other still waiting
         assert isinstance(cont, Par)
         assert isinstance(cont.left, In) != isinstance(cont.right, In)
@@ -151,17 +151,16 @@ def test_par_delivers_to_one_thread_per_outcome():
 
 def test_pending_update_commits_only_on_receive():
     proc = pp("[a := 9](tt)(x).0", attrs=("a",))
-    got = deliver(ENV, proc, ppred("tt"), (Int(0),), DEFS)
-    assert isinstance(got, Receives)
-    assert got.entries[0][0].get("a") == Int(9)
-    assert deliver(ENV, proc, ppred("ff"), (Int(0),), DEFS) is DISCARDS
+    ((env2, _),) = deliver(ENV, proc, ppred("tt"), (Int(0),), DEFS)
+    assert env2.get("a") == Int(9)
+    assert deliver(ENV, proc, ppred("ff"), (Int(0),), DEFS) == []
 
 
 def test_update_guarding_send_commits_with_it():
     proc = pp("[a := 9]('m')@(tt).0", attrs=("a",))
-    ((label, env2, cont),) = output_steps(ENV, proc, DEFS)
+    ((_, values, env2, cont),) = output_steps(ENV, proc, DEFS)
     assert env2.get("a") == Int(9)
-    assert label.values == (Name("m"),)
+    assert values == (Name("m"),)
 
 
 def test_undefined_payload_disables_send():
@@ -170,8 +169,9 @@ def test_undefined_payload_disables_send():
 
 
 def test_deliver_total_and_exclusive_on_random_terms():
-    """Every (component, message) pair yields exactly one verdict:
-    a non-empty set of acceptance outcomes, or an unchanged discard."""
+    """Every (component, message) pair yields a list of acceptance
+    outcomes, each a fresh (environment, process) pair; an empty list is
+    the discard."""
     rng = random.Random(404)
     tt = ppred("tt")
     for _ in range(500):
@@ -179,6 +179,6 @@ def test_deliver_total_and_exclusive_on_random_terms():
         proc = gen_proc(rng)
         vals = tuple(gen_value(rng) for _ in range(rng.randrange(3)))
         out = deliver(env, proc, tt, vals, DEFS, random.Random(1))
-        assert (out is DISCARDS) != isinstance(out, Receives)
-        if isinstance(out, Receives):
-            assert len(out.entries) >= 1
+        assert isinstance(out, list)
+        for got_env, got_proc in out:
+            assert isinstance(got_env, AttributeEnv) and isinstance(got_proc, Process)

@@ -3,14 +3,11 @@ and sampled compositionality."""
 
 import pytest
 
-from abcwb.attributes import Universe, fingerprint_tt
+from abcwb.attributes import TT_KEY, Universe
 from abcwb.equivalence import (
     barbs,
     bisimilar,
     congruence_sample,
-    sample_contexts,
-    strong_bisimilar,
-    weak_bisimilar,
 )
 from abcwb.parser import parse_system
 from abcwb.syntax import pretty_system
@@ -23,8 +20,8 @@ def mk(text, attrs=("a",)):
 def both(s1, s2, **kw):
     u = Universe.for_systems([s1, s2])
     return (
-        strong_bisimilar(s1, s2, {}, u, **kw),
-        weak_bisimilar(s1, s2, {}, u, **kw),
+        bisimilar(s1, s2, {}, u, weak=False, **kw),
+        bisimilar(s1, s2, {}, u, weak=True, **kw),
     )
 
 
@@ -97,7 +94,7 @@ def test_barbs_of_an_output():
     s = mk("{a := 1}: ('m')@(tt).0")
     u = Universe.for_systems([s])
     bs = barbs(s, {}, u)
-    assert (fingerprint_tt(u), 1) in bs
+    assert (TT_KEY, 1) in bs
 
 
 def test_silent_send_has_no_barb():

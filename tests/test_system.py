@@ -1,7 +1,7 @@
 """System semantics: synchronization, discards, hiding, opening,
 replication fuel, and the behavior of the shipped example systems."""
 
-from abcwb.attributes import Universe, fingerprint, fingerprint_tt, is_ff
+from abcwb.attributes import TT_KEY, Universe, fingerprint, is_ff
 from abcwb.explorer import build_lts
 from abcwb.parser import parse_process, parse_system
 from abcwb.syntax import (
@@ -124,7 +124,7 @@ def test_plain_restriction_passes_through():
     u = universe_of(s)
     ((lab, succ),) = system_steps(s, {}, u)
     assert not lab.bound
-    assert fingerprint(lab.pred, u) == fingerprint_tt(u)
+    assert fingerprint(lab.pred, u) == TT_KEY
     assert isinstance(succ, Nu)
 
 
