@@ -30,10 +30,12 @@ from .explorer import (
     lts_to_text,
     random_trace,
     reachable_matching,
+    state_rng,
     witness_path as _witness_path,
 )
 from .parser import ParseError, ResolveError, parse_program
-from .syntax import Bool, Int, Name, pretty_system
+from .syntax import Bool, Int, Name, canonicalize, pretty_proc, pretty_system
+from .system import set_fuel, system_steps
 
 
 def _load(path: str):
@@ -140,18 +142,12 @@ def _dispatch(args) -> int:
     if args.cmd == "parse":
         prog = _load(args.file)
         for name, (params, body) in sorted(prog.defs.items()):
-            from .syntax import pretty_proc
-
             print(f"def {name}({', '.join(params)}) = {pretty_proc(body)}")
         print(pretty_system(prog.main))
         return 0
 
     if args.cmd == "step":
         prog = _load(args.file)
-        from .explorer import state_rng
-        from .syntax import canonicalize
-        from .system import set_fuel, system_steps
-
         universe = Universe.for_program(prog)
         init = canonicalize(set_fuel(prog.main, args.repl_bound))
         print(f"# seed {args.seed}")
@@ -277,8 +273,6 @@ def _dispatch(args) -> int:
             print(f"error: {args.file}: {e}", file=_sys.stderr)
             return 3
         if args.cmd == "encode":
-            from .syntax import pretty_proc
-
             for name, (params, body) in sorted(prog.defs.items()):
                 print(f"def {name}({', '.join(params)}) = {pretty_proc(body)}")
             print("system:")

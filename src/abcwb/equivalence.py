@@ -10,10 +10,12 @@ distinguishing messages can be built from mentioned values, which holds
 for equality-based predicates; it is the documented approximation
 otherwise.
 
-The joint space is an integer graph built once: states are numbered in
-discovery order and canonical labels are interned to numbers (tau is
-0).  Most stimuli are discarded by every component; ``sys_deliver`` then
-hands back the state object itself, which is recorded as a self-loop
+The joint space is an integer graph built once by the explorer's
+breadth-first ``Walk`` from both roots: states are numbered in discovery
+order and canonical labels are interned to numbers (tau is 0).  This
+module adds only the stimulus pool and the loop that offers it.  Most
+stimuli are discarded by every component; ``sys_deliver`` then hands
+back the state object itself, which the walk records as a self-loop
 without canonicalising or hashing a term.
 
 Bisimilarity is computed by partition refinement over that graph: start
@@ -31,12 +33,19 @@ import random
 from dataclasses import dataclass, field
 
 from .attributes import Universe, fingerprint, UniverseTooLarge
-from .explorer import canon_label, label_text, state_rng, state_seed
+from .explorer import TAU_LABEL, Walk, canon_label, label_text, state_rng
 from .syntax import (
+    AttributeEnv,
+    Bang,
+    Comp,
     Definitions,
     In,
+    Lit,
+    NIL,
+    Nu,
     Out,
     Predicate,
+    SysPar,
     System,
     TT_,
     Value,
@@ -46,7 +55,7 @@ from .syntax import (
     pretty_system,
     value_sort_key,
 )
-from .system import SIn, SOut, TAU, set_fuel, sys_deliver, system_steps
+from .system import SIn, SOut, set_fuel, sys_deliver, system_steps
 
 
 def barbs(sys: System, defs: Definitions, universe: Universe = None) -> set:
@@ -108,12 +117,9 @@ class _Space:
 
     states: list  # state number -> canonical System
     labels: list  # label number -> canonical label
-    succ: dict  # state number -> dict[label number, frozenset of state numbers]
+    succ: dict  # state number -> dict[label number, tuple of distinct state numbers]
     truncated: bool
     reasons: list
-
-
-TAU_LABEL = 0
 
 
 def _explore_pair(
@@ -132,106 +138,49 @@ def _explore_pair(
     every output either side is seen to emit, re-offered to already
     visited states until a fixpoint.  Returns the numbers of the two
     initial states and the numbered space.
-
-    A stimulus that every component discards comes back from
-    ``sys_deliver`` as the state object itself; it is recorded as a
-    self-loop without canonicalising, since states are canonical.
     """
-    labels: list[tuple] = [canon_label(TAU, universe)]
-    label_ids: dict[tuple, int] = {labels[0]: TAU_LABEL}
-
-    def intern(lab_key: tuple) -> int:
-        k = label_ids.get(lab_key)
-        if k is None:
-            k = label_ids[lab_key] = len(labels)
-            labels.append(lab_key)
-        return k
-
-    reasons: list[str] = []
-    truncated = False
-
-    def note_truncation(reason: str):
-        nonlocal truncated
-        truncated = True
-        if reason not in reasons:
-            reasons.append(reason)
+    walk = Walk(roots, defs, universe, seed=seed, repl_bound=repl_bound,
+                max_states=max_states)
 
     # (predicate, values, label number) of every stimulus, in offer order
     messages: list[tuple[Predicate, tuple[Value, ...], int]] = []
-    msg_keys: set[tuple] = set()
 
     def add_message(pred, vals):
         key = canon_label(SIn(pred, vals), universe)
-        if key in msg_keys:
+        if key in walk.label_ids:  # only stimuli intern input labels
             return
         if len(messages) >= message_budget:
-            note_truncation("stimulus budget exhausted")
+            walk.note("stimulus budget exhausted")
             return
-        msg_keys.add(key)
-        messages.append((pred, vals, intern(key)))
+        messages.append((pred, vals, walk.intern(key)))
 
     for pred, vals in stimulus_messages(roots, defs, universe, message_budget):
         add_message(pred, vals)  # the baseline never exceeds the budget
 
-    index: dict[System, int] = {}
-    states: list[System] = []
-    succ: dict[int, dict[int, set[int]]] = {}
-    seeds: list[int] = []  # each state's generator seed, set when stepped
     offered: list[int] = []  # how many stimuli each state has seen
-
-    def add_state(s: System) -> int | None:
-        i = index.get(s)
-        if i is not None:
-            return i
-        if len(states) >= max_states:
-            note_truncation("state budget exhausted")
-            return None
-        i = index[s] = len(states)
-        states.append(s)
-        succ[i] = {}
-        offered.append(0)
-        return i
-
-    inits = [add_state(canonicalize(set_fuel(r, repl_bound))) for r in roots]
-
-    pos = 0
     while True:
-        progressed = False
-        while pos < len(states):
-            i, s = pos, states[pos]
-            pos += 1
-            progressed = True
-            seeds.append(state_seed(seed, s))
-            moves = succ[i]
-            notes: list[str] = []
-            for lab, t in system_steps(s, defs, universe, random.Random(seeds[i]), notes):
-                if isinstance(lab, SOut):
-                    add_message(lab.pred, lab.values)
-                k = intern(canon_label(lab, universe))
-                j = add_state(canonicalize(t))
-                if j is not None:
-                    moves.setdefault(k, set()).add(j)
-            for note in notes:
-                note_truncation(note)
-        # offer any not-yet-offered stimuli to every known state
-        for i in range(len(states)):
-            n = offered[i]
-            if n >= len(messages):
+        progressed = walk.step(add_message)
+        offered += [0] * (len(walk.states) - len(offered))
+        # offer any not-yet-offered stimuli to every stepped state
+        for i, n in enumerate(offered):
+            if n == len(messages):
                 continue
             progressed = True
-            s, moves = states[i], succ[i]
-            rng = random.Random(seeds[i])
+            s, rng = walk.states[i], random.Random(walk.seeds[i])
             for pred, vals, k in messages[n:]:
                 for t in sys_deliver(s, pred, vals, defs, universe, rng):
-                    j = i if t is s else add_state(canonicalize(t))
-                    if j is not None:
-                        moves.setdefault(k, set()).add(j)
+                    walk.move(i, k, t)
             offered[i] = len(messages)
-        if not progressed and pos >= len(states):
+        if not progressed:
             break
 
-    frozen = {i: {k: frozenset(v) for k, v in d.items()} for i, d in succ.items()}
-    return inits, _Space(states, labels, frozen, truncated, reasons)
+    succ: dict[int, dict[int, tuple]] = {i: {} for i in range(len(walk.states))}
+    for i, k, j in walk.moves:
+        targets = succ[i].get(k, ())
+        if j not in targets:
+            succ[i][k] = targets + (j,)
+    space = _Space(walk.states, walk.labels, succ, bool(walk.reasons), walk.reasons)
+    return walk.roots, space
 
 
 @dataclass
@@ -395,16 +344,6 @@ def bisimilar(
 
 def sample_contexts(values):
     """A small deterministic family of one-hole system contexts."""
-    from .syntax import (
-        AttributeEnv,
-        Bang,
-        Comp,
-        Lit,
-        NIL,
-        Nu,
-        SysPar,
-    )
-
     vals = sorted(values, key=value_sort_key)
     listener = Comp(AttributeEnv.of({}), In(TT_, ("_ctxv",), NIL))
     payload = (Lit(vals[0]),) if vals else ()
@@ -420,11 +359,7 @@ def sample_contexts(values):
 def random_contexts(values, seed: int = 0, count: int = 100):
     """Randomly nested one-hole contexts over the context grammar
     hole | hole par C | C par hole | restriction | replication."""
-    import random as _random
-
-    from .syntax import AttributeEnv, Bang, Comp, Lit, NIL, Nu, Out as _Out, SysPar
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     vals = sorted(values, key=value_sort_key)
 
     def rand_component():
@@ -434,7 +369,7 @@ def random_contexts(values, seed: int = 0, count: int = 100):
             return Comp(attr_env, NIL)
         if kind == 1:
             payload = (Lit(vals[rng.randrange(len(vals))]),) if vals else ()
-            return Comp(attr_env, _Out(payload, TT_, NIL))
+            return Comp(attr_env, Out(payload, TT_, NIL))
         return Comp(attr_env, In(TT_, ("_ctxv",), NIL))
 
     out = []

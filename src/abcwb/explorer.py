@@ -6,6 +6,13 @@ are canonical too: the predicate on an output is keyed by its semantic
 fingerprint (equivalent predicates give the same label) and extruded
 names are replaced positionally, so alpha-variant labels coincide.
 
+One breadth-first ``Walk`` numbers states and labels, records moves,
+applies the state and depth bounds and collects truncation reasons.
+``build_lts`` runs it from one root; bisimulation runs it from two and
+adds stimuli (see ``equivalence``).  Witnesses follow the move that
+first found each state, which breadth-first order makes a shortest
+path.
+
 Randomized payloads draw from a generator seeded by the run seed and
 the canonical state text.  Revisiting a state therefore replays the
 same draws, which keeps the graph a sound description of one run per
@@ -46,6 +53,8 @@ class Lts:
     initial: int = 0
     truncated: bool = False
     reasons: list[str] = field(default_factory=list)
+    # state number -> number of the transition that first reached it
+    found_by: list[int | None] = field(default_factory=list)
 
 
 def state_seed(seed: int, state: System) -> int:
@@ -110,6 +119,110 @@ def label_text(lab) -> str:
     return f"out {nu}fp={lab[1]} vals=({vals})"
 
 
+TAU_LABEL = 0
+
+
+class Walk:
+    """Breadth-first walk over canonical states from one or more roots.
+
+    States are numbered in discovery order and canonical labels are
+    interned to numbers, tau being ``TAU_LABEL``.  Every move is kept as
+    a (state, label number, state) triple in the order it is found, and
+    ``found_by[j]`` is the number of the move that first reached state
+    ``j`` (None for a root); breadth-first order makes those moves a
+    shortest-path tree.  A new state beyond ``max_states`` is dropped
+    together with its move, and a state at ``max_depth`` is not stepped.
+    Each stepped state's generator seed is derived once, in ``seeds``.
+    Every bound that was hit leaves its reason in ``reasons`` once.
+    """
+
+    def __init__(
+        self,
+        roots,
+        defs: Definitions,
+        universe: Universe,
+        *,
+        seed: int,
+        repl_bound: int,
+        max_states: int,
+        max_depth: int = None,
+    ):
+        self.defs, self.universe, self.seed = defs, universe, seed
+        self.max_states, self.max_depth = max_states, max_depth
+        self.states: list[System] = []
+        self.index: dict[System, int] = {}
+        self.depth: list[int] = []
+        self.found_by: list[int | None] = []
+        self.seeds: list[int | None] = []  # None for a state cut by the depth bound
+        self.labels: list[tuple] = [canon_label(TAU, universe)]
+        self.label_ids: dict[tuple, int] = {self.labels[0]: TAU_LABEL}
+        self.moves: list[tuple[int, int, int]] = []
+        self.reasons: list[str] = []
+        self.roots = [
+            self._visit(canonicalize(set_fuel(r, repl_bound)), 0, None) for r in roots
+        ]
+
+    def note(self, reason: str) -> None:
+        if reason not in self.reasons:
+            self.reasons.append(reason)
+
+    def intern(self, label: tuple) -> int:
+        k = self.label_ids.get(label)
+        if k is None:
+            k = self.label_ids[label] = len(self.labels)
+            self.labels.append(label)
+        return k
+
+    def _visit(self, state: System, depth: int, found_by: int | None) -> int | None:
+        j = self.index.get(state)
+        if j is None:
+            if len(self.states) >= self.max_states:
+                self.note("state budget exhausted")
+                return None
+            j = self.index[state] = len(self.states)
+            self.states.append(state)
+            self.depth.append(depth)
+            self.found_by.append(found_by)
+        return j
+
+    def move(self, i: int, k: int, target: System) -> None:
+        """Record a move of state ``i`` under label number ``k``.
+
+        A target that is the state object itself is a self-loop and is
+        not canonicalised again, since states are canonical.
+        """
+        if target is self.states[i]:
+            j = i
+        else:
+            j = self._visit(canonicalize(target), self.depth[i] + 1, len(self.moves))
+            if j is None:
+                return
+        self.moves.append((i, k, j))
+
+    def step(self, on_output=None) -> bool:
+        """Step every state not stepped yet, states found meanwhile
+        included.  ``on_output(pred, values)`` hears every output before
+        its move is recorded.  Returns whether there was such a state."""
+        start = len(self.seeds)
+        while len(self.seeds) < len(self.states):
+            i = len(self.seeds)
+            if self.max_depth is not None and self.depth[i] >= self.max_depth:
+                self.seeds.append(None)
+                self.note("depth bound reached")
+                continue
+            state = self.states[i]
+            self.seeds.append(state_seed(self.seed, state))
+            notes: list[str] = []
+            rng = random.Random(self.seeds[i])
+            for lab, t in system_steps(state, self.defs, self.universe, rng, notes):
+                if on_output is not None and isinstance(lab, SOut):
+                    on_output(lab.pred, lab.values)
+                self.move(i, self.intern(canon_label(lab, self.universe)), t)
+            for note in notes:
+                self.note(note)
+        return len(self.seeds) > start
+
+
 def build_lts(
     sys: System,
     defs: Definitions,
@@ -128,46 +241,16 @@ def build_lts(
     """
     if universe is None:
         universe = Universe.for_systems([sys], defs)
-    init = canonicalize(set_fuel(sys, repl_bound))
-    index: dict[System, int] = {init: 0}
-    states = [init]
-    transitions: list[tuple[int, tuple, int]] = []
-    reasons: list[str] = []
-    truncated = False
-
-    frontier = [(0, 0)]  # (state index, depth)
-    pos = 0
-    while pos < len(frontier):
-        i, depth = frontier[pos]
-        pos += 1
-        if max_depth is not None and depth >= max_depth:
-            truncated = True
-            if "depth bound reached" not in reasons:
-                reasons.append("depth bound reached")
-            continue
-        state = states[i]
-        rng = state_rng(seed, state)
-        notes: list[str] = []
-        for lab, succ in system_steps(state, defs, universe, rng, notes):
-            succ = canonicalize(succ)
-            j = index.get(succ)
-            if j is None:
-                if len(states) >= max_states:
-                    truncated = True
-                    if "state budget exhausted" not in reasons:
-                        reasons.append("state budget exhausted")
-                    continue
-                j = len(states)
-                index[succ] = j
-                states.append(succ)
-                frontier.append((j, depth + 1))
-            transitions.append((i, canon_label(lab, universe), j))
-        for note in notes:
-            truncated = True
-            if note not in reasons:
-                reasons.append(note)
-
-    return Lts(states, transitions, seed, 0, truncated, reasons)
+    walk = Walk(
+        [sys], defs, universe, seed=seed, repl_bound=repl_bound,
+        # the initial state is kept whatever the budget
+        max_states=max(max_states, 1), max_depth=max_depth,
+    )
+    walk.step()
+    labels = walk.labels
+    transitions = [(i, labels[k], j) for i, k, j in walk.moves]
+    return Lts(walk.states, transitions, seed, 0, bool(walk.reasons), walk.reasons,
+               walk.found_by)
 
 
 def random_trace(
@@ -212,30 +295,12 @@ def env_has(sys: System, attr: str, value: Value) -> bool:
 
 
 def witness_path(lts: Lts, target: int) -> list[str]:
-    """Shortest label sequence from the initial state to ``target``."""
-    from collections import deque
-
-    prev: dict[int, tuple[int, tuple]] = {}
-    seen = {lts.initial}
-    q = deque([lts.initial])
-    fwd: dict[int, list[tuple[tuple, int]]] = {}
-    for i, lab, j in lts.transitions:
-        fwd.setdefault(i, []).append((lab, j))
-    while q:
-        cur = q.popleft()
-        if cur == target:
-            break
-        for lab, nxt in fwd.get(cur, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                prev[nxt] = (cur, lab)
-                q.append(nxt)
-    if target not in seen:
-        return ["(unreachable)"]
+    """Shortest label sequence from the initial state to ``target``:
+    the moves that first found each state on the way."""
     path = []
     cur = target
     while cur != lts.initial:
-        src, lab = prev[cur]
+        src, lab, _ = lts.transitions[lts.found_by[cur]]
         path.append(f"{label_text(lab)} -> [{cur}] {pretty_system(lts.states[cur])}")
         cur = src
     path.reverse()

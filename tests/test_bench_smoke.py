@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` traces library functions by name, so a renamed or
 deleted traced function breaks the traced benchmark without breaking any
 other test.  One traced swarm round is quick and touches every
-step-generation and predicate layer.
+step-generation and predicate layer; one traced bisim round reads the
+joint space ``_explore_pair`` returns, which no swarm round builds.
 """
 
 import json
@@ -14,11 +15,19 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_traced_swarm_round_is_correct():
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "swarm", "--seed", "0",
+def _traced_round(workload: str) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
            "--seconds", "0", "--trace", "1"]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
-    assert result["metrics"]["attributes.is_ff.calls"]["value"] > 0
+    return result["metrics"]
+
+
+def test_traced_swarm_round_is_correct():
+    assert _traced_round("swarm")["attributes.is_ff.calls"]["value"] > 0
+
+
+def test_traced_bisim_round_is_correct():
+    assert _traced_round("bisim")["equivalence.joint_states"]["value"] > 0

@@ -1,9 +1,12 @@
 """Bounded exploration: canonical states, bounds, determinism, witnesses."""
 
+from collections import deque
+
 from abcwb.attributes import Universe
 from abcwb.explorer import (
     build_lts,
     env_has,
+    label_text,
     lts_to_json,
     lts_to_text,
     random_trace,
@@ -11,7 +14,7 @@ from abcwb.explorer import (
     witness_path,
 )
 from abcwb.parser import parse_system
-from abcwb.syntax import Int, Name
+from abcwb.syntax import Int, Name, pretty_system
 
 
 def mk(text, attrs=()):
@@ -80,12 +83,41 @@ def test_env_has_and_reachable(groups):
     assert hit is not None
 
 
-def test_witness_path_replays_to_target(groups):
-    lts = build_lts(groups.main, groups.defs, Universe.for_program(groups))
-    hit = reachable_matching(lts, lambda s: env_has(s, "got", Name("msg")))
-    lines = witness_path(lts, hit)
-    assert lines[0].startswith(f"[{lts.initial}]")
-    assert len(lines) >= 2  # at least one step was needed
+def _distances(lts):
+    """Distance of every state from the initial one, by a breadth-first
+    search over the finished graph."""
+    fwd = {}
+    for i, _, j in lts.transitions:
+        fwd.setdefault(i, []).append(j)
+    dist = {lts.initial: 0}
+    queue = deque([lts.initial])
+    while queue:
+        cur = queue.popleft()
+        for nxt in fwd.get(cur, ()):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return dist
+
+
+def test_witness_path_replays_to_target(groups, robotics):
+    for prog, max_states in ((groups, 10_000), (robotics, 300)):
+        lts = build_lts(prog.main, prog.defs, Universe.for_program(prog),
+                        max_states=max_states)
+        moves = {(i, label_text(lab), j) for i, lab, j in lts.transitions}
+        dist = _distances(lts)
+        for target in range(len(lts.states)):
+            lines = witness_path(lts, target)
+            assert lines[0] == f"[{lts.initial}] {pretty_system(lts.states[lts.initial])}"
+            cur = lts.initial
+            for line in lines[1:]:
+                lab, _, rest = line.partition(" -> [")
+                j, _, text = rest.partition("] ")
+                assert (cur, lab, int(j)) in moves
+                assert text == pretty_system(lts.states[int(j)])
+                cur = int(j)
+            assert cur == target
+            assert len(lines) - 1 == dist[target]
 
 
 def test_seed_header_changes_random_draws(robotics):

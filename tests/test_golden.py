@@ -27,6 +27,18 @@ COMMANDS = (
         "bisim corpus/groups.abc corpus/adaptation.abc",
         "bisim --weak corpus/channels.abc corpus/pubsub.abc",
         "bisim --weak corpus/groups.abc corpus/adaptation.abc",
+        # bounds, seeds, JSON output and the witness of an unreached query
+        "explore --max-depth 3 corpus/robotics.abc",
+        "explore --max-states 100 corpus/robotics.abc",
+        "--seed 5 explore --repl-bound 2 --format json corpus/robotics.abc",
+        "reach corpus/robotics.abc \"role='nobody'\"",
+        "reach --max-states 100 corpus/robotics.abc \"role='helper'\"",
+        "bisim --max-states 50 corpus/channels.abc corpus/pubsub.abc",
+        "--seed 3 trace corpus/robotics.abc",
+        "--seed 7 step corpus/robotics.abc",
+        # a replicated pool that runs out of fuel
+        "explore corpus/pool.abc",
+        "reach corpus/pool.abc \"job=2\"",
     ]
     + [f"check-encoding corpus/bpi/t{k:02d}.bpi" for k in range(1, 23)]
     + [f"encode corpus/bpi/t{k:02d}.bpi" for k in range(1, 23)]
@@ -49,6 +61,16 @@ GOLDEN = {
     'bisim corpus/groups.abc corpus/adaptation.abc': (1, '2289a21ccd7299b33007e7370ef228e0a426cecf2d001dc5c9caa7a6db37c887'),
     'bisim --weak corpus/channels.abc corpus/pubsub.abc': (1, '5f3d4a60e886d05bed1552e82c22b69be1ec1a51d10e6892805eb94d9c3b86c8'),
     'bisim --weak corpus/groups.abc corpus/adaptation.abc': (1, 'bd13fa23b77b85f2ffa973d8fddda2a2f6d105e2735a3702caccc78be2a20de4'),
+    'explore --max-depth 3 corpus/robotics.abc': (0, '7c63da6bac86e58865ff458e04639b06c4d595622b9fbbdd6c4fe1827fcb632d'),
+    'explore --max-states 100 corpus/robotics.abc': (0, '14fe7af1f6be95887bec17c98cb526b32367561a1c770c30a49447e48404a892'),
+    '--seed 5 explore --repl-bound 2 --format json corpus/robotics.abc': (0, 'e7f262f274fc2e3ebd6cd5f2b549a63185713bdba18bc378c1f800beec217094'),
+    'reach corpus/robotics.abc "role=\'nobody\'"': (1, '58d830a67b95718afeebb42bfa39f853e9d5fbb9f641e7405ccac8c35287f458'),
+    'reach --max-states 100 corpus/robotics.abc "role=\'helper\'"': (2, '4d0d7a8c399334026425e0e66778652abf795c9b9e088b6300dbaed53109e9a9'),
+    'bisim --max-states 50 corpus/channels.abc corpus/pubsub.abc': (2, 'f7bc9eb07183e7e7c2f2c326c8522481ea4fa15ebfb04258f9bacac821fbc73d'),
+    '--seed 3 trace corpus/robotics.abc': (0, 'bd2c5361cb548a1970eed2c97bcf09319f8b5c6d853bb76c51a61e0f91a33213'),
+    '--seed 7 step corpus/robotics.abc': (0, '9eb9423e3cd54af5eff05ff3482fe6dc075fff882ce3e7a0cbc251d45480a26b'),
+    'explore corpus/pool.abc': (0, 'f928d8616519d4cd86fbcdfa0f0a250a445df191f3b62bbfd8d5416289ad2f3f'),
+    'reach corpus/pool.abc "job=2"': (2, 'a544be9b27743d826f7c4ce05975a7a842c07653b371c82f8de69e4996083bc2'),
     'check-encoding corpus/bpi/t01.bpi': (0, 'ee82e30b0f8d8b7e8bce2c684dd1c991400c7e1e67d3874ecb3f809e41bf38eb'),
     'check-encoding corpus/bpi/t02.bpi': (0, '3799c84f3dea9f26eefca573d400888f4f542e85ae0fe196280444cea746f94b'),
     'check-encoding corpus/bpi/t03.bpi': (0, 'ee82e30b0f8d8b7e8bce2c684dd1c991400c7e1e67d3874ecb3f809e41bf38eb'),
