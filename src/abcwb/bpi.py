@@ -791,9 +791,11 @@ def _canon_abc_label(lab, universe: Universe) -> tuple:
     return _canon_send(tuple(v.atom for v in vals), lab.bound)
 
 
-def check_correspondence(
-    p: BP, *, depth: int = 6, max_pairs: int = 4000
-) -> Correspondence:
+# pairs ``check_correspondence`` visits before it reports truncation
+MAX_PAIRS = 4000
+
+
+def check_correspondence(p: BP, *, depth: int = 6) -> Correspondence:
     """Lockstep comparison of a source term and its translation.
 
     At every reached pair the multiset of source steps and target steps
@@ -818,7 +820,7 @@ def check_correspondence(
             continue
         seen.add(key)
         checked += 1
-        if checked > max_pairs:
+        if checked > MAX_PAIRS:
             truncated = True
             break
         if d >= depth:
@@ -953,17 +955,13 @@ def check_divergence_correspondence(p: BP, bound: int = 50) -> bool:
     return bpi_divergent(p, bound)[0] == abc_divergent(sys, defs, bound)[0]
 
 
-def check_name_invariance(p: BP, renamings=None) -> bool:
-    """Translation commutes with injective renaming of free names."""
-    if renamings is None:
-        fn = sorted(bfree(p))
-        renamings = []
-        if fn:
-            renamings.append({n: f"{n}_r" for n in fn})
-            if len(fn) >= 2:
-                rot = dict(zip(fn, fn[1:] + fn[:1]))
-                renamings.append(rot)
-
+def check_name_invariance(p: BP) -> bool:
+    """Translation commutes with injective renaming of free names: a
+    suffix on every free name and, with two or more, their rotation."""
+    fn = sorted(bfree(p))
+    renamings = [{n: f"{n}_r" for n in fn}] if fn else []
+    if len(fn) >= 2:
+        renamings.append(dict(zip(fn, fn[1:] + fn[:1])))
     for sigma in renamings:
         lhs, _ = encode(bsubst(p, sigma))
         rhs, _ = encode(p)

@@ -1,17 +1,22 @@
 """Single-component transition steps: sends, receives and discards.
 
-A component is an attribute environment paired with a process.  Sends
-evaluate the message under the local environment and close every
-``this.`` reference in the carried predicate; ``output_steps`` lists them
-as ``(predicate, values, env, process)`` tuples.  ``deliver`` lists every
-way a component receives an incoming message as ``(env, process)`` pairs;
-an empty list means it discards the message, so receiving and discarding
-are mutually exclusive and total.
+A component is an attribute environment paired with a process.  One
+walk, ``_fire``, applies the rules for updates, awareness, choice,
+interleaving and calls, whichever action fires at the end: a send, or a
+receive of one offered message.  Sends evaluate the message under the
+local environment and close every ``this.`` reference in the carried
+predicate; ``output_steps`` lists them as ``(predicate, values, env,
+process)`` tuples.  ``deliver`` lists every way a component receives an
+incoming message as ``(env, process)`` pairs; an empty list means it
+discards the message, so receiving and discarding are mutually exclusive
+and total.
 
 Attribute updates guard their action: the assignments are evaluated
 under the environment in force when the update is reached, and commit
 in the same step as the guarded send or receive.  A discard leaves the
-component, including any pending updates, untouched.
+component, including any pending updates, untouched.  Expressions are
+evaluated where the walk reaches them, so ``rand`` draws follow the
+walk's order.
 """
 
 from __future__ import annotations
@@ -41,16 +46,25 @@ from .syntax import (
 )
 
 
-def unfold_call(call: Call, env: AttributeEnv, defs: Definitions, rng=None):
-    """Instantiate a definition body; ``None`` if an argument is undefined."""
-    params, body = defs[call.name]
-    values = []
-    for e in call.args:
+def _evaluate(keyed, env: AttributeEnv, rng):
+    """``(key, value)`` pairs for ``(key, expression)`` pairs under ``env``;
+    ``None`` if any value is undefined."""
+    out = []
+    for k, e in keyed:
         v = eval_expr(e, env, rng)
         if v is UNDEFINED:
             return None
-        values.append(v)
-    return substitute(body, dict(zip(params, values)))
+        out.append((k, v))
+    return out
+
+
+def unfold_call(call: Call, env: AttributeEnv, defs: Definitions, rng=None):
+    """Instantiate a definition body; ``None`` if an argument is undefined."""
+    params, body = defs[call.name]
+    bound = _evaluate(zip(params, call.args), env, rng)
+    if bound is None:
+        return None
+    return substitute(body, dict(bound))
 
 
 def output_steps(
@@ -62,57 +76,7 @@ def output_steps(
     a send whose payload or closed predicate needs an unbound attribute
     is simply not enabled.
     """
-    if isinstance(proc, (Nil, In)):
-        return []
-    if isinstance(proc, Out):
-        values = []
-        for e in proc.exprs:
-            v = eval_expr(e, env, rng)
-            if v is UNDEFINED:
-                return []
-            values.append(v)
-        try:
-            pred = close_predicate(proc.pred, env)
-        except UndefinedClosure:
-            return []
-        return [(pred, tuple(values), env, proc.cont)]
-    if isinstance(proc, Upd):
-        committed = _commit(env, proc.assigns, rng)
-        if committed is None:
-            return []
-        return output_steps(committed, proc.cont, defs, rng)
-    if isinstance(proc, Aware):
-        if satisfies(env, proc.pred):
-            return output_steps(env, proc.cont, defs, rng)
-        return []
-    if isinstance(proc, Sum):
-        return output_steps(env, proc.left, defs, rng) + output_steps(
-            env, proc.right, defs, rng
-        )
-    if isinstance(proc, Par):
-        out = []
-        for pred, vals, env2, cont in output_steps(env, proc.left, defs, rng):
-            out.append((pred, vals, env2, Par(cont, proc.right)))
-        for pred, vals, env2, cont in output_steps(env, proc.right, defs, rng):
-            out.append((pred, vals, env2, Par(proc.left, cont)))
-        return out
-    if isinstance(proc, Call):
-        body = unfold_call(proc, env, defs, rng)
-        if body is None:
-            return []
-        return output_steps(env, body, defs, rng)
-    raise TypeError(proc)
-
-
-def _commit(env: AttributeEnv, assigns, rng):
-    """Evaluate assignments under ``env``; ``None`` if any is undefined."""
-    out = []
-    for a, e in assigns:
-        v = eval_expr(e, env, rng)
-        if v is UNDEFINED:
-            return None
-        out.append((a, v))
-    return env.updated(out)
+    return _fire(env, proc, defs, rng, None)
 
 
 def deliver(
@@ -131,9 +95,39 @@ def deliver(
     the receiver's environment.  Parallel threads inside one component
     compete: exactly one of them consumes the message per outcome.
     """
-    if isinstance(proc, (Nil, Out)):
+    return _fire(env, proc, defs, rng, (sender_pred, values))
+
+
+def _fire(env: AttributeEnv, proc: Process, defs: Definitions, rng, msg) -> list:
+    """Every way ``proc`` acts under ``env``: its sends when ``msg`` is
+    None, else its receives of ``msg = (sender_pred, values)``.  The last
+    item of each outcome is the continuation."""
+    # process classes have no subclasses, so the exact type decides; the
+    # kinds most often offered a message come first
+    kind = type(proc)
+    if kind is Out:
+        if msg is not None:
+            return []
+        payload = _evaluate(enumerate(proc.exprs), env, rng)
+        if payload is None:
+            return []
+        try:
+            pred = close_predicate(proc.pred, env)
+        except UndefinedClosure:
+            return []
+        return [(pred, tuple(v for _, v in payload), env, proc.cont)]
+    if kind is Nil:
         return []
-    if isinstance(proc, In):
+    if kind is Upd:
+        # on a discard no outcome carries the committed environment
+        assigned = _evaluate(proc.assigns, env, rng)
+        if assigned is None:
+            return []
+        return _fire(env.updated(assigned), proc.cont, defs, rng, msg)
+    if kind is In:
+        if msg is None:
+            return []
+        sender_pred, values = msg
         if len(proc.vars) != len(values):
             return []
         theta = dict(zip(proc.vars, values))
@@ -141,30 +135,22 @@ def deliver(
         if satisfies(env, own) and satisfies(env, sender_pred):
             return [(env, substitute(proc.cont, theta))]
         return []
-    if isinstance(proc, Upd):
-        # on a discard no outcome carries the committed environment
-        committed = _commit(env, proc.assigns, rng)
-        if committed is None:
-            return []
-        return deliver(committed, proc.cont, sender_pred, values, defs, rng)
-    if isinstance(proc, Aware):
-        if satisfies(env, proc.pred):
-            return deliver(env, proc.cont, sender_pred, values, defs, rng)
-        return []
-    if isinstance(proc, Sum):
-        return deliver(env, proc.left, sender_pred, values, defs, rng) + deliver(
-            env, proc.right, sender_pred, values, defs, rng
+    if kind is Sum:
+        return _fire(env, proc.left, defs, rng, msg) + _fire(
+            env, proc.right, defs, rng, msg
         )
-    if isinstance(proc, Par):
-        out = []
-        for env2, cont in deliver(env, proc.left, sender_pred, values, defs, rng):
-            out.append((env2, Par(cont, proc.right)))
-        for env2, cont in deliver(env, proc.right, sender_pred, values, defs, rng):
-            out.append((env2, Par(proc.left, cont)))
-        return out
-    if isinstance(proc, Call):
+    if kind is Par:
+        left, right = proc.left, proc.right
+        return [
+            o[:-1] + (Par(o[-1], right),) for o in _fire(env, left, defs, rng, msg)
+        ] + [o[:-1] + (Par(left, o[-1]),) for o in _fire(env, right, defs, rng, msg)]
+    if kind is Aware:
+        if satisfies(env, proc.pred):
+            return _fire(env, proc.cont, defs, rng, msg)
+        return []
+    if kind is Call:
         body = unfold_call(proc, env, defs, rng)
         if body is None:
             return []
-        return deliver(env, body, sender_pred, values, defs, rng)
+        return _fire(env, body, defs, rng, msg)
     raise TypeError(proc)

@@ -268,7 +268,7 @@ def _weak_closure(succ):
                 acc = d.setdefault(lab, set())
                 for t in targets:
                     acc |= tclo[t]
-        weak[s] = {k: frozenset(v) for k, v in d.items()}
+        weak[s] = {k: tuple(v) for k, v in d.items()}
     return weak
 
 

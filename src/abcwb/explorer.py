@@ -40,7 +40,7 @@ from .syntax import (
     pretty_system,
     rename_free,
 )
-from .system import SIn, SOut, TAU, set_fuel, system_steps
+from .system import SIn, SOut, TAU, set_fuel, spent, system_steps
 
 
 @dataclass
@@ -212,14 +212,13 @@ class Walk:
                 continue
             state = self.states[i]
             self.seeds.append(state_seed(self.seed, state))
-            notes: list[str] = []
             rng = random.Random(self.seeds[i])
-            for lab, t in system_steps(state, self.defs, self.universe, rng, notes):
+            for lab, t in system_steps(state, self.defs, self.universe, rng):
                 if on_output is not None and isinstance(lab, SOut):
                     on_output(lab.pred, lab.values)
                 self.move(i, self.intern(canon_label(lab, self.universe)), t)
-            for note in notes:
-                self.note(note)
+            if spent(state):
+                self.note("replication budget exhausted")
         return len(self.seeds) > start
 
 

@@ -412,14 +412,7 @@ class _Parser:
                 self.next()
                 pi_start = self.pos
                 # bind the variables before resolving the predicate
-                depth = 1
-                while depth:
-                    k = self.toks[self.pos].kind
-                    if k == "(":
-                        depth += 1
-                    elif k == ")":
-                        depth -= 1
-                    self.pos += 1
+                self.pos = after
                 self.expect("(")
                 vars_: list[str] = []
                 if self.peek().kind != ")":

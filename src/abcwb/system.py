@@ -17,7 +17,8 @@ name sent as a value with a y-free predicate escapes its scope (the
 binder dissolves into the label's bound names).
 
 Replication is bounded by a fuel counter carried on the node itself so
-exhaustion is part of the state; exploration reports it as truncation.
+exhaustion is part of the state: a bang out of fuel has no steps and
+``spent`` finds it, which exploration reports as truncation.
 """
 
 from __future__ import annotations
@@ -81,6 +82,15 @@ def set_fuel(sys: System, fuel: int) -> System:
     return map_children(sys, set_fuel, fuel)
 
 
+def spent(sys: System) -> bool:
+    """Whether a bang of the system has run out of replication fuel."""
+    if type(sys) is Comp:
+        return False
+    if type(sys) is Bang and sys.fuel == 0:
+        return True
+    return any(spent(c) for c in children(sys))
+
+
 def _msg_names(pred: Predicate, values) -> frozenset[str]:
     out = free_names(pred)
     for v in values:
@@ -111,33 +121,15 @@ def system_steps(
     defs: Definitions,
     universe: Universe,
     rng=None,
-    notes=None,
 ) -> list[tuple[object, System]]:
     """All output and silent steps of a closed system.
 
     Returns ``(label, successor)`` pairs with labels ``SOut`` or ``TAU``.
-    ``notes``, when given, collects truncation reasons (exhausted
-    replication fuel) as strings.
     """
-    if bound_names(sys) & free_names(sys) or _dup_nu(sys):
-        sys = freshen_binders(sys)
-    return _steps(sys, defs, universe, rng, notes)
+    return _steps(freshen_binders(sys), defs, universe, rng)
 
 
-def _dup_nu(sys: System, seen=None) -> bool:
-    """Whether two restrictions of a system bind the same name."""
-    if seen is None:
-        seen = set()
-    if type(sys) is Comp:
-        return False
-    if type(sys) is Nu:
-        if sys.name in seen:
-            return True
-        seen.add(sys.name)
-    return any(_dup_nu(c, seen) for c in children(sys))
-
-
-def _steps(sys, defs, universe, rng, notes):
+def _steps(sys, defs, universe, rng):
     if isinstance(sys, Comp):
         out = []
         for pred, values, env2, cont in output_steps(sys.env, sys.proc, defs, rng):
@@ -150,41 +142,32 @@ def _steps(sys, defs, universe, rng, notes):
 
     if isinstance(sys, SysPar):
         out = []
-        for lab, left2 in _steps(sys.left, defs, universe, rng, notes):
-            if lab is TAU:
-                out.append((TAU, SysPar(left2, sys.right)))
-            else:
-                lab, left2, sibling = _avoid_clash(lab, left2, sys.right)
-                for right2 in sys_deliver(
-                    sibling, lab.pred, lab.values, defs, universe, rng, notes
-                ):
-                    out.append((lab, SysPar(left2, right2)))
-        for lab, right2 in _steps(sys.right, defs, universe, rng, notes):
-            if lab is TAU:
-                out.append((TAU, SysPar(sys.left, right2)))
-            else:
-                lab, right2, sibling = _avoid_clash(lab, right2, sys.left)
-                for left2 in sys_deliver(
-                    sibling, lab.pred, lab.values, defs, universe, rng, notes
-                ):
-                    out.append((lab, SysPar(left2, right2)))
+        for mine, other, join in (
+            (sys.left, sys.right, SysPar),
+            (sys.right, sys.left, lambda r, l: SysPar(l, r)),
+        ):
+            for lab, mine2 in _steps(mine, defs, universe, rng):
+                if lab is TAU:
+                    out.append((TAU, join(mine2, other)))
+                    continue
+                lab, mine2 = _avoid_clash(lab, mine2, other)
+                for other2 in sys_deliver(other, lab.pred, lab.values, defs, universe, rng):
+                    out.append((lab, join(mine2, other2)))
         return out
 
     if isinstance(sys, Bang):
         if sys.fuel == 0:
-            if notes is not None:
-                notes.append("replication budget exhausted")
             return []
         fuel = None if sys.fuel is None else sys.fuel - 1
         out = []
-        for lab, inner2 in _steps(sys.inner, defs, universe, rng, notes):
+        for lab, inner2 in _steps(sys.inner, defs, universe, rng):
             out.append((lab, SysPar(inner2, Bang(sys.inner, fuel))))
         return out
 
     if isinstance(sys, Nu):
         y = sys.name
         out = []
-        for lab, inner2 in _steps(sys.inner, defs, universe, rng, notes):
+        for lab, inner2 in _steps(sys.inner, defs, universe, rng):
             if lab is TAU:
                 out.append((TAU, Nu(y, inner2)))
                 continue
@@ -223,12 +206,13 @@ def _steps(sys, defs, universe, rng, notes):
 
 
 def _avoid_clash(lab: SOut, origin: System, sibling: System):
-    """Rename extruded bound names of a label away from a sibling's names."""
+    """Rename extruded bound names of a label away from a sibling's names;
+    returns the label and its origin."""
     if not lab.bound:
-        return lab, origin, sibling
+        return lab, origin
     clashing = lab.bound & (free_names(sibling) | bound_names(sibling))
     if not clashing:
-        return lab, origin, sibling
+        return lab, origin
     pred, values, bound = lab.pred, lab.values, set(lab.bound)
     for b in sorted(clashing):
         avoid = (
@@ -244,7 +228,7 @@ def _avoid_clash(lab: SOut, origin: System, sibling: System):
         origin = rename_free(origin, b, fresh)
         bound.discard(b)
         bound.add(fresh)
-    return SOut(frozenset(bound), pred, values), origin, sibling
+    return SOut(frozenset(bound), pred, values), origin
 
 
 def sys_deliver(
@@ -254,7 +238,6 @@ def sys_deliver(
     defs: Definitions,
     universe: Universe,
     rng=None,
-    notes=None,
 ) -> list[System]:
     """All ways a system can absorb one broadcast message.
 
@@ -269,8 +252,8 @@ def sys_deliver(
         return [Comp(env2, cont) for env2, cont in got] if got else [sys]
 
     if isinstance(sys, SysPar):
-        lefts = sys_deliver(sys.left, pred, values, defs, universe, rng, notes)
-        rights = sys_deliver(sys.right, pred, values, defs, universe, rng, notes)
+        lefts = sys_deliver(sys.left, pred, values, defs, universe, rng)
+        rights = sys_deliver(sys.right, pred, values, defs, universe, rng)
         left, right = sys.left, sys.right
         return [
             sys if l is left and r is right else SysPar(l, r)
@@ -280,12 +263,10 @@ def sys_deliver(
 
     if isinstance(sys, Bang):
         if sys.fuel == 0:
-            if notes is not None:
-                notes.append("replication budget exhausted")
             return [sys]
         fuel = None if sys.fuel is None else sys.fuel - 1
         out = []
-        for inner2 in sys_deliver(sys.inner, pred, values, defs, universe, rng, notes):
+        for inner2 in sys_deliver(sys.inner, pred, values, defs, universe, rng):
             if inner2 == sys.inner:
                 # a copy that ignores the message is folded back into the bang
                 out.append(sys)
@@ -301,7 +282,7 @@ def sys_deliver(
             y = fresh
         return [
             sys if inner2 is sys.inner and y == sys.name else Nu(y, inner2)
-            for inner2 in sys_deliver(inner, pred, values, defs, universe, rng, notes)
+            for inner2 in sys_deliver(inner, pred, values, defs, universe, rng)
         ]
 
     raise TypeError(sys)

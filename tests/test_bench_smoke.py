@@ -7,6 +7,8 @@ step-generation and predicate layer; one traced bisim round reads the
 joint space ``_explore_pair`` returns, which no swarm round builds.
 """
 
+import importlib
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -31,3 +33,28 @@ def test_traced_swarm_round_is_correct():
 
 def test_traced_bisim_round_is_correct():
     assert _traced_round("bisim")["equivalence.joint_states"]["value"] > 0
+
+
+def test_every_traced_layer_is_wrapped_at_a_call_site():
+    # a layer that no other module calls reads 0 in every traced run
+    # without failing one
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    mods = {m: importlib.import_module(f"abcwb.{m}") for m in spans.CALLERS}
+    originals = {(d, f): getattr(mods[d], f) for d, f, _ in spans.TRACED}
+    holders = {
+        key: [m for m, mod in mods.items() if getattr(mod, key[1], None) is fn]
+        for key, fn in originals.items()
+    }
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        unwrapped = [
+            key
+            for key, fn in originals.items()
+            if all(getattr(mods[m], key[1]) is fn for m in holders[key])
+        ]
+    finally:
+        tracer.uninstall()
+    assert unwrapped == []

@@ -182,3 +182,63 @@ def test_deliver_total_and_exclusive_on_random_terms():
         assert isinstance(out, list)
         for got_env, got_proc in out:
             assert isinstance(got_env, AttributeEnv) and isinstance(got_proc, Process)
+
+
+# -- the order of random draws ------------------------------------------------
+
+RAND_SRC = """
+attrs: a, b
+def Q(p) = [b := rand(100)](p, rand(100))@(tt).0 + [b := rand(100)](tt)(x).0
+system:
+  {a := 0, b := 0}:
+    ((Q(rand(100)) + [a := rand(100)](rand(100))@(tt).0)
+     | ([a := rand(100)](tt)(x).0 + Q(rand(100))))
+"""
+LEFT = "(Q(rand(100)) + [a := rand(100)](rand(100))@(tt).0)"
+RIGHT = "([a := rand(100)](tt)(x).0 + Q(rand(100)))"
+RAND_PINS = {
+    0: (
+        [
+            (("49", "53"), f"{{a:=0, b:=97}}: (0 | {RIGHT})"),
+            (("65",), f"{{a:=33, b:=0}}: (0 | {RIGHT})"),
+            (("51", "61"), f"{{a:=0, b:=38}}: ({LEFT} | 0)"),
+        ],
+        [
+            f"{{a:=0, b:=53}}: (0 | {RIGHT})",
+            f"{{a:=33, b:=0}}: ({LEFT} | 0)",
+            f"{{a:=0, b:=51}}: ({LEFT} | 0)",
+        ],
+    ),
+    1: (
+        [
+            (("17", "97"), f"{{a:=0, b:=72}}: (0 | {RIGHT})"),
+            (("15",), f"{{a:=32, b:=0}}: (0 | {RIGHT})"),
+            (("97", "60"), f"{{a:=0, b:=57}}: ({LEFT} | 0)"),
+        ],
+        [
+            f"{{a:=0, b:=97}}: (0 | {RIGHT})",
+            f"{{a:=32, b:=0}}: ({LEFT} | 0)",
+            f"{{a:=0, b:=97}}: ({LEFT} | 0)",
+        ],
+    ),
+}
+
+
+def test_random_draws_follow_the_walk_order():
+    """Updates, payloads and call arguments draw where the walk reaches
+    them, branch by branch, on both sides of ``+`` and ``|``, including
+    branches whose action does not fire."""
+    from abcwb.parser import parse_program
+    from abcwb.syntax import TT, Comp, pretty_system
+
+    prog = parse_program(RAND_SRC)
+    c = prog.main
+    for k, (sends, receives) in RAND_PINS.items():
+        got = output_steps(c.env, c.proc, prog.defs, random.Random(k))
+        assert [
+            (tuple(str(v) for v in vals), pretty_system(Comp(env2, cont)))
+            for _, vals, env2, cont in got
+        ] == sends
+        assert all(pred == TT() for pred, _, _, _ in got)
+        got = deliver(c.env, c.proc, TT(), (Name("m"),), prog.defs, random.Random(k))
+        assert [pretty_system(Comp(env2, cont)) for env2, cont in got] == receives

@@ -131,9 +131,19 @@ def test_plain_restriction_passes_through():
 def test_replication_fuel_limits_unfolding():
     s = Bang(mk("{a := 1}: ('m')@(tt).0", attrs=("a",)))
     u = universe_of(s)
-    notes = []
-    assert system_steps(set_fuel(s, 0), {}, u, notes=notes) == []
-    assert notes  # ran dry, and says so
+    dry = ["replication budget exhausted"]
+    # ran dry, and the walk says so: at the top, under a restriction, and
+    # nested in a bang that still has fuel
+    assert build_lts(s, {}, u, repl_bound=0).reasons == dry
+    assert build_lts(Nu("x", s), {}, u, repl_bound=0).reasons == dry
+    nested = Bang(SysPar(Bang(s.inner, 0), s.inner))
+    assert build_lts(nested, {}, u, repl_bound=1, max_depth=1).reasons == dry + [
+        "depth bound reached"
+    ]
+    # fuel left is no reason
+    assert build_lts(s, {}, u, repl_bound=1, max_depth=1).reasons == [
+        "depth bound reached"
+    ]
     steps = system_steps(set_fuel(s, 1), {}, u)
     assert steps
 
