@@ -31,17 +31,23 @@ each.  Input variables, ``nu`` and ``rec`` parameters are crossed by one
 capture-avoiding binder rule, ``_bscope``.  Fresh names are ``_f<k>``,
 drawn per call and skipping every name of the term at hand; the parser
 rejects such reserved names.
+
+Only the lexing and parsing machinery is shared with `.abc` files: the
+text goes through ``parser.tokenize``, the parser is a ``parser._Cursor``
+and errors are ``parser.ParseError`` with a ``line:col``.  The semantics
+and the traversals above stay separate from ``syntax`` on purpose, so
+that the oracle is independent of the calculus it checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import re
 from collections import deque
 from dataclasses import dataclass, field
 
 from .attributes import TT_KEY, Universe, fingerprint
+from .parser import ParseError, _Cursor
 from .syntax import (
     Call,
     Cmp,
@@ -57,7 +63,6 @@ from .syntax import (
     Par,
     Process,
     Program,
-    RESERVED_NAME,
     Sum,
     SysPar,
     System,
@@ -305,191 +310,121 @@ def _replace_calls(p, name: str, replace, carried=frozenset()):
 # Parser for .bpi terms
 
 
-class BpiParseError(Exception):
-    pass
+class _BParser(_Cursor):
+    """Recursive-descent parser for ``.bpi`` text; each call is checked
+    against the ``rec`` binders around it as it is read."""
 
+    keywords = ("nu", "rec", "tau", "nil")
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _btokens(text: str) -> list[str]:
-    toks = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(m.group())
-            i = m.end()
-            continue
-        if c in "()<>,.|+@":
-            toks.append(c)
-            i += 1
-            continue
-        raise BpiParseError(f"unexpected character {c!r} at offset {i}")
-    toks.append("$")
-    return toks
-
-
-class _BParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self, k=0):
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, t):
-        got = self.next()
-        if got != t:
-            raise BpiParseError(f"expected {t!r}, found {got!r}")
-        return got
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.recs: dict[str, int] = {}  # the arity of each rec in scope
 
     def proc(self) -> BP:
-        lhs = self.proc_atom()
-        while self.peek() == "|":
-            self.next()
-            lhs = BPar(lhs, self.proc_atom())
+        lhs = self.component()
+        while self.accept("|"):
+            lhs = BPar(lhs, self.component())
         return lhs
+
+    def component(self) -> BP:
+        # a sum may start with nil only here: after a prefix, nil ends it
+        if self.peek().text == "nil" and self.peek(1).kind == "+":
+            return PG(self.gsum())
+        return self.proc_atom()
 
     def proc_atom(self) -> BP:
         t = self.peek()
-        if t == "nu":
+        if t.text == "nu":
             self.next()
-            name = self.ident()
+            name = self.ident_name()
             return BNu(name, self.proc_atom())
-        if t == "rec":
+        if t.text == "rec":
             self.next()
-            name = self.ident()
+            name = self.ident_name()
             params = self.name_list("(", ")")
             self.expect(".")
+            outer, self.recs = self.recs, {**self.recs, name: len(params)}
             body = self.gsum()
+            self.recs = outer
             self.expect("@")
             args = self.name_list("(", ")")
             if len(args) != len(params):
-                raise BpiParseError(f"rec {name}: arity mismatch")
+                raise ParseError(f"rec {name}: arity mismatch", t.line, t.col)
             return BRec(name, params, body, args)
-        if t == "(":
+        if t.kind == "(":
             self.next()
             p = self.proc()
             self.expect(")")
             return p
-        if t == "nil":
+        if t.text == "nil":
             self.next()
             return BNIL
-        # an identifier either starts a prefix or is a process constant call
         if self._is_prefix_start():
             return PG(self.gsum())
-        name = self.ident()
-        args = self.name_list("(", ")") if self.peek() == "(" else ()
-        return BCall(name, tuple(args))
+        # an identifier that starts no prefix calls an enclosing rec
+        name = self.ident_name()
+        args = self.name_list("(", ")") if self.peek().kind == "(" else ()
+        arity = self.recs.get(name)
+        if arity is None:
+            raise ParseError(f"call to unknown recursion variable {name!r}", t.line, t.col)
+        if arity != len(args):
+            raise ParseError(f"call to {name!r} with wrong arity", t.line, t.col)
+        return BCall(name, args)
 
     def _is_prefix_start(self) -> bool:
-        t, n = self.peek(), self.peek(1)
-        if t == "tau":
-            return True
-        return _IDENT.fullmatch(t) is not None and n in ("(", "<") and self._prefix_like()
-
-    def _prefix_like(self) -> bool:
         # a(x).P and a<v>.P have a "." after the closing bracket; a call
         # A(x) does not, and only prefixes use angle brackets
-        if self.peek(1) == "<":
+        t, nxt = self.peek(), self.peek(1).kind
+        if t.text == "tau":
             return True
-        depth = 0
-        for i in range(self.pos + 1, len(self.toks)):
-            if self.toks[i] == "(":
-                depth += 1
-            elif self.toks[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    return self.toks[i + 1] == "."
-        return False
+        return t.kind == "ident" and (
+            nxt == "<" or nxt == "(" and self.toks[self._matching_paren(self.pos + 1)].kind == "."
+        )
 
     def gsum(self) -> BG:
         lhs = self.prefix()
-        while self.peek() == "+":
-            self.next()
+        while self.accept("+"):
             lhs = GSum(lhs, self.prefix())
         return lhs
 
     def prefix(self) -> BG:
         t = self.peek()
-        if t == "nil":
+        if t.text == "nil":
             self.next()
             return GNil()
-        if t == "tau":
+        if t.text == "tau":
             self.next()
             self.expect(".")
             return GTau(self.proc_atom())
-        if t == "(":
+        if t.kind == "(":
             self.next()
             g = self.gsum()
             self.expect(")")
             return g
-        chan = self.ident()
-        if self.peek() == "(":
+        chan = self.ident_name()
+        nxt = self.peek()
+        if nxt.kind == "(":
             vars_ = self.name_list("(", ")")
             if len(set(vars_)) != len(vars_):
-                raise BpiParseError("input variables must be distinct")
+                raise ParseError("input variables must be distinct", t.line, t.col)
             self.expect(".")
-            return GIn(chan, tuple(vars_), self.proc_atom())
-        if self.peek() == "<":
+            return GIn(chan, vars_, self.proc_atom())
+        if nxt.kind == "<":
             vals = self.name_list("<", ">")
             self.expect(".")
-            return GOut(chan, tuple(vals), self.proc_atom())
-        raise BpiParseError(f"expected a prefix after {chan!r}")
+            return GOut(chan, vals, self.proc_atom())
+        raise ParseError(f"expected a prefix after {chan!r}", nxt.line, nxt.col)
 
-    def ident(self) -> str:
-        t = self.next()
-        if _IDENT.fullmatch(t) is None or t in ("nu", "rec", "tau", "nil"):
-            raise BpiParseError(f"expected an identifier, found {t!r}")
-        if RESERVED_NAME.match(t):
-            raise BpiParseError(f"identifier {t!r} is reserved")
-        return t
-
-    def name_list(self, open_, close) -> tuple[str, ...]:
+    def name_list(self, open_: str, close: str) -> tuple[str, ...]:
         self.expect(open_)
-        out = []
-        if self.peek() != close:
-            out.append(self.ident())
-            while self.peek() == ",":
-                self.next()
-                out.append(self.ident())
-        self.expect(close)
-        return tuple(out)
+        return self.items(self.ident_name, close)
 
 
 def parse_bpi(text: str) -> BP:
-    p = _BParser(_btokens(text))
+    p = _BParser(text)
     term = p.proc()
-    if p.peek() != "$":
-        raise BpiParseError(f"trailing input at token {p.peek()!r}")
-    _check_calls(term, {})
+    p.expect("eof")
     return term
-
-
-def _check_calls(p, recs: dict[str, int]):
-    if isinstance(p, BCall):
-        if p.name not in recs:
-            raise BpiParseError(f"call to unknown recursion variable {p.name!r}")
-        if recs[p.name] != len(p.args):
-            raise BpiParseError(f"call to {p.name!r} with wrong arity")
-    if isinstance(p, BRec):
-        recs = {**recs, p.name: len(p.params)}
-    for child in _bchildren(p):
-        _check_calls(child, recs)
 
 
 # ---------------------------------------------------------------------------
@@ -962,9 +897,10 @@ def check_name_invariance(p: BP) -> bool:
     renamings = [{n: f"{n}_r" for n in fn}] if fn else []
     if len(fn) >= 2:
         renamings.append(dict(zip(fn, fn[1:] + fn[:1])))
+    encoded, _ = encode(p)
     for sigma in renamings:
         lhs, _ = encode(bsubst(p, sigma))
-        rhs, _ = encode(p)
+        rhs = encoded
         # simultaneous renaming: go through temporaries so chained maps
         # like a->b, b->a do not collapse; they avoid every name of rhs,
         # so that no binder of it is captured

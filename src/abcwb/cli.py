@@ -19,7 +19,6 @@ from .bpi import (
     check_name_invariance,
     encode_program,
     parse_bpi,
-    BpiParseError,
 )
 from .equivalence import barbs, bisimilar
 from .explorer import (
@@ -269,7 +268,7 @@ def _dispatch(args) -> int:
         except FileNotFoundError:
             print(f"error: no such file: {args.file}", file=_sys.stderr)
             return 3
-        except (BpiParseError, ValueError) as e:
+        except (ParseError, ValueError) as e:
             print(f"error: {args.file}: {e}", file=_sys.stderr)
             return 3
         if args.cmd == "encode":

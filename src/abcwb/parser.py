@@ -11,9 +11,14 @@ Layout of a file::
 Process syntax: output ``(E, ...)@(Pi).P``, input ``(Pi)(x, ...).P``,
 update ``[a := E, ...]P``, awareness ``<Pi>P``, choice ``+``, process
 parallel ``|``.  System syntax: ``{a := v, ...}: P``, ``||``, ``!C``,
-``nu x C``.  Name literals are quoted (``'qry'``); a bare identifier in an
-expression is a bound variable if one is in scope, else a declared
-attribute, else an error.
+``nu x C``.  Name literals are quoted (``'qry'``) and end on their line;
+a bare identifier in an expression is a bound variable if one is in
+scope, else an attribute, which the file must declare somewhere.
+
+One lexer, ``tokenize``, reads both `.abc` and broadcast-pi `.bpi` text,
+and both parsers share one token cursor and one ``ParseError``, which
+gives a ``line:col``.  A file is read in one pass: attributes used before
+their declaration are checked at the end of the text.
 """
 
 from __future__ import annotations
@@ -65,104 +70,71 @@ from .syntax import (
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int, expected=()):
+    def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
-        self.expected = tuple(expected)
 
 
 class ResolveError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
-    kind: str  # ident, int, name, punct, eof
-    text: str
+    kind: str  # ident, int, name, eof, or the punctuation itself
+    text: str  # the lexeme; a name literal keeps its quotes
     line: int
     col: int
 
 
-_PUNCT = [
-    "||", "&&", ":=", "!=", "<=", ">=", "(", ")", "{", "}", "[", "]",
-    "<", ">", ",", ".", ":", "@", "+", "-", "*", "|", "!", "=",
-]
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"\d+")
+# One alternative per token class, tried in order; whitespace and comments
+# match no named group.  A name literal ends on its own line.
+_TOKEN = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<name>'[^'\n]*')|(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>\|\||&&|:=|!=|<=|>=|[(){}\[\]<>,.:@+*|!=-])"
+    r"|(?P<bad>.)"
+)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``.abc`` or ``.bpi`` text, ending in one ``eof``."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, start = 1, 0  # ``start``: offset of the current line
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
+            start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise ParseError("unterminated name literal", line, col)
-            toks.append(Token("name", text[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        m = _INT.match(text, i)
-        if m:
-            toks.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            toks.append(Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token(p, p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        lexeme = m.group()
+        if kind == "punct":
+            kind = lexeme
+        elif kind == "bad":
+            if lexeme == "'":
+                raise ParseError("unterminated name literal", line, m.start() - start + 1)
+            raise ParseError(f"unexpected character {lexeme!r}", line, m.start() - start + 1)
+        toks.append(Token(kind, lexeme, line, m.start() - start + 1))
+    toks.append(Token("eof", "", line, len(text) - start + 1))
     return toks
 
 
-class _Parser:
-    """Recursive-descent parser over the token list.
+class _Cursor:
+    """A position in the token list of one text, and the token methods
+    both recursive-descent parsers share."""
 
-    Expressions resolve identifiers immediately: the parser threads a
-    stack of bound variables and the declared attribute set.
-    """
+    keywords: tuple[str, ...] = ()  # identifiers that may not name anything
 
-    def __init__(self, toks: list[Token], attrs: set[str]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.toks = tokenize(text)
+        self.toks.append(self.toks[-1])  # so that peek(1) at the end is eof
         self.pos = 0
-        self.attrs = attrs
-        self.scope: list[str] = []  # input-bound variables
-        self.nuscope: list[str] = []  # restriction-bound names
-
-    # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -170,22 +142,34 @@ class _Parser:
         return t
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text!r}", t.line, t.col, (kind,))
-        return self.next()
+            raise ParseError(f"expected {kind!r}, found {t.text!r}", t.line, t.col)
+        self.pos += 1
+        return t
 
     def accept(self, kind: str) -> bool:
-        if self.peek().kind == kind:
-            self.next()
+        if self.toks[self.pos].kind == kind:
+            self.pos += 1
             return True
         return False
+
+    def items(self, item, close: str) -> tuple:
+        """Comma-separated ``item()`` results up to the token ``close``,
+        which is consumed."""
+        out = []
+        if self.toks[self.pos].kind != close:
+            out.append(item())
+            while self.accept(","):
+                out.append(item())
+        self.expect(close)
+        return tuple(out)
 
     def _matching_paren(self, start: int) -> int:
         """Index of the token after the `)` matching the `(` at ``start``."""
         depth = 0
         i = start
-        while i < len(self.toks):
+        while True:
             k = self.toks[i].kind
             if k == "(":
                 depth += 1
@@ -199,20 +183,53 @@ class _Parser:
         t = self.toks[start]
         raise ParseError("unbalanced parenthesis", t.line, t.col)
 
-    # -- values and expressions --------------------------------------------
-
     def ident_name(self) -> str:
         t = self.expect("ident")
+        if t.text in self.keywords:
+            raise ParseError(f"expected an identifier, found {t.text!r}", t.line, t.col)
         if RESERVED_NAME.match(t.text):
             raise ParseError(f"identifier {t.text!r} is reserved", t.line, t.col)
         return t.text
 
+
+class _Parser(_Cursor):
+    """Recursive-descent parser for ``.abc`` text, in one pass.
+
+    Expressions resolve identifiers as they are read: the parser threads
+    a stack of bound variables and the set of attributes declared so far
+    (the ``attrs:`` header, environment keys and update targets).  A bare
+    identifier that is neither bound nor declared yet reads as an
+    attribute; ``finish`` refuses it if the text never declares it.
+    """
+
+    def __init__(self, text: str, attrs: set[str]):
+        super().__init__(text)
+        self.attrs = attrs
+        self.scope: list[str] = []  # input-bound variables
+        self.nuscope: list[str] = []  # restriction-bound names
+        self.undeclared: list[Token] = []  # uses of names not declared yet
+
+    def finish(self) -> None:
+        """Demand the end of the text and a declaration of every
+        attribute read before its name was declared."""
+        self.expect("eof")
+        for t in self.undeclared:
+            if t.text not in self.attrs:
+                raise ResolveError(
+                    f"{t.line}:{t.col}: unresolvable identifier {t.text!r} "
+                    "(neither a bound variable nor a declared attribute)"
+                )
+
+    # -- values and expressions --------------------------------------------
+
     def value(self) -> Value:
         t = self.peek()
         if t.kind == "name":
-            if RESERVED_NAME.match(t.text):
-                raise ParseError(f"name {t.text!r} is reserved", t.line, t.col)
-            return Name(self.next().text)
+            self.next()
+            name = t.text[1:-1]
+            if RESERVED_NAME.match(name):
+                raise ParseError(f"name {name!r} is reserved", t.line, t.col)
+            return Name(name)
         if t.kind == "int":
             return Int(int(self.next().text))
         if t.kind == "-" and self.peek(1).kind == "int":
@@ -223,13 +240,7 @@ class _Parser:
             return TRUE if t.text == "tt" else FALSE
         if t.kind == "<":
             self.next()
-            items = []
-            if self.peek().kind != ">":
-                items.append(self.value())
-                while self.accept(","):
-                    items.append(self.value())
-            self.expect(">")
-            return TupleV(tuple(items))
+            return TupleV(self.items(self.value, ">"))
         raise ParseError(f"expected a value, found {t.text!r}", t.line, t.col)
 
     def expr(self) -> Expression:
@@ -271,12 +282,9 @@ class _Parser:
                 return Var(name)
             if name in self.nuscope:
                 return Lit(Name(name))
-            if name in self.attrs:
-                return Attr(name)
-            raise ResolveError(
-                f"{t.line}:{t.col}: unresolvable identifier {name!r} "
-                "(neither a bound variable nor a declared attribute)"
-            )
+            if name not in self.attrs:
+                self.undeclared.append(t)
+            return Attr(name)
         raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
 
     # -- predicates --------------------------------------------------------
@@ -395,18 +403,13 @@ class _Parser:
             if nxt == "@":
                 # output prefix (E, ...)@(Pi).P
                 self.next()
-                exprs = []
-                if self.peek().kind != ")":
-                    exprs.append(self.expr())
-                    while self.accept(","):
-                        exprs.append(self.expr())
-                self.expect(")")
+                exprs = self.items(self.expr, ")")
                 self.expect("@")
                 self.expect("(")
                 pi = self.pred()
                 self.expect(")")
                 self.expect(".")
-                return Out(tuple(exprs), pi, self.proc_prefix())
+                return Out(exprs, pi, self.proc_prefix())
             if nxt == "(":
                 # input prefix (Pi)(x, ...).P
                 self.next()
@@ -414,12 +417,7 @@ class _Parser:
                 # bind the variables before resolving the predicate
                 self.pos = after
                 self.expect("(")
-                vars_: list[str] = []
-                if self.peek().kind != ")":
-                    vars_.append(self.ident_name())
-                    while self.accept(","):
-                        vars_.append(self.ident_name())
-                self.expect(")")
+                vars_ = self.items(self.ident_name, ")")
                 if len(set(vars_)) != len(vars_):
                     raise ResolveError(
                         f"{t.line}:{t.col}: input variables must be pairwise distinct"
@@ -433,7 +431,7 @@ class _Parser:
                 self.expect(".")
                 cont = self.proc_prefix()
                 del self.scope[len(self.scope) - len(vars_) :]
-                return In(pi, tuple(vars_), cont)
+                return In(pi, vars_, cont)
             # parenthesized process
             self.next()
             p = self.proc()
@@ -441,14 +439,8 @@ class _Parser:
             return p
         if t.kind == "ident":
             name = self.ident_name()
-            args: list[Expression] = []
-            if self.accept("("):
-                if self.peek().kind != ")":
-                    args.append(self.expr())
-                    while self.accept(","):
-                        args.append(self.expr())
-                self.expect(")")
-            return Call(name, tuple(args))
+            args = self.items(self.expr, ")") if self.accept("(") else ()
+            return Call(name, args)
         raise ParseError(f"expected a process, found {t.text!r}", t.line, t.col)
 
     def assign(self) -> tuple[str, Expression]:
@@ -482,12 +474,7 @@ class _Parser:
             return Nu(name, inner)
         if t.kind == "{":
             self.next()
-            bindings: list[tuple[str, Value]] = []
-            if self.peek().kind != "}":
-                bindings.append(self.env_binding())
-                while self.accept(","):
-                    bindings.append(self.env_binding())
-            self.expect("}")
+            bindings = self.items(self.env_binding, "}")
             self.expect(":")
             for a, _ in bindings:
                 self.attrs.add(a)
@@ -505,75 +492,36 @@ class _Parser:
         return (a, self.value())
 
 
-def _collect_declared_attrs(toks: list[Token]) -> set[str]:
-    """Pre-scan for the attrs: header, environment keys and update targets."""
-    attrs: set[str] = set()
-    i = 0
-    while toks[i].kind != "eof":
-        t = toks[i]
-        if t.kind == "ident" and t.text == "attrs" and toks[i + 1].kind == ":":
-            i += 2
-            while toks[i].kind == "ident":
-                attrs.add(toks[i].text)
-                i += 1
-                if toks[i].kind == ",":
-                    i += 1
-                else:
-                    break
-            continue
-        if t.kind in ("{",):
-            j = i + 1
-            while toks[j].kind not in ("}", "eof"):
-                if toks[j].kind == "ident" and toks[j + 1].kind == ":=":
-                    attrs.add(toks[j].text)
-                j += 1
-        if t.kind == "ident" and toks[i + 1].kind == ":=":
-            # update target `[a := E]` or `this.a := E`
-            attrs.add(t.text)
-        i += 1
-    return attrs
-
-
 def parse_program(text: str) -> Program:
     """Parse a full `.abc` file into a resolved program."""
-    toks = tokenize(text)
-    attrs = _collect_declared_attrs(toks)
-    p = _Parser(toks, attrs)
-
-    # skip the attrs: header (already collected)
-    if p.peek().kind == "ident" and p.peek().text == "attrs" and p.peek(1).kind == ":":
-        p.next()
-        p.next()
-        p.ident_name()
+    p = _Parser(text, set())
+    if p.peek().text == "attrs" and p.peek(1).kind == ":":
+        p.pos += 2
+        p.attrs.add(p.ident_name())
         while p.accept(","):
-            p.ident_name()
+            p.attrs.add(p.ident_name())
 
     defs: dict[str, tuple[tuple[str, ...], Process]] = {}
-    while p.peek().kind == "ident" and p.peek().text == "def":
+    while p.peek().text == "def":
         p.next()
         name = p.ident_name()
-        params: list[str] = []
         p.expect("(")
-        if p.peek().kind != ")":
-            params.append(p.ident_name())
-            while p.accept(","):
-                params.append(p.ident_name())
-        p.expect(")")
+        params = p.items(p.ident_name, ")")
         p.expect("=")
         if name in defs:
             raise ResolveError(f"duplicate definition {name!r}")
         p.scope.extend(params)
         body = p.proc()
         del p.scope[len(p.scope) - len(params) :]
-        defs[name] = (tuple(params), body)
+        defs[name] = (params, body)
 
     t = p.peek()
-    if not (t.kind == "ident" and t.text == "system"):
-        raise ParseError("expected a 'system:' block", t.line, t.col, ("system",))
+    if t.text != "system":
+        raise ParseError("expected a 'system:' block", t.line, t.col)
     p.next()
     p.expect(":")
     main = p.system()
-    p.expect("eof")
+    p.finish()
 
     program = Program(defs, main, frozenset(p.attrs))
     _resolve_calls(program)
@@ -582,23 +530,19 @@ def parse_program(text: str) -> Program:
 
 def parse_system(text: str, defs=None, attrs=()) -> System:
     """Parse a bare system term (used by tests and inline CLI input)."""
-    toks = tokenize(text)
-    declared = _collect_declared_attrs(toks) | set(attrs)
-    p = _Parser(toks, declared)
+    p = _Parser(text, set(attrs))
     sys = p.system()
-    p.expect("eof")
-    program = Program(dict(defs or {}), sys, frozenset(declared))
+    p.finish()
+    program = Program(dict(defs or {}), sys, frozenset(p.attrs))
     _resolve_calls(program)
     return sys
 
 
 def parse_process(text: str, attrs=(), scope=()) -> Process:
-    toks = tokenize(text)
-    declared = _collect_declared_attrs(toks) | set(attrs)
-    p = _Parser(toks, declared)
+    p = _Parser(text, set(attrs))
     p.scope.extend(scope)
     proc = p.proc()
-    p.expect("eof")
+    p.finish()
     return proc
 
 

@@ -85,3 +85,95 @@ def _guard(rng, depth, pool, outer, recs):
     if k == 3:
         return GTau(_cont(rng, depth - 1, pool, outer, recs))
     return GSum(_guard(rng, depth - 1, pool, outer, recs), _guard(rng, depth - 1, pool, outer, recs))
+
+
+# Separators put between the tokens of a shown term; the empty one is
+# replaced by a space between two words, and the comments hold tokens
+# that must be skipped.
+_SEPS = ("", " ", "  ", "\n", "\t", " # note\n", "\n# ( | + nil\n  ")
+
+
+def show(term, rng: random.Random) -> str:
+    """Concrete ``.bpi`` text that parses to ``term``, with random
+    spaces, newlines and comments between its tokens and random
+    parentheses around its processes."""
+    toks = _show_proc(term, rng)
+    out = [toks[0]]
+    for prev, tok in zip(toks, toks[1:]):
+        sep = rng.choice(_SEPS)
+        if not sep and prev[-1].isalnum() and tok[0].isalnum():
+            sep = " "
+        out += (sep, tok)
+    return "".join(out)
+
+
+def _names(open_, names, close):
+    toks = [open_]
+    for i, n in enumerate(names):
+        toks += [","] * (i > 0) + [n]
+    return toks + [close]
+
+
+def _show_proc(p, rng):
+    if isinstance(p, BPar):
+        return _show_proc(p.left, rng) + ["|"] + _show_component(p.right, rng)
+    return _show_component(p, rng)
+
+
+def _show_component(p, rng):
+    # only a whole component may be a sum that starts with nil
+    if isinstance(p, PG) and rng.random() < 0.8:
+        return _show_sum(p.g, rng, False)
+    return _show_atom(p, rng, False)
+
+
+def _leading_nil(p):
+    """Whether ``p`` is a sum whose first summand is nil."""
+    if not (isinstance(p, PG) and isinstance(p.g, GSum)):
+        return False
+    g = p.g
+    while isinstance(g, GSum):
+        g = g.left
+    return isinstance(g, GNil)
+
+
+def _ends_open(p):
+    """Whether a ``+`` after ``p`` would add to a sum inside it."""
+    if isinstance(p, BNu):
+        return _ends_open(p.inner)
+    return isinstance(p, PG) and not isinstance(p.g, GNil)
+
+
+def _show_atom(p, rng, tail):
+    """A term the parser reads as one continuation; ``tail`` tells
+    whether a ``+`` follows it."""
+    if (isinstance(p, BPar) or (tail and _ends_open(p)) or _leading_nil(p)
+            or rng.random() < 0.2):
+        return ["("] + _show_proc(p, rng) + [")"]
+    if isinstance(p, BNu):
+        return ["nu", p.name] + _show_atom(p.inner, rng, tail)
+    if isinstance(p, BRec):
+        return (["rec", p.name] + _names("(", p.params, ")") + ["."]
+                + _show_sum(p.body, rng, False) + ["@"] + _names("(", p.args, ")"))
+    if isinstance(p, BCall):
+        if not p.args and rng.random() < 0.5:
+            return [p.name]
+        return [p.name] + _names("(", p.args, ")")
+    return _show_sum(p.g, rng, tail)
+
+
+def _show_sum(g, rng, tail):
+    if isinstance(g, GSum):
+        if isinstance(g.right, GSum):
+            right = ["("] + _show_sum(g.right, rng, False) + [")"]
+        else:
+            right = _show_sum(g.right, rng, tail)
+        return _show_sum(g.left, rng, True) + ["+"] + right
+    if isinstance(g, GNil):
+        return ["nil"]
+    cont = _show_atom(g.cont, rng, tail)
+    if isinstance(g, GTau):
+        return ["tau", "."] + cont
+    if isinstance(g, GOut):
+        return [g.chan] + _names("<", g.vals, ">") + ["."] + cont
+    return [g.chan] + _names("(", g.vars, ")") + ["."] + cont

@@ -35,6 +35,11 @@ def test_traced_bisim_round_is_correct():
     assert _traced_round("bisim")["equivalence.joint_states"]["value"] > 0
 
 
+def test_traced_encoding_round_is_correct():
+    # the encoding set-up is the benchmark's one path through parse_bpi
+    assert _traced_round("encoding")["bpi.pairs"]["value"] > 0
+
+
 def test_every_traced_layer_is_wrapped_at_a_call_site():
     # a layer that no other module calls reads 0 in every traced run
     # without failing one

@@ -14,7 +14,6 @@ from abcwb.bpi import (
     BCall,
     BRec,
     BTAU,
-    BpiParseError,
     abc_divergent,
     bpi_barbs,
     bpi_divergent,
@@ -26,7 +25,8 @@ from abcwb.bpi import (
     encode,
     parse_bpi,
 )
-from bpigen import gen_term
+from bpigen import gen_term, show
+from abcwb.parser import ParseError
 from abcwb.attributes import Universe, satisfies
 from abcwb.syntax import (
     Cmp,
@@ -161,16 +161,52 @@ def test_extruding_a_shadowing_restriction_keeps_the_outer_one():
 
 
 def test_parse_error_reported():
-    with pytest.raises(BpiParseError):
+    with pytest.raises(ParseError):
         parse_bpi("a<v.nil")
-    with pytest.raises(BpiParseError):
+    with pytest.raises(ParseError):
         parse_bpi("rec A(x). nil @ ()")  # wrong call arity
 
 
+def test_parse_errors_give_line_and_column():
+    with pytest.raises(ParseError) as exc:
+        parse_bpi("a<v>.nil\n| b(x).x<w.nil\n")
+    assert (exc.value.line, exc.value.col) == (2, 11)
+    assert str(exc.value) == "2:11: expected '>', found '.'"
+
+
+@pytest.mark.parametrize("text", ["a<'v'>.nil", "a<1>.nil", "a<v>.nil || b<v>.nil"])
+def test_tokens_of_the_abc_syntax_are_refused(text):
+    with pytest.raises(ParseError):
+        parse_bpi(text)
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("rec A(x). a<x>.A(x, x) @ (v)", "call to 'A' with wrong arity", 16),
+    ("rec A(x). a<x>.B(x) @ (v)", "call to unknown recursion variable 'B'", 16),
+    # a call outside its rec is unknown there
+    ("rec A(). a<v>.A() @ () | A()", "call to unknown recursion variable 'A'", 26),
+    # an inner rec of the same name shadows the outer arity
+    ("rec A(x). a<x>. rec A(). b<v>.A(x) @ () @ (v)", "call to 'A' with wrong arity", 31),
+])
+def test_calls_are_checked_at_the_call(text, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse_bpi(text)
+    assert str(exc.value) == f"1:{col}: {message}"
+
+
+def test_printed_terms_parse_back():
+    # spaces, newlines, comments and parentheses between tokens change
+    # nothing; ``nil + P`` reads as a sum where it is a whole component
+    for seed in range(300):
+        term = gen_term(random.Random(seed), 4)
+        text = show(term, random.Random(seed))
+        assert parse_bpi(text) == term, (seed, text)
+
+
 def test_reserved_names_are_rejected():
-    with pytest.raises(BpiParseError, match="reserved"):
+    with pytest.raises(ParseError, match="reserved"):
         parse_bpi("a(_f0).b<_f0, c>.nil | a<c>.nil")
-    with pytest.raises(BpiParseError, match="reserved"):
+    with pytest.raises(ParseError, match="reserved"):
         parse_bpi("nu _n1 (a<_n1>.nil)")
 
 

@@ -144,7 +144,8 @@ def test_check_encoding_ok(corpus_dir, capsys):
 
 @pytest.mark.parametrize("cmd", ["encode", "check-encoding"])
 @pytest.mark.parametrize("text, message", [
-    ("a(_f0).b<_f0, c>.nil | a<c>.nil", "identifier '_f0' is reserved"),
+    pytest.param("a(_f0).b<_f0, c>.nil | a<c>.nil", "1:3: identifier '_f0' is reserved",
+                 id="a(_f0).b<_f0, c>.nil | a<c>.nil-identifier '_f0' is reserved"),
     ("a(x).nu k x<k>.nil", "restriction under a prefix has no image"),
 ])
 def test_encoding_refuses_a_term_with_exit_3(tmp_path, capsys, cmd, text, message):

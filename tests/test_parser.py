@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from abcwb.parser import ParseError, ResolveError, parse_process, parse_program, parse_system
 from abcwb.syntax import (
+    Attr,
     Aware,
     Bool,
     Cmp,
@@ -65,6 +66,38 @@ def test_parse_error_has_position():
         parse_process("('m')@(tt.0")
     assert exc.value.line == 1
     assert exc.value.col > 0
+
+
+def test_name_literal_ends_on_its_line():
+    with pytest.raises(ParseError) as exc:
+        parse_system("{a := 'x\ny'}: 0")
+    assert str(exc.value) == "1:7: unterminated name literal"
+    # positions after a one-line literal stay on their own lines
+    with pytest.raises(ParseError) as exc:
+        parse_system("{a := 'x'}:\n\n\n)")
+    assert (exc.value.line, exc.value.col) == (4, 1)
+
+
+def test_attribute_declared_in_the_system_resolves_in_a_def_above_it():
+    text = "def D() = (late)@(tt).[other := 1]0\nsystem:\n  {late := 1}: D()\n"
+    prog = parse_program(text)
+    assert prog.defs["D"][1].exprs == (Attr("late"),)
+    assert prog.attrs == {"late", "other"}
+
+
+def test_undeclared_attribute_is_reported_at_its_first_use():
+    text = "attrs: a\n\ndef D() = (a, ghost)@(tt).0\n\nsystem:\n  {a := 1}: (ghost)@(tt).D()\n"
+    with pytest.raises(ResolveError) as exc:
+        parse_program(text)
+    assert str(exc.value) == (
+        "3:15: unresolvable identifier 'ghost' "
+        "(neither a bound variable nor a declared attribute)"
+    )
+
+
+def test_a_syntax_error_is_reported_before_an_undeclared_attribute():
+    with pytest.raises(ParseError, match="^3:1: expected a system"):
+        parse_program("def D() = (ghost)@(tt).0\nsystem: {a := 1}: D() ||\n")
 
 
 def test_reserved_identifiers_rejected():
