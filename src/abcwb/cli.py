@@ -188,7 +188,7 @@ def _dispatch(args) -> int:
     if args.cmd == "barbs":
         prog = _load(args.file)
         universe = Universe.for_program(prog)
-        for fp, arity in sorted(barbs(prog.main, prog.defs, universe)):
+        for fp, arity in sorted(barbs(prog.main, prog.defs, universe, args.seed)):
             print(f"barb: arity {arity}, predicate key {fp}")
         return 0
 

@@ -14,9 +14,17 @@ The joint space is an integer graph built once by the explorer's
 breadth-first ``Walk`` from both roots: states are numbered in discovery
 order and canonical labels are interned to numbers (tau is 0).  This
 module adds only the stimulus pool and the loop that offers it.  Most
-stimuli are discarded by every component; ``sys_deliver`` then hands
-back the state object itself, which the walk records as a self-loop
-without canonicalising or hashing a term.
+stimuli are discarded by every component of a state, and the states
+share few distinct components, so the loop asks each distinct component
+once which stimuli it receives and keeps the answers for the call.  A
+stimulus that no component of a state receives is recorded as a
+self-loop, as ``sys_deliver`` would hand back the state itself; every
+other stimulus goes through ``sys_deliver``.  Two guards keep the
+shortcut exact.  A stimulus that mentions a name the state's
+restrictions bind takes the full path, because delivery renames that
+restriction first.  And a program that mentions ``rand`` offers every
+stimulus in full, because a discard can still draw from the state's
+generator: an update is evaluated before the walk finds no receive.
 
 Bisimilarity is computed by partition refinement over that graph: start
 from one block and split blocks by the set of (label, target block)
@@ -33,6 +41,7 @@ import random
 from dataclasses import dataclass, field
 
 from .attributes import Universe, fingerprint, UniverseTooLarge
+from .component import deliver
 from .explorer import TAU_LABEL, Walk, canon_label, label_text, state_rng
 from .syntax import (
     AttributeEnv,
@@ -45,24 +54,30 @@ from .syntax import (
     Nu,
     Out,
     Predicate,
+    Rand,
     SysPar,
     System,
     TT_,
     Value,
     canonicalize,
     children,
+    free_names,
     has_binders,
+    names_in_value,
     pretty_system,
     value_sort_key,
 )
 from .system import SIn, SOut, set_fuel, sys_deliver, system_steps
 
 
-def barbs(sys: System, defs: Definitions, universe: Universe = None) -> set:
-    """Immediate observables: fingerprints and arities of enabled sends."""
+def barbs(
+    sys: System, defs: Definitions, universe: Universe = None, seed: int = 0
+) -> set:
+    """Immediate observables: fingerprints and arities of enabled sends,
+    with ``rand`` drawn as a run under ``seed`` draws it."""
     if universe is None:
         universe = Universe.for_systems([sys], defs)
-    rng = state_rng(0, sys)
+    rng = state_rng(seed, sys)
     out = set()
     for lab, _ in system_steps(sys, defs, universe, rng):
         if isinstance(lab, SOut):
@@ -78,6 +93,23 @@ def _input_arities(node) -> set[int]:
     if type(node) is In:
         out.add(len(node.vars))
     return out
+
+
+def _draws(node) -> bool:
+    """Whether a term mentions ``rand``."""
+    return type(node) is Rand or any(map(_draws, children(node)))
+
+
+def _parts(sys: System, comps: set, bound: set) -> None:
+    """Add a state's components to ``comps`` and the names its
+    restrictions bind to ``bound``."""
+    if type(sys) is Comp:
+        comps.add(sys)
+        return
+    if type(sys) is Nu:
+        bound.add(sys.name)
+    for c in children(sys):
+        _parts(c, comps, bound)
 
 
 DEFAULT_MESSAGE_BUDGET = 2000
@@ -142,8 +174,8 @@ def _explore_pair(
     walk = Walk(roots, defs, universe, seed=seed, repl_bound=repl_bound,
                 max_states=max_states)
 
-    # (predicate, values, label number) of every stimulus, in offer order
-    messages: list[tuple[Predicate, tuple[Value, ...], int]] = []
+    # (predicate, values, label number, names) of every stimulus, in offer order
+    messages: list[tuple[Predicate, tuple[Value, ...], int, frozenset[str]]] = []
 
     def add_message(pred, vals):
         key = canon_label(SIn(pred, vals), universe)
@@ -152,11 +184,16 @@ def _explore_pair(
         if len(messages) >= message_budget:
             walk.note("stimulus budget exhausted")
             return
-        messages.append((pred, vals, walk.intern(key)))
+        names = free_names(pred).union(*map(names_in_value, vals))
+        messages.append((pred, vals, walk.intern(key), names))
 
     for pred, vals in stimulus_messages(roots, defs, universe, message_budget):
         add_message(pred, vals)  # the baseline never exceeds the budget
 
+    # a discard may still draw (an update is evaluated before the walk
+    # finds no receive), so with ``rand`` every stimulus takes the full path
+    table = not any(map(_draws, (*roots, *(body for _, body in defs.values()))))
+    heard: dict[Comp, tuple[int, set[int]]] = {}  # stimuli offered, received
     offered: list[int] = []  # how many stimuli each state has seen
     while True:
         progressed = walk.step(add_message)
@@ -167,7 +204,24 @@ def _explore_pair(
                 continue
             progressed = True
             s, rng = walk.states[i], random.Random(walk.seeds[i])
-            for pred, vals, k in messages[n:]:
+            # without the table every stimulus counts as received
+            received, bound = range(n, len(messages)), set()
+            if table:
+                comps, received = set(), set()
+                _parts(s, comps, bound)
+                for c in comps:
+                    seen, got = heard.get(c, (0, set()))
+                    for m in range(seen, len(messages)):
+                        pred, vals, _, _ = messages[m]
+                        if deliver(c.env, c.proc, pred, vals, defs):
+                            got.add(m)
+                    heard[c] = (len(messages), got)
+                    received |= got
+            for m in range(n, len(messages)):
+                pred, vals, k, names = messages[m]
+                if m not in received and bound.isdisjoint(names):
+                    walk.move(i, k, s)  # every component discards: a self-loop
+                    continue
                 for t in sys_deliver(s, pred, vals, defs, universe, rng):
                     walk.move(i, k, t)
             offered[i] = len(messages)

@@ -18,7 +18,8 @@ scope, else an attribute, which the file must declare somewhere.
 One lexer, ``tokenize``, reads both `.abc` and broadcast-pi `.bpi` text,
 and both parsers share one token cursor and one ``ParseError``, which
 gives a ``line:col``.  A file is read in one pass: attributes used before
-their declaration are checked at the end of the text.
+their declaration, and calls to definitions, are checked at the end of
+the text, at the token that used them.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ from .syntax import (
     Upd,
     Value,
     Var,
-    children,
-    free_names,
 )
 
 
@@ -208,6 +207,19 @@ class _Parser(_Cursor):
         self.scope: list[str] = []  # input-bound variables
         self.nuscope: list[str] = []  # restriction-bound names
         self.undeclared: list[Token] = []  # uses of names not declared yet
+        self.calls: list[tuple[Token, int]] = []  # each call's name and arity
+
+    def check_calls(self, defs) -> None:
+        """Check every call read so far against ``defs`` (name and arity)."""
+        for t, arity in self.calls:
+            if t.text not in defs:
+                raise ResolveError(f"{t.line}:{t.col}: unknown definition {t.text!r}")
+            params, _ = defs[t.text]
+            if len(params) != arity:
+                raise ResolveError(
+                    f"{t.line}:{t.col}: call to {t.text!r} with {arity} argument(s), "
+                    f"definition takes {len(params)}"
+                )
 
     def finish(self) -> None:
         """Demand the end of the text and a declaration of every
@@ -440,6 +452,7 @@ class _Parser(_Cursor):
         if t.kind == "ident":
             name = self.ident_name()
             args = self.items(self.expr, ")") if self.accept("(") else ()
+            self.calls.append((t, len(args)))
             return Call(name, args)
         raise ParseError(f"expected a process, found {t.text!r}", t.line, t.col)
 
@@ -504,12 +517,13 @@ def parse_program(text: str) -> Program:
     defs: dict[str, tuple[tuple[str, ...], Process]] = {}
     while p.peek().text == "def":
         p.next()
+        t = p.peek()
         name = p.ident_name()
         p.expect("(")
         params = p.items(p.ident_name, ")")
         p.expect("=")
         if name in defs:
-            raise ResolveError(f"duplicate definition {name!r}")
+            raise ResolveError(f"{t.line}:{t.col}: duplicate definition {name!r}")
         p.scope.extend(params)
         body = p.proc()
         del p.scope[len(p.scope) - len(params) :]
@@ -522,10 +536,8 @@ def parse_program(text: str) -> Program:
     p.expect(":")
     main = p.system()
     p.finish()
-
-    program = Program(defs, main, frozenset(p.attrs))
-    _resolve_calls(program)
-    return program
+    p.check_calls(defs)
+    return Program(defs, main, frozenset(p.attrs))
 
 
 def parse_system(text: str, defs=None, attrs=()) -> System:
@@ -533,8 +545,7 @@ def parse_system(text: str, defs=None, attrs=()) -> System:
     p = _Parser(text, set(attrs))
     sys = p.system()
     p.finish()
-    program = Program(dict(defs or {}), sys, frozenset(p.attrs))
-    _resolve_calls(program)
+    p.check_calls(defs or {})
     return sys
 
 
@@ -544,39 +555,3 @@ def parse_process(text: str, attrs=(), scope=()) -> Process:
     proc = p.proc()
     p.finish()
     return proc
-
-
-def _resolve_calls(program: Program) -> None:
-    """Check every call against the definition table (names and arity)."""
-
-    def walk(node):
-        if type(node) is Call:
-            if node.name not in program.defs:
-                raise ResolveError(f"unknown definition {node.name!r}")
-            params, _ = program.defs[node.name]
-            if len(params) != len(node.args):
-                raise ResolveError(
-                    f"call to {node.name!r} with {len(node.args)} argument(s), "
-                    f"definition takes {len(params)}"
-                )
-        for child in children(node):
-            walk(child)
-
-    for name, (params, body) in program.defs.items():
-        walk(body)
-        fv = free_names(body) - set(params)
-        # free *variables* must be covered by the parameters; bare name
-        # literals are values, not variables, and are fine
-        unresolved = {v for v in fv if _has_free_var(body, v)}
-        if unresolved:
-            raise ResolveError(
-                f"definition {name!r} has free variables {sorted(unresolved)}"
-            )
-    walk(program.main)
-
-
-def _has_free_var(node, name: str) -> bool:
-    """Whether ``name`` occurs free in variable position (``Var``)."""
-    if name not in free_names(node):
-        return False
-    return type(node) is Var or any(_has_free_var(c, name) for c in children(node))

@@ -1,5 +1,9 @@
 """Differential tests: the numbered bisimulation engine against a
-state-keyed greatest-fixpoint reference (``bisim_oracle``)."""
+state-keyed greatest-fixpoint reference (``bisim_oracle``).
+
+The reference offers every stimulus to every state through
+``sys_deliver``, so it also checks, edge for edge, the engine's shortcut
+that records a stimulus every component discards as a self-loop."""
 
 import random
 
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from abcwb.attributes import Universe, UniverseTooLarge
 from abcwb.equivalence import _explore_pair, bisimilar
+from abcwb.parser import parse_system
 from abcwb.syntax import Comp, FF_, NIL, Nu, Out, SysPar
 
 from astgen import gen_env, gen_system
@@ -20,6 +25,25 @@ CLI_BOUNDS = dict(repl_bound=3, max_states=2000, seed=0, message_budget=2000)
 
 def _edges(succ) -> int:
     return sum(len(ts) for moves in succ.values() for ts in moves.values())
+
+
+def _by_term(space):
+    """The engine's joint space keyed as the reference keys it."""
+    states, labels = space.states, space.labels
+    return {
+        states[i]: {labels[k]: {states[j] for j in ts} for k, ts in moves.items()}
+        for i, moves in space.succ.items()
+    }
+
+
+def _same_space(s1, s2, defs, universe, **kw):
+    """Whether the engine and the reference build the same joint space;
+    None when the engine's is truncated."""
+    roots, space = _explore_pair((s1, s2), defs, universe, **kw)
+    if space.truncated:
+        return None
+    inits, succ = explore((s1, s2), defs, universe, **kw)
+    return [space.states[i] for i in roots] == inits and _by_term(space) == succ
 
 
 def _corpus_pair(left, right):
@@ -42,10 +66,38 @@ def test_corpus_verdicts_match_the_oracle(left, right, equivalent):
     s1, s2, defs = _corpus_pair(left, right)
     universe = Universe.for_systems([s1, s2])
     (i1, i2), succ = explore((s1, s2), defs, universe, **CLI_BOUNDS)
+    roots, space = _explore_pair((s1, s2), defs, universe, **CLI_BOUNDS)
+    assert [space.states[i] for i in roots] == [i1, i2]
+    assert _by_term(space) == succ  # edge for edge
     for weak, moves in ((False, succ), (True, saturate(succ))):
         res = bisimilar(s1, s2, defs, universe, weak=weak)
         assert res.equivalent == related(moves, i1, i2) == equivalent, weak
         assert not res.truncated
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        # the extruded name is discarded by the raw component and received
+        # once the restriction it clashes with is renamed
+        (
+            "nu y ({a := 0}: (x != 'y')(x).('got')@(tt).0)",
+            "nu z ({a := 1}: ('z')@(tt).0)",
+        ),
+        # the first component draws before it discards: skipping its draw
+        # would move the draw the second component receives with
+        (
+            "{x := 0}: [x := rand(8)]()@(ff).0 || "
+            "{y := 0}: [y := rand(8)](m = 'go')(m).(this.y)@(tt).0",
+            "{y := 0}: [y := rand(8)](m = 'go')(m).(this.y)@(tt).0",
+        ),
+    ],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_discard_shortcut_guards_match_the_oracle(left, right, seed):
+    s1, s2 = (parse_system(t, attrs=("a", "x", "y")) for t in (left, right))
+    bounds = {**CLI_BOUNDS, "seed": seed}
+    assert _same_space(s1, s2, {}, Universe.for_systems([s1, s2]), **bounds)
 
 
 def test_channels_pubsub_joint_space_size():
@@ -99,3 +151,4 @@ def test_random_pairs_match_the_oracle(seed):
         )
         oracle = _outcome(lambda: oracle_bisimilar(a, b, {}, universe, weak=weak, **kw))
         assert engine == oracle, (weak, seed)
+    assert _outcome(lambda: _same_space(a, b, {}, universe, **kw)) is not False, seed

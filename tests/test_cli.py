@@ -1,13 +1,15 @@
 """Command-line behavior: exit codes, reports, reproducibility."""
 
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from abcwb.cli import main
-from abcwb.parser import parse_program
+from abcwb.attributes import Universe, fingerprint
+from abcwb.parser import parse_process, parse_program
 from abcwb.syntax import SysPar, pretty_system
 
 
@@ -233,3 +235,17 @@ def test_rand_needs_a_nonempty_range(tmp_path, capsys):
     assert code == 3 and "rand(0)" in err
     ok = _abc(tmp_path, "ok.abc", "", "{a := 0}: (rand(1))@(tt).0")
     assert run(["explore", ok], capsys)[0] == 0
+
+
+def test_barbs_draws_under_the_run_seed(tmp_path, capsys):
+    # the barb is the send that ``step`` shows under the same seed
+    prog = _abc(tmp_path, "draw.abc", "", "{x := 0}: [x := rand(8)]()@(a = this.x).0")
+    universe = Universe.for_program(parse_program(open(prog).read()))
+    for seed in range(4):
+        code, out, _ = run(["--seed", str(seed), "step", prog], capsys)
+        assert code == 0
+        pred = re.search(r"@\((.*)\)\n", out)[1]
+        sent = parse_process(f"<{pred}>0", ("a",))
+        key = fingerprint(sent.pred, universe)
+        code, out, _ = run(["--seed", str(seed), "barbs", prog], capsys)
+        assert (code, out) == (0, f"barb: arity 0, predicate key {key}\n"), seed

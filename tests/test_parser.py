@@ -106,20 +106,33 @@ def test_reserved_identifiers_rejected():
 
 
 def test_unknown_definition_rejected():
-    for main in ("{a := 1}: Ghost()", "!({a := 1}: Ghost())", "nu x ({a := 1}: Ghost())"):
-        with pytest.raises(ResolveError, match="unknown definition"):
-            parse_program(f"attrs: a\n\nsystem:\n  {main}\n")
+    for text, at in (
+        ("attrs: a\n\nsystem:\n  {a := 1}: Ghost()\n", "4:13"),
+        ("attrs: a\n\nsystem:\n  !({a := 1}: Ghost())\n", "4:15"),
+        ("attrs: a\n\nsystem:\n  nu x ({a := 1}: Ghost())\n", "4:19"),
+        ("def D() = ('m')@(tt).Ghost()\nsystem:\n  {a := 1}: D()\n", "1:22"),
+    ):
+        with pytest.raises(ResolveError, match=f"^{at}: unknown definition 'Ghost'$"):
+            parse_program(text)
 
 
 def test_definition_arity_checked():
     text = "attrs: a\n\ndef D(x) = (x)@(tt).0\n\nsystem:\n  {a := 1}: D()\n"
-    with pytest.raises(ResolveError):
+    with pytest.raises(ResolveError, match=r"^6:13: call to 'D' with 0 argument\(s\)"):
+        parse_program(text)
+
+
+def test_duplicate_definition_is_reported_at_its_name():
+    text = "def D() = 0\ndef  D() = 0\nsystem:\n  {a := 1}: D()\n"
+    with pytest.raises(ResolveError, match="^2:6: duplicate definition 'D'$"):
         parse_program(text)
 
 
 def test_free_variable_in_definition_rejected():
+    # a body reads a name no parameter binds as an attribute, so an
+    # undeclared one is refused as one
     text = "attrs: a\n\ndef D() = (x)@(tt).0\n\nsystem:\n  {a := 1}: D()\n"
-    with pytest.raises(ResolveError):
+    with pytest.raises(ResolveError, match="^3:12: unresolvable identifier 'x'"):
         parse_program(text)
 
 
