@@ -34,7 +34,6 @@ from .syntax import (
     Or,
     Predicate,
     Program,
-    Rand,
     ThisAttr,
     TT,
     Value,
@@ -55,8 +54,8 @@ class UndefinedClosure(Exception):
     """Raised when closing a predicate needs an unbound attribute."""
 
 
-def eval_expr(e: Expression, env: AttributeEnv, rng=None):
-    """Evaluate a variable-free expression under an environment.
+def eval_expr(e: Expression, env: AttributeEnv):
+    """Evaluate a variable-free, ``rand``-free expression under an environment.
 
     Returns a ``Value`` or ``UNDEFINED``.  Both plain and ``this.``
     attribute references read the local environment.  Arithmetic on
@@ -69,8 +68,8 @@ def eval_expr(e: Expression, env: AttributeEnv, rng=None):
     if isinstance(e, Var):
         return UNDEFINED  # unsubstituted variable: not evaluable
     if isinstance(e, Arith):
-        lhs = eval_expr(e.lhs, env, rng)
-        rhs = eval_expr(e.rhs, env, rng)
+        lhs = eval_expr(e.lhs, env)
+        rhs = eval_expr(e.rhs, env)
         if not (isinstance(lhs, Int) and isinstance(rhs, Int)):
             return UNDEFINED
         if e.op == "+":
@@ -80,10 +79,6 @@ def eval_expr(e: Expression, env: AttributeEnv, rng=None):
         if e.op == "*":
             return Int(lhs.n * rhs.n)
         raise ValueError(f"unknown arithmetic operator {e.op!r}")
-    if isinstance(e, Rand):
-        if rng is None:
-            return UNDEFINED
-        return Int(rng.randrange(e.bound))
     raise TypeError(e)
 
 
@@ -156,6 +151,8 @@ def restrict_predicate(pi: Predicate, x: str) -> Predicate:
 
 
 DEFAULT_BUDGET = 10**6
+# messages a stimulus pool holds, and outcomes one component's walk lists
+DEFAULT_MESSAGE_BUDGET = 2000
 
 # the keys of every unsatisfiable and of every valid predicate
 FF_KEY = ((), (False,))

@@ -747,6 +747,7 @@ def check_correspondence(p: BP, *, depth: int = 6) -> Correspondence:
     frontier = deque([(p, sys0, canonicalize(sys0), 0)])
     checked = 0
     truncated = False
+    memo: dict = {}
 
     while frontier:
         src, tgt, canon_tgt, d = frontier.popleft()
@@ -766,7 +767,7 @@ def check_correspondence(p: BP, *, depth: int = 6) -> Correspondence:
         for lab, q in bpi_steps(src):
             by_label_src.setdefault(_canon_bpi_label(lab), []).append(q)
         by_label_tgt: dict[tuple, list[System]] = {}
-        for lab, t in system_steps(tgt, defs, universe):
+        for lab, t in system_steps(tgt, defs, universe, memo):
             by_label_tgt.setdefault(_canon_abc_label(lab, universe), []).append(t)
 
         if set(by_label_src) != set(by_label_tgt):
@@ -814,12 +815,11 @@ def bpi_barbs(p: BP) -> set[tuple[str, int]]:
     return out
 
 
-def abc_barbs_as_channels(sys: System, defs: Definitions, universe=None):
+def abc_barbs_as_channels(sys: System, defs: Definitions):
     """Observables of a translated system in source vocabulary."""
-    if universe is None:
-        universe = Universe.for_systems([sys], defs)
+    universe = Universe.for_systems([sys], defs)
     out = set()
-    for lab, _ in system_steps(sys, defs, universe):
+    for lab, _ in system_steps(sys, defs, universe, {}):
         if isinstance(lab, SOut) and lab.values and isinstance(lab.values[0], Name):
             chan = lab.values[0].atom
             if chan not in lab.bound:
@@ -875,10 +875,10 @@ def bpi_divergent(p: BP, bound: int = 50) -> tuple[bool, bool]:
 
 
 def abc_divergent(sys: System, defs: Definitions, bound: int = 50) -> tuple[bool, bool]:
-    universe = Universe.for_systems([sys], defs)
+    universe, memo = Universe.for_systems([sys], defs), {}
     return _tau_graph(
         sys,
-        lambda s: system_steps(s, defs, universe),
+        lambda s: system_steps(s, defs, universe, memo),
         lambda l: l is TAU,
         canonicalize,
         bound,

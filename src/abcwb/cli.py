@@ -29,7 +29,6 @@ from .explorer import (
     lts_to_text,
     random_trace,
     reachable_matching,
-    state_rng,
     witness_path as _witness_path,
 )
 from .parser import ParseError, ResolveError, parse_program
@@ -65,7 +64,8 @@ def main(argv=None) -> int:
         prog="abcwb",
         description="workbench for an attribute-based broadcast calculus",
     )
-    ap.add_argument("--seed", type=int, default=0, help="run seed (echoed in reports)")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="run seed: echoed in reports; trace draws its path from it")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p_parse = sub.add_parser("parse", help="parse a file and print the system")
@@ -150,8 +150,7 @@ def _dispatch(args) -> int:
         universe = Universe.for_program(prog)
         init = canonicalize(set_fuel(prog.main, args.repl_bound))
         print(f"# seed {args.seed}")
-        rng = state_rng(args.seed, init)
-        for lab, succ in system_steps(init, prog.defs, universe, rng):
+        for lab, succ in system_steps(init, prog.defs, universe, {}):
             print(f"{label_text(lab)}\n    -> {pretty_system(succ)}")
         return 0
 
@@ -188,7 +187,7 @@ def _dispatch(args) -> int:
     if args.cmd == "barbs":
         prog = _load(args.file)
         universe = Universe.for_program(prog)
-        for fp, arity in sorted(barbs(prog.main, prog.defs, universe, args.seed)):
+        for fp, arity in sorted(barbs(prog.main, prog.defs, universe)):
             print(f"barb: arity {arity}, predicate key {fp}")
         return 0
 

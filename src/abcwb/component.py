@@ -14,31 +14,38 @@ and total.
 Attribute updates guard their action: the assignments are evaluated
 under the environment in force when the update is reached, and commit
 in the same step as the guarded send or receive.  A discard leaves the
-component, including any pending updates, untouched.  Expressions are
-evaluated where the walk reaches them, so ``rand`` draws follow the
-walk's order.
+component, including any pending updates, untouched.  ``rand(n)`` is an
+n-way choice, so a component's steps depend only on the component and
+the definitions.  An update, payload or call with more than
+``DEFAULT_MESSAGE_BUDGET`` choices or outcomes raises ``UniverseTooLarge``.
 """
 
 from __future__ import annotations
 
 from .attributes import (
+    DEFAULT_MESSAGE_BUDGET,
     UndefinedClosure,
+    UniverseTooLarge,
     close_predicate,
     eval_expr,
     satisfies,
 )
 from .syntax import (
     UNDEFINED,
+    Arith,
     AttributeEnv,
     Aware,
     Call,
     Definitions,
     In,
+    Int,
+    Lit,
     Nil,
     Out,
     Par,
     Predicate,
     Process,
+    Rand,
     Sum,
     Upd,
     Value,
@@ -46,29 +53,45 @@ from .syntax import (
 )
 
 
-def _evaluate(keyed, env: AttributeEnv, rng):
-    """``(key, value)`` pairs for ``(key, expression)`` pairs under ``env``;
-    ``None`` if any value is undefined."""
-    out = []
+def _bound(count: int) -> None:
+    """Refuse to list more than ``DEFAULT_MESSAGE_BUDGET`` alternatives."""
+    if count > DEFAULT_MESSAGE_BUDGET:
+        raise UniverseTooLarge(f"one component step has over {DEFAULT_MESSAGE_BUDGET} choices")
+
+
+def _values(e, env: AttributeEnv) -> list:
+    """Every value ``e`` takes under ``env``, one per choice of the
+    ``rand`` it mentions, without repeats; none if it is undefined."""
+    kind = type(e)
+    if kind is Rand:
+        _bound(e.bound)
+        return [Int(k) for k in range(e.bound)]
+    if kind is Arith:
+        lhs, rhs = _values(e.lhs, env), _values(e.rhs, env)
+        _bound(len(lhs) * len(rhs))
+        out = dict.fromkeys(
+            eval_expr(Arith(e.op, Lit(a), Lit(b)), env) for a in lhs for b in rhs
+        )
+        out.pop(UNDEFINED, None)
+        return list(out)
+    v = eval_expr(e, env)
+    return [] if v is UNDEFINED else [v]
+
+
+def _evaluate(keyed, env: AttributeEnv) -> list:
+    """Every binding of ``(key, expression)`` pairs under ``env``, as a
+    tuple of ``(key, value)`` pairs: one per choice of the ``rand`` they
+    mention, none if a value is undefined."""
+    out = [()]
     for k, e in keyed:
-        v = eval_expr(e, env, rng)
-        if v is UNDEFINED:
-            return None
-        out.append((k, v))
+        values = _values(e, env)
+        _bound(len(out) * len(values))
+        out = [b + ((k, v),) for b in out for v in values]
     return out
 
 
-def unfold_call(call: Call, env: AttributeEnv, defs: Definitions, rng=None):
-    """Instantiate a definition body; ``None`` if an argument is undefined."""
-    params, body = defs[call.name]
-    bound = _evaluate(zip(params, call.args), env, rng)
-    if bound is None:
-        return None
-    return substitute(body, dict(bound))
-
-
 def output_steps(
-    env: AttributeEnv, proc: Process, defs: Definitions, rng=None
+    env: AttributeEnv, proc: Process, defs: Definitions
 ) -> list[tuple[Predicate, tuple[Value, ...], AttributeEnv, Process]]:
     """All send transitions of a component, with their resulting state.
 
@@ -76,7 +99,7 @@ def output_steps(
     a send whose payload or closed predicate needs an unbound attribute
     is simply not enabled.
     """
-    return _fire(env, proc, defs, rng, None)
+    return _fire(env, proc, defs, None)
 
 
 def deliver(
@@ -85,7 +108,6 @@ def deliver(
     sender_pred: Predicate,
     values: tuple[Value, ...],
     defs: Definitions,
-    rng=None,
 ) -> list[tuple[AttributeEnv, Process]]:
     """Offer one message to a component: every way it receives it, as
     ``(env, process)`` pairs; none means it discards the message.
@@ -95,10 +117,10 @@ def deliver(
     the receiver's environment.  Parallel threads inside one component
     compete: exactly one of them consumes the message per outcome.
     """
-    return _fire(env, proc, defs, rng, (sender_pred, values))
+    return _fire(env, proc, defs, (sender_pred, values))
 
 
-def _fire(env: AttributeEnv, proc: Process, defs: Definitions, rng, msg) -> list:
+def _fire(env: AttributeEnv, proc: Process, defs: Definitions, msg) -> list:
     """Every way ``proc`` acts under ``env``: its sends when ``msg`` is
     None, else its receives of ``msg = (sender_pred, values)``.  The last
     item of each outcome is the continuation."""
@@ -108,22 +130,16 @@ def _fire(env: AttributeEnv, proc: Process, defs: Definitions, rng, msg) -> list
     if kind is Out:
         if msg is not None:
             return []
-        payload = _evaluate(enumerate(proc.exprs), env, rng)
-        if payload is None:
-            return []
         try:
             pred = close_predicate(proc.pred, env)
         except UndefinedClosure:
             return []
-        return [(pred, tuple(v for _, v in payload), env, proc.cont)]
+        return [
+            (pred, tuple(v for _, v in payload), env, proc.cont)
+            for payload in _evaluate(enumerate(proc.exprs), env)
+        ]
     if kind is Nil:
         return []
-    if kind is Upd:
-        # on a discard no outcome carries the committed environment
-        assigned = _evaluate(proc.assigns, env, rng)
-        if assigned is None:
-            return []
-        return _fire(env.updated(assigned), proc.cont, defs, rng, msg)
     if kind is In:
         if msg is None:
             return []
@@ -136,21 +152,28 @@ def _fire(env: AttributeEnv, proc: Process, defs: Definitions, rng, msg) -> list
             return [(env, substitute(proc.cont, theta))]
         return []
     if kind is Sum:
-        return _fire(env, proc.left, defs, rng, msg) + _fire(
-            env, proc.right, defs, rng, msg
-        )
+        return _fire(env, proc.left, defs, msg) + _fire(env, proc.right, defs, msg)
     if kind is Par:
         left, right = proc.left, proc.right
         return [
-            o[:-1] + (Par(o[-1], right),) for o in _fire(env, left, defs, rng, msg)
-        ] + [o[:-1] + (Par(left, o[-1]),) for o in _fire(env, right, defs, rng, msg)]
+            o[:-1] + (Par(o[-1], right),) for o in _fire(env, left, defs, msg)
+        ] + [o[:-1] + (Par(left, o[-1]),) for o in _fire(env, right, defs, msg)]
     if kind is Aware:
         if satisfies(env, proc.pred):
-            return _fire(env, proc.cont, defs, rng, msg)
+            return _fire(env, proc.cont, defs, msg)
         return []
-    if kind is Call:
-        body = unfold_call(proc, env, defs, rng)
-        if body is None:
-            return []
-        return _fire(env, body, defs, rng, msg)
-    raise TypeError(proc)
+    if kind is Upd:
+        # on a discard no outcome carries the committed environment
+        steps = [(env.updated(a), proc.cont) for a in _evaluate(proc.assigns, env)]
+    elif kind is Call:
+        params, body = defs[proc.name]
+        bindings = _evaluate(zip(params, proc.args), env)
+        steps = [(env, substitute(body, dict(b))) for b in bindings]
+    else:
+        raise TypeError(proc)
+    # an update or a call goes on once per choice of the ``rand`` it mentions
+    out = []
+    for env2, cont in steps:
+        out += _fire(env2, cont, defs, msg)
+        _bound(len(out))
+    return out

@@ -19,12 +19,10 @@ share few distinct components, so the loop asks each distinct component
 once which stimuli it receives and keeps the answers for the call.  A
 stimulus that no component of a state receives is recorded as a
 self-loop, as ``sys_deliver`` would hand back the state itself; every
-other stimulus goes through ``sys_deliver``.  Two guards keep the
-shortcut exact.  A stimulus that mentions a name the state's
-restrictions bind takes the full path, because delivery renames that
-restriction first.  And a program that mentions ``rand`` offers every
-stimulus in full, because a discard can still draw from the state's
-generator: an update is evaluated before the walk finds no receive.
+other stimulus goes through ``sys_deliver``.  A stimulus that mentions
+a name the state's restrictions bind takes that full path too, because
+delivery renames that restriction first.  Each component's deliveries
+come from the walk's memo, which ``sys_deliver`` shares.
 
 Bisimilarity is computed by partition refinement over that graph: start
 from one block and split blocks by the set of (label, target block)
@@ -40,9 +38,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .attributes import Universe, fingerprint, UniverseTooLarge
-from .component import deliver
-from .explorer import TAU_LABEL, Walk, canon_label, label_text, state_rng
+from .attributes import DEFAULT_MESSAGE_BUDGET, Universe, fingerprint, UniverseTooLarge
+from .explorer import TAU_LABEL, Walk, canon_label, label_text
 from .syntax import (
     AttributeEnv,
     Bang,
@@ -54,7 +51,6 @@ from .syntax import (
     Nu,
     Out,
     Predicate,
-    Rand,
     SysPar,
     System,
     TT_,
@@ -67,19 +63,13 @@ from .syntax import (
     pretty_system,
     value_sort_key,
 )
-from .system import SIn, SOut, set_fuel, sys_deliver, system_steps
+from .system import SIn, SOut, receives, set_fuel, sys_deliver, system_steps
 
 
-def barbs(
-    sys: System, defs: Definitions, universe: Universe = None, seed: int = 0
-) -> set:
-    """Immediate observables: fingerprints and arities of enabled sends,
-    with ``rand`` drawn as a run under ``seed`` draws it."""
-    if universe is None:
-        universe = Universe.for_systems([sys], defs)
-    rng = state_rng(seed, sys)
+def barbs(sys: System, defs: Definitions, universe: Universe) -> set:
+    """Immediate observables: fingerprints and arities of enabled sends."""
     out = set()
-    for lab, _ in system_steps(sys, defs, universe, rng):
+    for lab, _ in system_steps(sys, defs, universe, {}):
         if isinstance(lab, SOut):
             out.add((fingerprint(lab.pred, universe), len(lab.values)))
     return out
@@ -95,11 +85,6 @@ def _input_arities(node) -> set[int]:
     return out
 
 
-def _draws(node) -> bool:
-    """Whether a term mentions ``rand``."""
-    return type(node) is Rand or any(map(_draws, children(node)))
-
-
 def _parts(sys: System, comps: set, bound: set) -> None:
     """Add a state's components to ``comps`` and the names its
     restrictions bind to ``bound``."""
@@ -110,9 +95,6 @@ def _parts(sys: System, comps: set, bound: set) -> None:
         bound.add(sys.name)
     for c in children(sys):
         _parts(c, comps, bound)
-
-
-DEFAULT_MESSAGE_BUDGET = 2000
 
 
 def stimulus_messages(
@@ -161,7 +143,6 @@ def _explore_pair(
     *,
     repl_bound: int,
     max_states: int,
-    seed: int,
     message_budget: int,
 ) -> tuple[list[int], _Space]:
     """Explore both systems under outputs, silent steps, and stimuli.
@@ -171,8 +152,7 @@ def _explore_pair(
     visited states until a fixpoint.  Returns the numbers of the two
     initial states and the numbered space.
     """
-    walk = Walk(roots, defs, universe, seed=seed, repl_bound=repl_bound,
-                max_states=max_states)
+    walk = Walk(roots, defs, universe, repl_bound=repl_bound, max_states=max_states)
 
     # (predicate, values, label number, names) of every stimulus, in offer order
     messages: list[tuple[Predicate, tuple[Value, ...], int, frozenset[str]]] = []
@@ -190,9 +170,6 @@ def _explore_pair(
     for pred, vals in stimulus_messages(roots, defs, universe, message_budget):
         add_message(pred, vals)  # the baseline never exceeds the budget
 
-    # a discard may still draw (an update is evaluated before the walk
-    # finds no receive), so with ``rand`` every stimulus takes the full path
-    table = not any(map(_draws, (*roots, *(body for _, body in defs.values()))))
     heard: dict[Comp, tuple[int, set[int]]] = {}  # stimuli offered, received
     offered: list[int] = []  # how many stimuli each state has seen
     while True:
@@ -203,26 +180,22 @@ def _explore_pair(
             if n == len(messages):
                 continue
             progressed = True
-            s, rng = walk.states[i], random.Random(walk.seeds[i])
-            # without the table every stimulus counts as received
-            received, bound = range(n, len(messages)), set()
-            if table:
-                comps, received = set(), set()
-                _parts(s, comps, bound)
-                for c in comps:
-                    seen, got = heard.get(c, (0, set()))
-                    for m in range(seen, len(messages)):
-                        pred, vals, _, _ = messages[m]
-                        if deliver(c.env, c.proc, pred, vals, defs):
-                            got.add(m)
-                    heard[c] = (len(messages), got)
-                    received |= got
+            s, comps, received, bound = walk.states[i], set(), set(), set()
+            _parts(s, comps, bound)
+            for c in comps:
+                seen, got = heard.get(c, (0, set()))
+                for m in range(seen, len(messages)):
+                    pred, vals, _, _ = messages[m]
+                    if receives(c, pred, vals, defs, walk.memo):
+                        got.add(m)
+                heard[c] = (len(messages), got)
+                received |= got
             for m in range(n, len(messages)):
                 pred, vals, k, names = messages[m]
                 if m not in received and bound.isdisjoint(names):
                     walk.move(i, k, s)  # every component discards: a self-loop
                     continue
-                for t in sys_deliver(s, pred, vals, defs, universe, rng):
+                for t in sys_deliver(s, pred, vals, defs, universe, walk.memo):
                     walk.move(i, k, t)
             offered[i] = len(messages)
         if not progressed:
@@ -367,7 +340,8 @@ def bisimilar(
     seed: int = 0,
     message_budget: int = DEFAULT_MESSAGE_BUDGET,
 ) -> BisimResult:
-    """Decide (strong or weak) bisimilarity on the bounded joint space."""
+    """Decide (strong or weak) bisimilarity on the bounded joint space;
+    no verdict depends on ``seed``, which callers may pass along."""
     if universe is None:
         universe = Universe.for_systems([s1, s2], defs)
     # identical states are related by the identity bisimulation; skip
@@ -380,7 +354,6 @@ def bisimilar(
         universe,
         repl_bound=repl_bound,
         max_states=max_states,
-        seed=seed,
         message_budget=message_budget,
     )
     if i1 is None or i2 is None:  # the state budget ran out at the start
@@ -486,7 +459,6 @@ def congruence_sample(
             weak=weak,
             repl_bound=repl_bound,
             max_states=max_states,
-            seed=seed,
         )
         out.append((desc, res))
     return out

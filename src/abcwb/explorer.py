@@ -13,15 +13,14 @@ adds stimuli (see ``equivalence``).  Witnesses follow the move that
 first found each state, which breadth-first order makes a shortest
 path.
 
-Randomized payloads draw from a generator seeded by the run seed and
-the canonical state text.  Revisiting a state therefore replays the
-same draws, which keeps the graph a sound description of one run per
-seed rather than an unsound mix of runs.
+A walk keeps one memo of component steps for its lifetime (see
+``system.system_steps``): with ``rand`` a choice, a component's sends and
+deliveries depend only on the component, so each is computed once.  No
+state depends on the run seed; ``trace`` alone draws from it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -57,15 +56,9 @@ class Lts:
     found_by: list[int | None] = field(default_factory=list)
 
 
-def state_seed(seed: int, state: System) -> int:
-    """Integer seed of one state's generator under one run seed."""
-    key = f"{seed}:{pretty_system(state)}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-
-
-def state_rng(seed: int, state: System) -> random.Random:
-    """Deterministic generator for one state under one run seed."""
-    return random.Random(state_seed(seed, state))
+def state_rng(seed: int) -> random.Random:
+    """The generator ``random_trace`` draws its path from."""
+    return random.Random(seed)
 
 
 def canon_label(lab, universe: Universe) -> tuple:
@@ -132,7 +125,7 @@ class Walk:
     ``j`` (None for a root); breadth-first order makes those moves a
     shortest-path tree.  A new state beyond ``max_states`` is dropped
     together with its move, and a state at ``max_depth`` is not stepped.
-    Each stepped state's generator seed is derived once, in ``seeds``.
+    ``memo`` keeps the component steps of every stepped state.
     Every bound that was hit leaves its reason in ``reasons`` once.
     """
 
@@ -142,18 +135,18 @@ class Walk:
         defs: Definitions,
         universe: Universe,
         *,
-        seed: int,
         repl_bound: int,
         max_states: int,
         max_depth: int = None,
     ):
-        self.defs, self.universe, self.seed = defs, universe, seed
+        self.defs, self.universe = defs, universe
         self.max_states, self.max_depth = max_states, max_depth
         self.states: list[System] = []
         self.index: dict[System, int] = {}
         self.depth: list[int] = []
         self.found_by: list[int | None] = []
-        self.seeds: list[int | None] = []  # None for a state cut by the depth bound
+        self.stepped = 0  # states stepped (or cut by the depth bound) so far
+        self.memo: dict = {}
         self.labels: list[tuple] = [canon_label(TAU, universe)]
         self.label_ids: dict[tuple, int] = {self.labels[0]: TAU_LABEL}
         self.moves: list[tuple[int, int, int]] = []
@@ -203,23 +196,21 @@ class Walk:
         """Step every state not stepped yet, states found meanwhile
         included.  ``on_output(pred, values)`` hears every output before
         its move is recorded.  Returns whether there was such a state."""
-        start = len(self.seeds)
-        while len(self.seeds) < len(self.states):
-            i = len(self.seeds)
+        start = self.stepped
+        while self.stepped < len(self.states):
+            i = self.stepped
+            self.stepped += 1
             if self.max_depth is not None and self.depth[i] >= self.max_depth:
-                self.seeds.append(None)
                 self.note("depth bound reached")
                 continue
             state = self.states[i]
-            self.seeds.append(state_seed(self.seed, state))
-            rng = random.Random(self.seeds[i])
-            for lab, t in system_steps(state, self.defs, self.universe, rng):
+            for lab, t in system_steps(state, self.defs, self.universe, self.memo):
                 if on_output is not None and isinstance(lab, SOut):
                     on_output(lab.pred, lab.values)
                 self.move(i, self.intern(canon_label(lab, self.universe)), t)
             if spent(state):
                 self.note("replication budget exhausted")
-        return len(self.seeds) > start
+        return self.stepped > start
 
 
 def build_lts(
@@ -236,12 +227,12 @@ def build_lts(
 
     Replication is stamped with ``repl_bound`` unfoldings before the
     walk starts; running out of states, depth or fuel marks the result
-    as truncated with a reason.
+    as truncated with a reason.  ``seed`` is only echoed in the result.
     """
     if universe is None:
         universe = Universe.for_systems([sys], defs)
     walk = Walk(
-        [sys], defs, universe, seed=seed, repl_bound=repl_bound,
+        [sys], defs, universe, repl_bound=repl_bound,
         # the initial state is kept whatever the budget
         max_states=max(max_states, 1), max_depth=max_depth,
     )
@@ -255,21 +246,18 @@ def build_lts(
 def random_trace(
     sys: System,
     defs: Definitions,
-    universe: Universe = None,
+    universe: Universe,
     *,
     seed: int = 0,
     steps: int = 20,
     repl_bound: int = 3,
 ) -> list[tuple[str, System]]:
     """One random walk; returns (label text, state) pairs after the start."""
-    if universe is None:
-        universe = Universe.for_systems([sys], defs)
     state = canonicalize(set_fuel(sys, repl_bound))
-    picker = random.Random(seed)
+    picker, memo = state_rng(seed), {}
     out: list[tuple[str, System]] = []
     for _ in range(steps):
-        rng = state_rng(seed, state)
-        succs = system_steps(state, defs, universe, rng)
+        succs = system_steps(state, defs, universe, memo)
         if not succs:
             break
         lab, nxt = picker.choice(succs)

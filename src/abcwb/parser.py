@@ -255,15 +255,15 @@ class _Parser(_Cursor):
             return TupleV(self.items(self.value, ">"))
         raise ParseError(f"expected a value, found {t.text!r}", t.line, t.col)
 
-    def expr(self) -> Expression:
-        lhs = self.expr_atom()
+    def expr(self, in_pred: bool = False) -> Expression:
+        lhs = self.expr_atom(in_pred)
         while self.peek().kind in ("+", "-", "*"):
             op = self.next().kind
-            rhs = self.expr_atom()
+            rhs = self.expr_atom(in_pred)
             lhs = Arith(op, lhs, rhs)
         return lhs
 
-    def expr_atom(self) -> Expression:
+    def expr_atom(self, in_pred: bool) -> Expression:
         t = self.peek()
         if t.kind in ("name", "int") or (t.kind == "-" and self.peek(1).kind == "int"):
             return Lit(self.value())
@@ -271,7 +271,7 @@ class _Parser(_Cursor):
             return Lit(self.value())
         if t.kind == "(":
             self.next()
-            e = self.expr()
+            e = self.expr(in_pred)
             self.expect(")")
             return e
         if t.kind == "ident":
@@ -282,6 +282,8 @@ class _Parser(_Cursor):
                 self.expect(".")
                 return ThisAttr(self.ident_name())
             if t.text == "rand":
+                if in_pred:
+                    raise ParseError("rand is not allowed in a predicate", t.line, t.col)
                 self.next()
                 self.expect("(")
                 b = self.expect("int")
@@ -338,12 +340,12 @@ class _Parser(_Cursor):
                 p = self.pred()
                 self.expect(")")
                 return p
-        lhs = self.expr()
+        lhs = self.expr(True)
         op = self.peek()
         if op.kind not in ("=", "!=", "<", "<=", ">", ">="):
             raise ParseError(f"expected a comparison, found {op.text!r}", op.line, op.col)
         self.next()
-        rhs = self.expr()
+        rhs = self.expr(True)
         return Cmp(op.kind, lhs, rhs)
 
     def _group_is_pred(self, start: int) -> bool:

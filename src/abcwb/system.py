@@ -19,6 +19,11 @@ binder dissolves into the label's bound names).
 Replication is bounded by a fuel counter carried on the node itself so
 exhaustion is part of the state: a bang out of fuel has no steps and
 ``spent`` finds it, which exploration reports as truncation.
+
+A component's sends and receptions depend only on the component, so
+``system_steps`` and ``sys_deliver`` keep them in a caller's ``memo``
+dict: a walk passes one for its lifetime, a one-off caller a fresh one.
+Its lists are shared, so no caller may change them.
 """
 
 from __future__ import annotations
@@ -120,24 +125,38 @@ def system_steps(
     sys: System,
     defs: Definitions,
     universe: Universe,
-    rng=None,
+    memo: dict,
 ) -> list[tuple[object, System]]:
     """All output and silent steps of a closed system.
 
     Returns ``(label, successor)`` pairs with labels ``SOut`` or ``TAU``.
+    ``memo`` serves one ``defs`` and ``universe`` only.
     """
-    return _steps(freshen_binders(sys), defs, universe, rng)
+    return _steps(freshen_binders(sys), defs, universe, memo)
 
 
-def _steps(sys, defs, universe, rng):
+def receives(c: Comp, pred: Predicate, values, defs: Definitions, memo: dict) -> list:
+    """Every component ``c`` becomes by receiving a message, kept in
+    ``memo`` under ``(c, pred, values)``; none when it discards it."""
+    key = (c, pred, values)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = [
+            Comp(env2, cont) for env2, cont in deliver(c.env, c.proc, pred, values, defs)
+        ]
+    return out
+
+
+def _steps(sys, defs, universe, memo):
     if isinstance(sys, Comp):
-        out = []
-        for pred, values, env2, cont in output_steps(sys.env, sys.proc, defs, rng):
-            succ = Comp(env2, cont)
-            if is_ff(pred, universe):
-                out.append((TAU, succ))  # a send nobody can satisfy is silent
-            else:
-                out.append((SOut(frozenset(), pred, values), succ))
+        out = memo.get(sys)
+        if out is None:
+            out = memo[sys] = [
+                # a send nobody can satisfy is silent
+                (TAU if is_ff(pred, universe) else SOut(frozenset(), pred, values),
+                 Comp(env2, cont))
+                for pred, values, env2, cont in output_steps(sys.env, sys.proc, defs)
+            ]
         return out
 
     if isinstance(sys, SysPar):
@@ -146,12 +165,12 @@ def _steps(sys, defs, universe, rng):
             (sys.left, sys.right, SysPar),
             (sys.right, sys.left, lambda r, l: SysPar(l, r)),
         ):
-            for lab, mine2 in _steps(mine, defs, universe, rng):
+            for lab, mine2 in _steps(mine, defs, universe, memo):
                 if lab is TAU:
                     out.append((TAU, join(mine2, other)))
                     continue
                 lab, mine2 = _avoid_clash(lab, mine2, other)
-                for other2 in sys_deliver(other, lab.pred, lab.values, defs, universe, rng):
+                for other2 in sys_deliver(other, lab.pred, lab.values, defs, universe, memo):
                     out.append((lab, join(mine2, other2)))
         return out
 
@@ -160,14 +179,14 @@ def _steps(sys, defs, universe, rng):
             return []
         fuel = None if sys.fuel is None else sys.fuel - 1
         out = []
-        for lab, inner2 in _steps(sys.inner, defs, universe, rng):
+        for lab, inner2 in _steps(sys.inner, defs, universe, memo):
             out.append((lab, SysPar(inner2, Bang(sys.inner, fuel))))
         return out
 
     if isinstance(sys, Nu):
         y = sys.name
         out = []
-        for lab, inner2 in _steps(sys.inner, defs, universe, rng):
+        for lab, inner2 in _steps(sys.inner, defs, universe, memo):
             if lab is TAU:
                 out.append((TAU, Nu(y, inner2)))
                 continue
@@ -237,7 +256,7 @@ def sys_deliver(
     values: tuple[Value, ...],
     defs: Definitions,
     universe: Universe,
-    rng=None,
+    memo: dict,
 ) -> list[System]:
     """All ways a system can absorb one broadcast message.
 
@@ -248,12 +267,11 @@ def sys_deliver(
     a caller can recognise a discarded message by identity.
     """
     if isinstance(sys, Comp):
-        got = deliver(sys.env, sys.proc, pred, values, defs, rng)
-        return [Comp(env2, cont) for env2, cont in got] if got else [sys]
+        return receives(sys, pred, values, defs, memo) or [sys]
 
     if isinstance(sys, SysPar):
-        lefts = sys_deliver(sys.left, pred, values, defs, universe, rng)
-        rights = sys_deliver(sys.right, pred, values, defs, universe, rng)
+        lefts = sys_deliver(sys.left, pred, values, defs, universe, memo)
+        rights = sys_deliver(sys.right, pred, values, defs, universe, memo)
         left, right = sys.left, sys.right
         return [
             sys if l is left and r is right else SysPar(l, r)
@@ -266,7 +284,7 @@ def sys_deliver(
             return [sys]
         fuel = None if sys.fuel is None else sys.fuel - 1
         out = []
-        for inner2 in sys_deliver(sys.inner, pred, values, defs, universe, rng):
+        for inner2 in sys_deliver(sys.inner, pred, values, defs, universe, memo):
             if inner2 == sys.inner:
                 # a copy that ignores the message is folded back into the bang
                 out.append(sys)
@@ -282,7 +300,7 @@ def sys_deliver(
             y = fresh
         return [
             sys if inner2 is sys.inner and y == sys.name else Nu(y, inner2)
-            for inner2 in sys_deliver(inner, pred, values, defs, universe, rng)
+            for inner2 in sys_deliver(inner, pred, values, defs, universe, memo)
         ]
 
     raise TypeError(sys)

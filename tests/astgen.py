@@ -62,12 +62,14 @@ def gen_value(rng: random.Random, depth: int = 1):
     return TupleV(tuple(gen_value(rng, depth - 1) for _ in range(rng.randrange(3))))
 
 
-def gen_expr(rng: random.Random, scope, depth: int = 2):
+def gen_expr(rng: random.Random, scope, depth: int = 2, rand: bool = True):
+    """An expression; ``rand=False`` leaves ``rand`` out, as a predicate
+    must."""
     choices = ["lit", "attr", "this"]
     if scope:
         choices.append("var")
     if depth > 0:
-        choices += ["arith", "rand"]
+        choices += ["arith", "rand"] if rand else ["arith"]
     k = rng.choice(choices)
     if k == "lit":
         return Lit(gen_value(rng))
@@ -81,8 +83,8 @@ def gen_expr(rng: random.Random, scope, depth: int = 2):
         return Rand(rng.randrange(1, 4))
     return Arith(
         rng.choice(ARITH_OPS),
-        gen_expr(rng, scope, depth - 1),
-        gen_expr(rng, scope, depth - 1),
+        gen_expr(rng, scope, depth - 1, rand),
+        gen_expr(rng, scope, depth - 1, rand),
     )
 
 
@@ -109,13 +111,13 @@ def gen_pred(rng: random.Random, scope, depth: int = 2):
         return FF_
     if k == "cmp":
         op = rng.choice(CMP_OPS)
-        lhs = gen_expr(rng, scope, 1)
+        lhs = gen_expr(rng, scope, 1, rand=False)
         if op in ("<", ">"):
             # a leading bool literal would read as the truth constant
             # followed by a delimiter, so keep these comparisons off it
             while _starts_with_bool(lhs):
-                lhs = gen_expr(rng, scope, 1)
-        return Cmp(op, lhs, gen_expr(rng, scope, 1))
+                lhs = gen_expr(rng, scope, 1, rand=False)
+        return Cmp(op, lhs, gen_expr(rng, scope, 1, rand=False))
     if k == "and":
         return And(gen_pred(rng, scope, depth - 1), gen_pred(rng, scope, depth - 1))
     if k == "or":

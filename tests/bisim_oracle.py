@@ -2,24 +2,26 @@
 
 It builds the joint space of two systems the way ``abcwb.equivalence``
 defines it (the same stimulus pool grown by every emitted output, the
-same per-state generators, the same canonical labels), but keys states
-by ``System`` and labels by their canonical tuples, canonicalises every
-successor, and decides bisimilarity as a naive greatest fixpoint: start
-from every pair of states the two sides can reach by equal labels and
-delete pairs with an unanswerable move until none is left to delete.
+same canonical labels), but keys states by ``System`` and labels by
+their canonical tuples, canonicalises every successor, gives every call
+to ``system_steps`` and ``sys_deliver`` a memo of its own (so no state
+reuses another's component steps), and decides bisimilarity as a naive
+greatest fixpoint: start from every pair of states the two sides can
+reach by equal labels and delete pairs with an unanswerable move until
+none is left to delete.
 """
 
 from __future__ import annotations
 
 from abcwb.equivalence import DEFAULT_MESSAGE_BUDGET, stimulus_messages
-from abcwb.explorer import canon_label, state_rng
+from abcwb.explorer import canon_label
 from abcwb.syntax import canonicalize
 from abcwb.system import SIn, SOut, TAU, set_fuel, sys_deliver, system_steps
 
 TAU_KEY = canon_label(TAU, None)
 
 
-def explore(roots, defs, universe, *, repl_bound, max_states, seed, message_budget):
+def explore(roots, defs, universe, *, repl_bound, max_states, message_budget):
     """Initial states and ``{state: {label: set of states}}``."""
     inits = [canonicalize(set_fuel(r, repl_bound)) for r in roots]
     messages, seen = [], set()
@@ -59,7 +61,7 @@ def explore(roots, defs, universe, *, repl_bound, max_states, seed, message_budg
             s = order[stepped]
             stepped += 1
             progressed = True
-            for lab, t in system_steps(s, defs, universe, state_rng(seed, s)):
+            for lab, t in system_steps(s, defs, universe, {}):
                 if isinstance(lab, SOut):
                     offer(lab.pred, lab.values)
                 record(s, canon_label(lab, universe), canonicalize(t))
@@ -67,10 +69,9 @@ def explore(roots, defs, universe, *, repl_bound, max_states, seed, message_budg
             if offered[s] == len(messages):
                 continue
             progressed = True
-            rng = state_rng(seed, s)
             for pred, vals in messages[offered[s]:]:
                 lab = canon_label(SIn(pred, vals), universe)
-                for t in sys_deliver(s, pred, vals, defs, universe, rng):
+                for t in sys_deliver(s, pred, vals, defs, universe, {}):
                     record(s, lab, canonicalize(t))
             offered[s] = len(messages)
         if not progressed:
@@ -135,11 +136,11 @@ def related(succ, p, q) -> bool:
 
 
 def oracle_bisimilar(
-    s1, s2, defs, universe, *, weak=False, repl_bound=3, max_states=2000, seed=0,
+    s1, s2, defs, universe, *, weak=False, repl_bound=3, max_states=2000,
     message_budget=DEFAULT_MESSAGE_BUDGET,
 ) -> bool:
     (i1, i2), succ = explore(
         (s1, s2), defs, universe, repl_bound=repl_bound, max_states=max_states,
-        seed=seed, message_budget=message_budget,
+        message_budget=message_budget,
     )
     return related(saturate(succ) if weak else succ, i1, i2)

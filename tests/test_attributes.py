@@ -73,14 +73,6 @@ def test_arith_on_non_ints_is_undefined():
     assert eval_expr(e, env()) is UNDEFINED
 
 
-def test_rand_is_deterministic_per_rng():
-    from abcwb.syntax import Rand
-
-    a = eval_expr(Rand(4), env(), random.Random(9))
-    b = eval_expr(Rand(4), env(), random.Random(9))
-    assert a == b and isinstance(a, Int) and 0 <= a.n < 4
-
-
 # -- satisfaction ------------------------------------------------------------
 
 

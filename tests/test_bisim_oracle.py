@@ -2,8 +2,10 @@
 state-keyed greatest-fixpoint reference (``bisim_oracle``).
 
 The reference offers every stimulus to every state through
-``sys_deliver``, so it also checks, edge for edge, the engine's shortcut
-that records a stimulus every component discards as a self-loop."""
+``sys_deliver``, and steps every state with a memo of its own, so it
+also checks, edge for edge, the engine's shortcut that records a
+stimulus every component discards as a self-loop and the walk's memo of
+component steps."""
 
 import random
 
@@ -20,7 +22,7 @@ from bisim_oracle import explore, oracle_bisimilar, related, saturate
 from conftest import load_corpus
 
 # the bounds `abcwb bisim` runs with by default
-CLI_BOUNDS = dict(repl_bound=3, max_states=2000, seed=0, message_budget=2000)
+CLI_BOUNDS = dict(repl_bound=3, max_states=2000, message_budget=2000)
 
 
 def _edges(succ) -> int:
@@ -84,8 +86,8 @@ def test_corpus_verdicts_match_the_oracle(left, right, equivalent):
             "nu y ({a := 0}: (x != 'y')(x).('got')@(tt).0)",
             "nu z ({a := 1}: ('z')@(tt).0)",
         ),
-        # the first component draws before it discards: skipping its draw
-        # would move the draw the second component receives with
+        # ``rand`` is a choice: the first component has eight silent
+        # steps, the second receives "go" after any of its eight updates
         (
             "{x := 0}: [x := rand(8)]()@(ff).0 || "
             "{y := 0}: [y := rand(8)](m = 'go')(m).(this.y)@(tt).0",
@@ -96,8 +98,12 @@ def test_corpus_verdicts_match_the_oracle(left, right, equivalent):
 @pytest.mark.parametrize("seed", range(4))
 def test_discard_shortcut_guards_match_the_oracle(left, right, seed):
     s1, s2 = (parse_system(t, attrs=("a", "x", "y")) for t in (left, right))
-    bounds = {**CLI_BOUNDS, "seed": seed}
-    assert _same_space(s1, s2, {}, Universe.for_systems([s1, s2]), **bounds)
+    universe = Universe.for_systems([s1, s2])
+    assert _same_space(s1, s2, {}, universe, **CLI_BOUNDS)
+    # the run seed is echoed only: the verdict is the oracle's at every seed
+    for weak in (False, True):
+        assert bisimilar(s1, s2, {}, universe, weak=weak, seed=seed).equivalent == \
+            oracle_bisimilar(s1, s2, {}, universe, weak=weak)
 
 
 def test_channels_pubsub_joint_space_size():
@@ -143,7 +149,7 @@ def test_random_pairs_match_the_oracle(seed):
     rng = random.Random(seed)
     a = gen_system(rng)
     b = _variant(rng, a)
-    kw = dict(repl_bound=1, max_states=30, seed=seed % 7, message_budget=200)
+    kw = dict(repl_bound=1, max_states=30, message_budget=200)
     universe = Universe.for_systems([a, b])
     for weak in (False, True):
         engine = _outcome(

@@ -246,7 +246,7 @@ def test_restriction_silences_translated_send():
 
     sys, defs = encode(parse_bpi("nu c (c<v>.nil)"))
     u = Universe.for_systems([sys])
-    assert [lab for lab, _ in system_steps(sys, defs, u)] == [TAU]
+    assert [lab for lab, _ in system_steps(sys, defs, u, {})] == [TAU]
 
 
 def test_recursion_translates_to_definition():

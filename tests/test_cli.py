@@ -238,14 +238,61 @@ def test_rand_needs_a_nonempty_range(tmp_path, capsys):
 
 
 def test_barbs_draws_under_the_run_seed(tmp_path, capsys):
-    # the barb is the send that ``step`` shows under the same seed
+    # ``rand(8)`` is a choice: at every seed ``step`` shows all eight
+    # sends and ``barbs`` lists the barb of each
     prog = _abc(tmp_path, "draw.abc", "", "{x := 0}: [x := rand(8)]()@(a = this.x).0")
     universe = Universe.for_program(parse_program(open(prog).read()))
+    keys = sorted(
+        (fingerprint(parse_process(f"<a = {k}>0", ("a",)).pred, universe), 0)
+        for k in range(8)
+    )
+    want = "".join(f"barb: arity {arity}, predicate key {key}\n" for key, arity in keys)
     for seed in range(4):
         code, out, _ = run(["--seed", str(seed), "step", prog], capsys)
         assert code == 0
-        pred = re.search(r"@\((.*)\)\n", out)[1]
-        sent = parse_process(f"<{pred}>0", ("a",))
-        key = fingerprint(sent.pred, universe)
-        code, out, _ = run(["--seed", str(seed), "barbs", prog], capsys)
-        assert (code, out) == (0, f"barb: arity 0, predicate key {key}\n"), seed
+        sent = re.findall(r"@\(a = (\d)\)\n", out)
+        assert sorted(sent) == [str(k) for k in range(8)], seed
+        assert run(["--seed", str(seed), "barbs", prog], capsys)[:2] == (0, want), seed
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("('m')@(a = rand(1)).0", "4:24"),
+    ("(x = rand(2))(x).0", "4:18"),
+    ("<a + rand(2) = 1>0", "4:18"),
+])
+def test_rand_in_a_predicate_is_refused(tmp_path, capsys, text, pos):
+    # a predicate is decided, not run: it has no choice to make
+    prog = _abc(tmp_path, "pred.abc", "", f"{{a := 0}}: {text}")
+    code, out, err = run(["explore", prog], capsys)
+    assert code == 3 and out == ""
+    assert f"{pos}: rand is not allowed in a predicate" in err
+
+
+def test_rand_choices_do_not_break_congruence(tmp_path, capsys):
+    # the same two components in either order: bisimilar at every seed
+    draw, idle = "{x := 0}: [x := rand(8)](this.x)@(tt).0", "{x := 1}: 0"
+    left = _abc(tmp_path, "left.abc", "", f"{draw} || {idle}")
+    right = _abc(tmp_path, "right.abc", "", f"{idle} || {draw}")
+    for seed in range(4):
+        code, out, _ = run(["--seed", str(seed), "bisim", left, right], capsys)
+        assert (code, out) == (0, f"# seed {seed}\nstrongly bisimilar\n"), seed
+
+
+def test_reach_finds_a_state_behind_one_rand_choice(tmp_path, capsys):
+    prog = _abc(
+        tmp_path, "hit.abc", "",
+        "{x := 0, role := 'idle'}: "
+        "[x := rand(8)]()@(ff).<this.x = 7>[role := 'hit']()@(ff).0",
+    )
+    for seed in range(10):
+        code, out, _ = run(["--seed", str(seed), "reach", prog, "role='hit'"], capsys)
+        assert code == 0 and "reached at state" in out, seed
+
+
+def test_explore_output_differs_only_in_the_seed_line(corpus_dir, capsys):
+    robotics = path(corpus_dir, "robotics.abc")
+    first, out0, _ = run(["--seed", "0", "explore", robotics], capsys)
+    second, out3, _ = run(["--seed", "3", "explore", robotics], capsys)
+    assert first == second == 0
+    assert out0.startswith("seed: 0\n") and out3.startswith("seed: 3\n")
+    assert out0.split("\n", 1)[1] == out3.split("\n", 1)[1]

@@ -1,11 +1,15 @@
 """Single-component semantics: sends, message delivery, discards."""
 
 import random
+import time
 
-from abcwb.attributes import Universe, fingerprint
+import pytest
+
+from abcwb.attributes import Universe, UniverseTooLarge, fingerprint
+from abcwb.cli import main
 from abcwb.component import deliver, output_steps
 from abcwb.parser import parse_process
-from abcwb.syntax import AttributeEnv, In, Int, Name, Par, Process
+from abcwb.syntax import FF_, UNDEFINED, AttributeEnv, In, Int, Name, Par, Process
 
 from astgen import gen_env, gen_proc, gen_value
 
@@ -40,17 +44,29 @@ def _robot1(robotics):
     raise AssertionError("no component with id 1")
 
 
+def _golden_and_direction_sends(c, defs):
+    """Robot 1's sends, split into the ones that leave ``direction`` unset
+    (the two golden sends) and the ones that set it."""
+    steps = output_steps(c.env, c.proc, defs)
+    golden = [s for s in steps if s[2].get("direction") is UNDEFINED]
+    return golden, [s for s in steps if s not in golden]
+
+
 def test_rescuer_has_exactly_two_sends(robotics):
+    # besides them, ``RandWalk`` has one silent send per ``rand(4)`` choice
     c = _robot1(robotics)
-    steps = output_steps(c.env, c.proc, robotics.defs)
-    assert len(steps) == 2
+    golden, directions = _golden_and_direction_sends(c, robotics.defs)
+    assert len(golden) == 2
+    assert [(pred, values, env2) for pred, values, env2, _ in directions] == [
+        (FF_, (), c.env.updated([("direction", Int(k))])) for k in range(4)
+    ]
 
 
 def test_rescuer_silent_send_updates_state(robotics):
     c = _robot1(robotics)
     u = Universe.for_program(robotics)
-    steps = output_steps(c.env, c.proc, robotics.defs)
-    silent = [s for s in steps if s[1] == ()]
+    golden, _ = _golden_and_direction_sends(c, robotics.defs)
+    silent = [s for s in golden if s[1] == ()]
     assert len(silent) == 1
     pred, _, env2, cont = silent[0]
     from abcwb.attributes import is_ff
@@ -178,13 +194,24 @@ def test_deliver_total_and_exclusive_on_random_terms():
         env = gen_env(rng)
         proc = gen_proc(rng)
         vals = tuple(gen_value(rng) for _ in range(rng.randrange(3)))
-        out = deliver(env, proc, tt, vals, DEFS, random.Random(1))
+        out = deliver(env, proc, tt, vals, DEFS)
         assert isinstance(out, list)
         for got_env, got_proc in out:
             assert isinstance(got_env, AttributeEnv) and isinstance(got_proc, Process)
 
 
-# -- the order of random draws ------------------------------------------------
+# -- rand is a choice ------------------------------------------------------
+
+
+def test_rand_is_a_choice_of_every_value_below_its_bound():
+    # one outcome per value, through arithmetic too, without repeats: the
+    # second payload is 0 whichever value ``rand(2)`` takes
+    proc = pp("[a := rand(3)](this.a + rand(2), rand(2) * 0)@(tt).0", attrs=("a",))
+    got = output_steps(ENV, proc, DEFS)
+    assert [(env2.get("a"), values) for _, values, env2, _ in got] == [
+        (Int(a), (Int(a + r), Int(0))) for a in range(3) for r in range(2)
+    ]
+
 
 RAND_SRC = """
 attrs: a, b
@@ -194,51 +221,51 @@ system:
     ((Q(rand(100)) + [a := rand(100)](rand(100))@(tt).0)
      | ([a := rand(100)](tt)(x).0 + Q(rand(100))))
 """
-LEFT = "(Q(rand(100)) + [a := rand(100)](rand(100))@(tt).0)"
-RIGHT = "([a := rand(100)](tt)(x).0 + Q(rand(100)))"
-RAND_PINS = {
-    0: (
-        [
-            (("49", "53"), f"{{a:=0, b:=97}}: (0 | {RIGHT})"),
-            (("65",), f"{{a:=33, b:=0}}: (0 | {RIGHT})"),
-            (("51", "61"), f"{{a:=0, b:=38}}: ({LEFT} | 0)"),
-        ],
-        [
-            f"{{a:=0, b:=53}}: (0 | {RIGHT})",
-            f"{{a:=33, b:=0}}: ({LEFT} | 0)",
-            f"{{a:=0, b:=51}}: ({LEFT} | 0)",
-        ],
-    ),
-    1: (
-        [
-            (("17", "97"), f"{{a:=0, b:=72}}: (0 | {RIGHT})"),
-            (("15",), f"{{a:=32, b:=0}}: (0 | {RIGHT})"),
-            (("97", "60"), f"{{a:=0, b:=57}}: ({LEFT} | 0)"),
-        ],
-        [
-            f"{{a:=0, b:=97}}: (0 | {RIGHT})",
-            f"{{a:=32, b:=0}}: ({LEFT} | 0)",
-            f"{{a:=0, b:=97}}: ({LEFT} | 0)",
-        ],
-    ),
-}
 
 
-def test_random_draws_follow_the_walk_order():
-    """Updates, payloads and call arguments draw where the walk reaches
-    them, branch by branch, on both sides of ``+`` and ``|``, including
-    branches whose action does not fire."""
+def test_rand_outcomes_are_every_choice_on_small_bounds():
+    """Updates, payloads and call arguments each fan out over every value,
+    branch by branch, on both sides of ``+`` and ``|``."""
     from abcwb.parser import parse_program
     from abcwb.syntax import TT, Comp, pretty_system
 
-    prog = parse_program(RAND_SRC)
+    prog = parse_program(RAND_SRC.replace("100", "2"))
     c = prog.main
-    for k, (sends, receives) in RAND_PINS.items():
-        got = output_steps(c.env, c.proc, prog.defs, random.Random(k))
-        assert [
-            (tuple(str(v) for v in vals), pretty_system(Comp(env2, cont)))
-            for _, vals, env2, cont in got
-        ] == sends
-        assert all(pred == TT() for pred, _, _, _ in got)
-        got = deliver(c.env, c.proc, TT(), (Name("m"),), prog.defs, random.Random(k))
-        assert [pretty_system(Comp(env2, cont)) for env2, cont in got] == receives
+    left = "(Q(rand(2)) + [a := rand(2)](rand(2))@(tt).0)"
+    right = "([a := rand(2)](tt)(x).0 + Q(rand(2)))"
+    got = output_steps(c.env, c.proc, prog.defs)
+    assert all(pred == TT() for pred, _, _, _ in got)
+    assert sorted(
+        (tuple(str(v) for v in vals), pretty_system(Comp(env2, cont)))
+        for _, vals, env2, cont in got
+    ) == sorted(
+        [((str(p), str(r)), f"{{a:=0, b:={b}}}: (0 | {right})")
+         for p in range(2) for b in range(2) for r in range(2)]
+        + [((str(r),), f"{{a:={a}, b:=0}}: (0 | {right})")
+           for a in range(2) for r in range(2)]
+        + [((str(p), str(r)), f"{{a:=0, b:={b}}}: ({left} | 0)")
+           for p in range(2) for b in range(2) for r in range(2)]
+    )
+    got = deliver(c.env, c.proc, TT(), (Name("m"),), prog.defs)
+    # ``Q``'s argument does not reach its receive: each of its two
+    # values gives the same outcome
+    assert sorted(pretty_system(Comp(env2, cont)) for env2, cont in got) == sorted(
+        [f"{{a:=0, b:={b}}}: (0 | {right})" for _ in range(2) for b in range(2)]
+        + [f"{{a:={a}, b:=0}}: ({left} | 0)" for a in range(2)]
+        + [f"{{a:=0, b:={b}}}: ({left} | 0)" for _ in range(2) for b in range(2)]
+    )
+
+
+def test_rand_fan_out_is_bounded(tmp_path, capsys):
+    # about 2 * 10**6 sends: one component walk gives up past the budget
+    from abcwb.parser import parse_program
+
+    prog = parse_program(RAND_SRC)
+    with pytest.raises(UniverseTooLarge):
+        output_steps(prog.main.env, prog.main.proc, prog.defs)
+    f = tmp_path / "fan.abc"
+    f.write_text(RAND_SRC)
+    start = time.perf_counter()
+    assert main(["step", str(f)]) == 2
+    assert time.perf_counter() - start < 10
+    assert "resource bound exceeded" in capsys.readouterr().err

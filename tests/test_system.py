@@ -53,7 +53,7 @@ def universe_of(*systems):
 
 def test_false_predicate_send_is_silent():
     s = mk("{a := 1}: ()@(ff).0", attrs=("a",))
-    steps = system_steps(s, {}, universe_of(s))
+    steps = system_steps(s, {}, universe_of(s), {})
     assert [lab for lab, _ in steps] == [TAU]
 
 
@@ -64,7 +64,7 @@ def test_broadcast_reaches_all_matching_siblings():
         " || {a := 2}: (tt)(x).0",
         attrs=("s", "a"),
     )
-    steps = system_steps(s, {}, universe_of(s))
+    steps = system_steps(s, {}, universe_of(s), {})
     outs = [(lab, t) for lab, t in steps if isinstance(lab, SOut)]
     assert len(outs) == 1
     _, succ = outs[0]
@@ -79,7 +79,7 @@ def test_non_matching_sibling_is_left_unchanged():
         " || {a := 2}: (tt)(x).0",
         attrs=("s", "a"),
     )
-    ((lab, succ),) = system_steps(s, {}, universe_of(s))
+    ((lab, succ),) = system_steps(s, {}, universe_of(s), {})
     got = list(comps(succ))
     assert got[1].proc == NIL          # matched and received
     assert isinstance(got[2].proc, In)  # predicate failed: untouched
@@ -92,7 +92,7 @@ def test_hiding_makes_send_fully_silent():
         AttributeEnv.of({"a": Int(1)}),
         Out((Lit(Name("v")),), Cmp("=", Attr("id"), Lit(Name("x"))), NIL),
     ))
-    steps = system_steps(s, {}, universe_of(s))
+    steps = system_steps(s, {}, universe_of(s), {})
     assert [lab for lab, _ in steps] == [TAU]
 
 
@@ -102,7 +102,7 @@ def test_partial_hiding_restricts_the_label():
     pred = Or(Cmp("=", Attr("id"), Lit(Name("x"))), Cmp("=", Attr("a"), Lit(Int(1))))
     s = Nu("x", Comp(AttributeEnv.of({}), Out((Lit(Int(0)),), pred, NIL)))
     u = universe_of(s)
-    ((lab, succ),) = system_steps(s, {}, u)
+    ((lab, succ),) = system_steps(s, {}, u, {})
     assert isinstance(lab, SOut)
     assert fingerprint(lab.pred, u) == fingerprint(Cmp("=", Attr("a"), Lit(Int(1))), u)
     assert isinstance(succ, Nu)  # the name stays private
@@ -111,7 +111,7 @@ def test_partial_hiding_restricts_the_label():
 def test_sending_a_private_name_opens_the_binder():
     s = Nu("x", Comp(AttributeEnv.of({}), Out((Lit(Name("x")),), TT_, NIL)))
     u = universe_of(s)
-    ((lab, succ),) = system_steps(s, {}, u)
+    ((lab, succ),) = system_steps(s, {}, u, {})
     assert isinstance(lab, SOut)
     assert len(lab.bound) == 1
     (b,) = tuple(lab.bound)
@@ -122,7 +122,7 @@ def test_sending_a_private_name_opens_the_binder():
 def test_plain_restriction_passes_through():
     s = Nu("x", Comp(AttributeEnv.of({}), Out((Lit(Int(3)),), TT_, NIL)))
     u = universe_of(s)
-    ((lab, succ),) = system_steps(s, {}, u)
+    ((lab, succ),) = system_steps(s, {}, u, {})
     assert not lab.bound
     assert fingerprint(lab.pred, u) == TT_KEY
     assert isinstance(succ, Nu)
@@ -144,7 +144,7 @@ def test_replication_fuel_limits_unfolding():
     assert build_lts(s, {}, u, repl_bound=1, max_depth=1).reasons == [
         "depth bound reached"
     ]
-    steps = system_steps(set_fuel(s, 1), {}, u)
+    steps = system_steps(set_fuel(s, 1), {}, u, {})
     assert steps
 
 
@@ -156,7 +156,7 @@ def test_private_name_does_not_clash_with_sibling():
         Comp(AttributeEnv.of({"a": Name("x")}), NIL),
     )
     u = universe_of(s)
-    outs = [lab for lab, _ in system_steps(s, {}, u) if isinstance(lab, SOut)]
+    outs = [lab for lab, _ in system_steps(s, {}, u, {}) if isinstance(lab, SOut)]
     assert outs
     for lab in outs:
         if lab.bound:
@@ -171,7 +171,7 @@ def test_a_vacuous_restriction_keeps_its_place_when_a_name_is_extruded():
         Comp(AttributeEnv.of({}), In(TT_, ("x",), NIL)),
     )
     s = Nu("_f0", inner)
-    ((lab, succ),) = system_steps(s, {}, universe_of(s))
+    ((lab, succ),) = system_steps(s, {}, universe_of(s), {})
     assert lab.bound == {"_f0"} and lab.values == (Name("_f0"),)
     empty = Comp(AttributeEnv.of({}), NIL)
     assert isinstance(succ, Nu) and succ.name != "_f0"
@@ -196,14 +196,38 @@ def test_a_discarded_message_returns_the_system_itself():
     listener = Comp(AttributeEnv.of({}), In(Cmp("=", Var("x"), Lit(Name("go"))), ("x",), NIL))
     s = Nu("y", SysPar(listener, Comp(AttributeEnv.of({}), NIL)))
     u = universe_of(s)
-    (same,) = sys_deliver(s, TT_, (Name("stop"),), {}, u)
+    (same,) = sys_deliver(s, TT_, (Name("stop"),), {}, u, {})
     assert same is s
-    (moved,) = sys_deliver(s, TT_, (Name("go"),), {}, u)
+    (moved,) = sys_deliver(s, TT_, (Name("go"),), {}, u, {})
     assert moved != s
     # a message naming the bound y renames the binder: equal up to alpha only
-    (renamed,) = sys_deliver(s, TT_, (Name("y"),), {}, u)
+    (renamed,) = sys_deliver(s, TT_, (Name("y"),), {}, u, {})
     assert renamed is not s and renamed.name != "y"
     assert canonicalize(renamed) == canonicalize(s)
+
+
+def test_a_memo_hit_still_returns_the_system_itself():
+    # the memo holds the discard of an equal component: the caller still
+    # gets its own object back
+    first, second = (
+        Comp(AttributeEnv.of({}), In(Cmp("=", Var("x"), Lit(Name("go"))), ("x",), NIL))
+        for _ in range(2)
+    )
+    assert first == second and first is not second
+    memo = {}
+    assert sys_deliver(first, TT_, (Name("stop"),), {}, universe_of(first), memo)[0] is first
+    assert sys_deliver(second, TT_, (Name("stop"),), {}, universe_of(first), memo)[0] is second
+
+
+def test_one_memo_serves_every_state_of_a_walk(robotics):
+    # a component's steps depend only on the component: sharing one memo
+    # over many states gives each state the steps a fresh memo gives it
+    u = Universe.for_program(robotics)
+    lts = build_lts(robotics.main, robotics.defs, u, max_states=300)
+    shared = {}
+    for state in lts.states:
+        assert system_steps(state, robotics.defs, u, shared) == \
+            system_steps(state, robotics.defs, u, {})
 
 
 # -- four components mid-run: the query synchronization ----------------------
@@ -243,7 +267,7 @@ def test_query_step_rewrites_rescuer_and_spares_the_rest(robotics):
     want_vals = (Int(2), Name("qry"), Name("explorer"))
     hits = [
         (lab, succ)
-        for lab, succ in system_steps(s, robotics.defs, u)
+        for lab, succ in system_steps(s, robotics.defs, u, {})
         if isinstance(lab, SOut) and lab.values == want_vals
     ]
     assert len(hits) == 1
