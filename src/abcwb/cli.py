@@ -59,6 +59,14 @@ def _parse_value(text: str):
         return Name(text)
 
 
+def natural(text: str) -> int:
+    """A whole number of at least zero, such as a replication bound."""
+    bound = int(text)
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {bound}")
+    return bound
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="abcwb",
@@ -73,19 +81,19 @@ def main(argv=None) -> int:
 
     p_step = sub.add_parser("step", help="show the immediate steps of a system")
     p_step.add_argument("file")
-    p_step.add_argument("--repl-bound", type=int, default=3)
+    p_step.add_argument("--repl-bound", type=natural, default=3)
 
     p_exp = sub.add_parser("explore", help="build the bounded transition graph")
     p_exp.add_argument("file")
     p_exp.add_argument("--max-states", type=int, default=10_000)
     p_exp.add_argument("--max-depth", type=int, default=None)
-    p_exp.add_argument("--repl-bound", type=int, default=3)
+    p_exp.add_argument("--repl-bound", type=natural, default=3)
     p_exp.add_argument("--format", choices=("text", "json"), default="text")
 
     p_trace = sub.add_parser("trace", help="one random walk through a system")
     p_trace.add_argument("file")
     p_trace.add_argument("--steps", type=int, default=20)
-    p_trace.add_argument("--repl-bound", type=int, default=3)
+    p_trace.add_argument("--repl-bound", type=natural, default=3)
 
     p_barbs = sub.add_parser("barbs", help="immediate observables of a system")
     p_barbs.add_argument("file")
@@ -95,7 +103,7 @@ def main(argv=None) -> int:
     p_bisim.add_argument("right")
     p_bisim.add_argument("--weak", action="store_true")
     p_bisim.add_argument("--max-states", type=int, default=2000)
-    p_bisim.add_argument("--repl-bound", type=int, default=3)
+    p_bisim.add_argument("--repl-bound", type=natural, default=3)
 
     p_reach = sub.add_parser(
         "reach", help="search explored states for attr=value in some component"
@@ -104,7 +112,7 @@ def main(argv=None) -> int:
     p_reach.add_argument("query", help="attr=value, e.g. role='rescuer' or count=3")
     p_reach.add_argument("--max-states", type=int, default=10_000)
     p_reach.add_argument("--max-depth", type=int, default=None)
-    p_reach.add_argument("--repl-bound", type=int, default=3)
+    p_reach.add_argument("--repl-bound", type=natural, default=3)
 
     p_enc = sub.add_parser("encode", help="translate a broadcast pi term")
     p_enc.add_argument("file")

@@ -17,6 +17,11 @@ A walk keeps one memo of component steps for its lifetime (see
 ``system.system_steps``): with ``rand`` a choice, a component's sends and
 deliveries depend only on the component, so each is computed once.  No
 state depends on the run seed; ``trace`` alone draws from it.
+
+Canonicalising a move's target and printing a state reuse what each
+component caches on itself (see ``syntax``): a component shared by many
+states is canonicalised once per counter offset and renaming, and
+printed once, so a state costs about its number of components.
 """
 
 from __future__ import annotations

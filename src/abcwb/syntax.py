@@ -11,6 +11,18 @@ it contains a binder.  They are not fields, so equality, ``repr`` and
 construction are unchanged; a term built once and shared by many states
 pays for each of them once.
 
+A component (``Comp``) has two more: its printed text, which does not
+depend on where it occurs, and its canonical forms (see
+``canonicalize``).  A restriction is a system node and never occurs
+inside a component, so within a component the walk moves only the
+input-binder counter, and it reads its renaming ``rho`` only at the
+component's free names.  The form is therefore a function of the
+counter on entry and of ``rho`` restricted to the free names (kept as a
+sorted tuple, so the key does not depend on string hashing).  Each form
+is stored under that key with how far it moved the counter, so a hit
+moves the counter as the walk would have.  A component that is its own
+form stores ``None`` instead, so no component refers to itself.
+
 Traversals are written over two functions that know the node kinds:
 ``children(node)`` gives the child nodes in field order, and
 ``map_children(node, f, *args)`` applies ``f(child, *args)`` to them in
@@ -331,8 +343,14 @@ class System(_Node):
     __slots__ = ()
 
 
+class _CompNode(System):
+    """The caches only a component has (see the module doc)."""
+
+    __slots__ = ("_canon", "_text")
+
+
 @_node
-class Comp(System):
+class Comp(_CompNode):
     env: AttributeEnv
     proc: Process
 
@@ -744,8 +762,13 @@ def _proc_atom(p: Process) -> str:
 
 
 def pretty_system(s: System) -> str:
-    if isinstance(s, Comp):
-        return f"{s.env}: {_proc_atom(s.proc)}"
+    if type(s) is Comp:
+        # a component prints the same wherever it occurs (cached)
+        text = getattr(s, "_text", None)
+        if text is None:
+            text = f"{s.env}: {_proc_atom(s.proc)}"
+            object.__setattr__(s, "_text", text)
+        return text
     if isinstance(s, SysPar):
         return f"{_sys_operand(s.left)} || {_sys_operand(s.right)}"
     if isinstance(s, Bang):
@@ -815,45 +838,73 @@ def canonicalize(sys: System) -> System:
     returned itself, and a node without binders whose free names ``rho``
     leaves alone is returned without being walked: a successor built from
     a canonical state keeps most of its nodes, and their cached fields.
+    A component is walked once per key of its form cache (see the module
+    doc): a component shared by many states is canonicalised once.
     """
-    counter = {"n": 0, "v": 0}
+    return _canon(sys, {}, {"n": 0, "v": 0})
 
-    def pick(kind: str, taken) -> str:
-        while True:
-            cand = f"_{kind}{counter[kind]}"
-            counter[kind] += 1
-            if cand not in taken:
-                return cand
 
-    def scope(node, rho):
-        # the binder's free names as they read after renaming
-        names = free_names(node)
-        return {rho.get(x, x) for x in names} if rho else names
+def _pick(kind: str, taken, counter: dict) -> str:
+    """The next canonical name of ``kind`` not in ``taken``; advances the
+    counter past every name it tries."""
+    while True:
+        cand = f"_{kind}{counter[kind]}"
+        counter[kind] += 1
+        if cand not in taken:
+            return cand
 
-    def walk(node, rho):
-        if not has_binders(node) and (not rho or free_names(node).isdisjoint(rho)):
+
+def _scope(node, rho: dict):
+    """A binder's free names as they read after renaming."""
+    names = free_names(node)
+    return {rho.get(x, x) for x in names} if rho else names
+
+
+def _canon(node, rho: dict, counter: dict):
+    if not has_binders(node) and (not rho or free_names(node).isdisjoint(rho)):
+        return node
+    kind = type(node)
+    if kind is Comp:
+        return _canon_comp(node, rho, counter)
+    if kind is In:
+        taken = _scope(node, rho)
+        vars_ = tuple(_pick("v", taken, counter) for _ in node.vars)
+        inner = _bind(rho, zip(node.vars, vars_))
+        pred, cont = _canon(node.pred, inner, counter), _canon(node.cont, inner, counter)
+        if vars_ == node.vars and pred is node.pred and cont is node.cont:
             return node
-        kind = type(node)
-        if kind is In:
-            taken = scope(node, rho)
-            vars_ = tuple(pick("v", taken) for _ in node.vars)
-            inner = _bind(rho, zip(node.vars, vars_))
-            pred, cont = walk(node.pred, inner), walk(node.cont, inner)
-            if vars_ == node.vars and pred is node.pred and cont is node.cont:
-                return node
-            return In(pred, vars_, cont)
-        if kind is Nu:
-            name = pick("n", scope(node, rho))
-            inner = walk(node.inner, _bind(rho, ((node.name, name),)))
-            return node if name == node.name and inner is node.inner else Nu(name, inner)
-        # a leaf that got here is a free name that rho renames
-        if kind is Var:
-            return Var(rho[node.name])
-        if kind is Name:
-            return Name(rho[node.atom])
-        return map_children(node, walk, rho)
+        return In(pred, vars_, cont)
+    if kind is Nu:
+        name = _pick("n", _scope(node, rho), counter)
+        inner = _canon(node.inner, _bind(rho, ((node.name, name),)), counter)
+        return node if name == node.name and inner is node.inner else Nu(name, inner)
+    # a leaf that got here is a free name that rho renames
+    if kind is Var:
+        return Var(rho[node.name])
+    if kind is Name:
+        return Name(rho[node.atom])
+    return map_children(node, _canon, rho, counter)
 
-    return walk(sys, {})
+
+def _canon_comp(comp: Comp, rho: dict, counter: dict) -> Comp:
+    """A component's canonical form, from its cache when it has one for
+    this counter and this renaming of its free names."""
+    start = counter["v"]
+    renamed = sorted((x, rho[x]) for x in free_names(comp) if x in rho) if rho else ()
+    key = (start, tuple(renamed))
+    forms = getattr(comp, "_canon", None)
+    if forms is None:
+        forms = {}
+        object.__setattr__(comp, "_canon", forms)
+    hit = forms.get(key)
+    if hit is not None:
+        form, advance = hit
+        counter["v"] += advance
+        return comp if form is None else form
+    form = map_children(comp, _canon, rho, counter)
+    # a component that is its own form is not referred to from itself
+    forms[key] = (None if form is comp else form, counter["v"] - start)
+    return form
 
 
 def _bind(rho: dict, pairs) -> dict:

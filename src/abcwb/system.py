@@ -106,19 +106,19 @@ def _msg_names(pred: Predicate, values) -> frozenset[str]:
 def freshen_binders(sys: System) -> System:
     """Rename binders so restriction names are pairwise distinct and do
     not collide with any free name of the whole term."""
-    taken = set(free_names(sys))
+    return _freshen(sys, set(free_names(sys)))
 
-    def walk(s: System) -> System:
-        if type(s) is Comp:
-            return s
-        if type(s) is Nu:
-            if s.name in taken:
-                fresh = gensym(frozenset(taken) | free_names(s.inner))
-                s = Nu(fresh, rename_free(s.inner, s.name, fresh))
-            taken.add(s.name)
-        return map_children(s, walk)
 
-    return walk(sys)
+def _freshen(s: System, taken: set) -> System:
+    # ``taken`` grows by every restriction name kept so far
+    if type(s) is Comp:
+        return s
+    if type(s) is Nu:
+        if s.name in taken:
+            fresh = gensym(frozenset(taken) | free_names(s.inner))
+            s = Nu(fresh, rename_free(s.inner, s.name, fresh))
+        taken.add(s.name)
+    return map_children(s, _freshen, taken)
 
 
 def system_steps(

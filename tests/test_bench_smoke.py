@@ -4,7 +4,8 @@
 deleted traced function breaks the traced benchmark without breaking any
 other test.  One traced swarm round is quick and touches every
 step-generation and predicate layer; one traced bisim round reads the
-joint space ``_explore_pair`` returns, which no swarm round builds.
+joint space ``_explore_pair`` returns, which no swarm round builds; one
+traced explore round pins the size of the robotics transition graph.
 """
 
 import importlib
@@ -25,6 +26,13 @@ def _traced_round(workload: str) -> dict:
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     return result["metrics"]
+
+
+def test_traced_explore_round_is_correct():
+    # the amount of work is deterministic: a change to it is a reviewed re-pin
+    counts = {k: v["value"] for k, v in _traced_round("explore").items()}
+    assert counts["explorer.states"] == 2_750
+    assert counts["explorer.transitions"] == 14_100
 
 
 def test_traced_swarm_round_is_correct():

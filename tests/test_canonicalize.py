@@ -1,18 +1,30 @@
-"""Alpha-canonical forms, checked against the nameless (de Bruijn) oracle."""
+"""Alpha-canonical forms, checked against the nameless (de Bruijn) oracle
+and, for the cached component forms, against the plain walk of
+``canon_oracle``."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import abcwb.explorer
+import abcwb.syntax
+from abcwb.attributes import Universe
+from abcwb.equivalence import _explore_pair
+from abcwb.explorer import build_lts
 from abcwb.syntax import (
     AttributeEnv,
+    Attr,
+    Cmp,
     Comp,
     In,
+    Lit,
     Name,
     NIL,
     Nu,
     Out,
     Par,
+    SysPar,
     TT_,
     Var,
     canonicalize,
@@ -20,7 +32,9 @@ from abcwb.syntax import (
     pretty_system,
 )
 
+import canon_oracle
 from astgen import gen_system, rename_binders
+from conftest import load_corpus
 from debruijn import debruijn
 
 
@@ -75,3 +89,105 @@ def test_canonical_forms_equal_iff_alpha_equivalent(seed):
     s2 = rename_binders(base, rng, scramble=rng.random() < 0.5)
     same = debruijn(s1) == debruijn(s2)
     assert (canonicalize(s1) == canonicalize(s2)) == same
+
+
+def _agrees(sys):
+    got = canonicalize(sys)
+    assert got == canon_oracle.canonicalize(sys)
+    return got
+
+
+def _receiver(*vars_):
+    """A component that receives ``vars_`` and sends the last one on."""
+    return Comp(AttributeEnv(), In(TT_, vars_, Out((Var(vars_[-1]),), TT_, NIL)))
+
+
+def test_one_component_at_two_counter_offsets():
+    a, b, c = _receiver("y"), _receiver("x"), _receiver("y", "z")
+    assert pretty_system(_agrees(SysPar(a, b)).right) == "{}: (tt)(_v1).(_v1)@(tt).0"
+    # b's cached form at offset 1 must not answer at offset 2
+    assert pretty_system(_agrees(SysPar(c, b)).right) == "{}: (tt)(_v2).(_v2)@(tt).0"
+    assert pretty_system(_agrees(SysPar(a, b)).right) == "{}: (tt)(_v1).(_v1)@(tt).0"
+    assert _agrees(b) == _receiver("_v0")
+
+
+def test_a_cached_form_advances_the_counter_past_skipped_names():
+    # _v0 is free in b's input, so its one binder takes _v1 and moves the
+    # counter by two; a component after b starts from _v2 on a hit as on
+    # a miss
+    b = Comp(AttributeEnv(), In(Cmp("=", Attr("a"), Lit(Name("_v0"))), ("x",), NIL))
+    d = _receiver("y")
+    first = _agrees(SysPar(b, d))
+    assert _agrees(SysPar(b, d)) == first
+    assert pretty_system(first.right) == "{}: (tt)(_v2).(_v2)@(tt).0"
+
+
+def test_a_component_under_a_restriction_that_renames_its_free_names():
+    # k is free in the component: its form depends on what k is renamed to
+    pred = Cmp("=", Attr("a"), Lit(Name("k")))
+    env = AttributeEnv.of({"a": Name("k")})
+    comp = Comp(env, In(pred, ("x",), Out((Var("x"),), pred, NIL)))
+    plain = _agrees(comp)
+    hidden = _agrees(Nu("k", comp))
+    assert hidden.name == "_n0" and hidden.inner.env.get("a") == Name("_n0")
+    # a second restriction shifts the renaming; a kept name renames nothing
+    shifted = _agrees(Nu("j", Nu("k", SysPar(comp, _receiver("y")))))
+    assert shifted.inner.inner.left.env.get("a") == Name("_n1")
+    assert _agrees(Nu("_n0", Nu("k", comp))).inner.inner.env.get("a") == Name("_n1")
+    assert _agrees(comp) == plain
+    assert _agrees(Nu("k", comp)) == hidden
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every (term, canonical form) pair the walks canonicalise."""
+    calls = []
+
+    def record(sys):
+        out = canonicalize(sys)
+        calls.append((sys, out))
+        return out
+
+    monkeypatch.setattr(abcwb.explorer, "canonicalize", record)
+    return calls
+
+
+def _corpus_walk(name, **kw):
+    prog = load_corpus(name)
+    return build_lts(prog.main, prog.defs, Universe.for_program(prog), **kw)
+
+
+def _joint_walk():
+    left, right = load_corpus("channels.abc"), load_corpus("pubsub.abc")
+    roots, defs = (left.main, right.main), {**left.defs, **right.defs}
+    return _explore_pair(roots, defs, Universe.for_systems(roots), repl_bound=3,
+                         max_states=2000, message_budget=2000)
+
+
+@pytest.mark.parametrize("walk", [
+    pytest.param(lambda: _corpus_walk("robotics.abc", repl_bound=2), id="robotics"),
+    pytest.param(lambda: _corpus_walk("pool.abc"), id="pool"),
+    pytest.param(_joint_walk, id="channels-pubsub"),
+])
+def test_every_move_target_agrees_with_the_plain_walk(walk, recorded):
+    walk()
+    assert len(recorded) > 30
+    for sys, got in recorded:
+        assert got == canon_oracle.canonicalize(sys)
+
+
+def test_robotics_walks_few_components(monkeypatch):
+    # the amount of work is deterministic: a change to it is a reviewed
+    # re-pin.  The plain walk makes 464,901 visits on the same walk.
+    visits = 0
+    walk = abcwb.syntax._canon
+
+    def counted(node, rho, counter):
+        nonlocal visits
+        visits += 1
+        return walk(node, rho, counter)
+
+    monkeypatch.setattr(abcwb.syntax, "_canon", counted)
+    lts = _corpus_walk("robotics.abc", repl_bound=2)
+    assert (len(lts.states), len(lts.transitions)) == (2_750, 14_100)
+    assert visits == 67_291

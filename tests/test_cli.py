@@ -52,6 +52,16 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     assert e.value.code == 3
 
 
+@pytest.mark.parametrize("cmd", ["step", "explore", "trace", "bisim", "reach"])
+def test_negative_repl_bound_is_a_usage_error(corpus_dir, capsys, cmd):
+    # a negative fuel never runs out: replication would be unbounded
+    pool = path(corpus_dir, "pool.abc")
+    extra = {"bisim": [pool], "reach": ["role='x'"]}.get(cmd, [])
+    code, out, err = run([cmd, pool, *extra, "--repl-bound", "-1"], capsys)
+    assert code == 3 and out == ""
+    assert "--repl-bound: must not be negative: -1" in err
+
+
 def test_step_is_deterministic(corpus_dir, capsys):
     argv = ["--seed", "7", "step", path(corpus_dir, "robotics.abc")]
     code1, out1, _ = run(argv, capsys)

@@ -1,5 +1,6 @@
 """Bounded exploration: canonical states, bounds, determinism, witnesses."""
 
+import gc
 from collections import deque
 
 from abcwb.attributes import Universe
@@ -15,6 +16,8 @@ from abcwb.explorer import (
 )
 from abcwb.parser import parse_system
 from abcwb.syntax import Int, Name, pretty_system
+
+from conftest import load_corpus
 
 
 def mk(text, attrs=()):
@@ -133,3 +136,19 @@ def test_result_does_not_depend_on_the_seed(robotics):
         assert text.startswith(f"seed: {seed}\n")
         texts.add(text.split("\n", 1)[1])
     assert len(texts) == 1
+
+
+def test_exploring_and_printing_leave_no_reference_cycles():
+    # canonical forms and printed text are cached on the components: a
+    # component that is its own form must not refer to itself, and the
+    # walks must not build closures that refer to each other
+    prog = load_corpus("robotics.abc")
+    universe = Universe.for_program(prog)
+    gc.collect()
+    gc.disable()
+    try:
+        lts = build_lts(prog.main, prog.defs, universe, repl_bound=2)
+        lts_to_text(lts)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
