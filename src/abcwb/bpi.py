@@ -30,7 +30,11 @@ child terms and ``_bmap(p, f, *args)`` rebuilds it from ``f`` applied to
 each.  Input variables, ``nu`` and ``rec`` parameters are crossed by one
 capture-avoiding binder rule, ``_bscope``.  Fresh names are ``_f<k>``,
 drawn per call and skipping every name of the term at hand; the parser
-rejects such reserved names.
+rejects such reserved names.  Within one correspondence check a
+component is translated once, in the first term that has it, and later
+terms reuse that translation: its fresh names skip that first term's
+names, which include all of the component's own, and they are bound
+only inside the component (see ``_Encoder``).
 
 Only the lexing and parsing machinery is shared with `.abc` files: the
 text goes through ``parser.tokenize``, the parser is a ``parser._Cursor``
@@ -596,15 +600,26 @@ class _Encoder:
     names bound by an input or a ``rec`` parameter, which become
     variables; ``hidden`` the restrictions around the component at hand.
 
+    ``comps``, when given, maps (source component, ``hidden``) to its
+    translated ``Comp``; the translations of one correspondence check
+    share it, so a component that several successors keep is translated
+    once and stays the same object.  That is exact up to renaming of
+    binders: the ``_f`` names of a stored component skip every name of
+    the term it was first translated in, which are all of its own names,
+    and an input binds only inside its component.  ``hidden`` is in the
+    key because whether ``define`` refuses a ``rec`` depends on it; a
+    component that raises is not stored.  ``encode`` shares nothing, so its fresh names stay distinct.
+
     A shape with no image in the target raises ``ValueError``:
     restriction is system-level there, so it may not occur under a
     prefix; and a definition is closed, so the body of a ``rec`` may not
     mention a name bound outside it.
     """
 
-    def __init__(self, p: BP, recs: dict):
+    def __init__(self, p: BP, recs: dict, comps: dict | None = None):
         self.defs: Definitions = {}
         self.recs = recs
+        self.comps = comps
         self.fresh = _supply(p)
         self.counter = itertools.count()
         self.hidden: frozenset[str] = frozenset()
@@ -617,6 +632,15 @@ class _Encoder:
             return SysPar(self.proc(p.left, hidden), self.proc(p.right, hidden))
         if isinstance(p, BNu):
             return Nu(p.name, self.proc(p.inner, hidden | {p.name}))
+        if self.comps is None:
+            return self.comp(p, hidden)
+        key = (p, hidden)
+        comp = self.comps.get(key)
+        if comp is None:
+            comp = self.comps[key] = self.comp(p, hidden)
+        return comp
+
+    def comp(self, p: BP, hidden: frozenset[str]) -> Comp:
         self.hidden = hidden
         return Comp(AttributeEnv.of({}), self.cont(p, frozenset()))
 
@@ -737,9 +761,12 @@ def check_correspondence(p: BP, *, depth: int = 6) -> Correspondence:
     must agree label by label, and each matched target successor must be
     the translation of the matched source successor up to renaming of
     binders.  Pairs are visited breadth-first, so each is counted at its
-    shallowest depth.
+    shallowest depth.  One table of translated components serves every
+    translation here (see ``_Encoder``), so a successor's untouched
+    components are the objects the target side already canonicalised.
     """
-    first = _Encoder(p, {})
+    comps: dict = {}
+    first = _Encoder(p, {}, comps)
     sys0, defs = first.proc(p), first.defs
     universe = Universe.for_systems([sys0], defs)
     failures: list[str] = []
@@ -788,7 +815,7 @@ def check_correspondence(p: BP, *, depth: int = 6) -> Correspondence:
             # each target successor is canonicalised once
             unmatched = [(canonicalize(t), t) for t in tgt_succs]
             for q in src_succs:
-                canon_q = canonicalize(_Encoder(q, first.recs).proc(q))
+                canon_q = canonicalize(_Encoder(q, first.recs, comps).proc(q))
                 hit = next((i for i, (c, _) in enumerate(unmatched) if c == canon_q), None)
                 if hit is None:
                     failures.append(

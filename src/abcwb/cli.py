@@ -85,14 +85,14 @@ def main(argv=None) -> int:
 
     p_exp = sub.add_parser("explore", help="build the bounded transition graph")
     p_exp.add_argument("file")
-    p_exp.add_argument("--max-states", type=int, default=10_000)
-    p_exp.add_argument("--max-depth", type=int, default=None)
+    p_exp.add_argument("--max-states", type=natural, default=10_000)
+    p_exp.add_argument("--max-depth", type=natural, default=None)
     p_exp.add_argument("--repl-bound", type=natural, default=3)
     p_exp.add_argument("--format", choices=("text", "json"), default="text")
 
     p_trace = sub.add_parser("trace", help="one random walk through a system")
     p_trace.add_argument("file")
-    p_trace.add_argument("--steps", type=int, default=20)
+    p_trace.add_argument("--steps", type=natural, default=20)
     p_trace.add_argument("--repl-bound", type=natural, default=3)
 
     p_barbs = sub.add_parser("barbs", help="immediate observables of a system")
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     p_bisim.add_argument("left")
     p_bisim.add_argument("right")
     p_bisim.add_argument("--weak", action="store_true")
-    p_bisim.add_argument("--max-states", type=int, default=2000)
+    p_bisim.add_argument("--max-states", type=natural, default=2000)
     p_bisim.add_argument("--repl-bound", type=natural, default=3)
 
     p_reach = sub.add_parser(
@@ -110,8 +110,8 @@ def main(argv=None) -> int:
     )
     p_reach.add_argument("file")
     p_reach.add_argument("query", help="attr=value, e.g. role='rescuer' or count=3")
-    p_reach.add_argument("--max-states", type=int, default=10_000)
-    p_reach.add_argument("--max-depth", type=int, default=None)
+    p_reach.add_argument("--max-states", type=natural, default=10_000)
+    p_reach.add_argument("--max-depth", type=natural, default=None)
     p_reach.add_argument("--repl-bound", type=natural, default=3)
 
     p_enc = sub.add_parser("encode", help="translate a broadcast pi term")
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
         "check-encoding", help="verify the translation of a broadcast pi term"
     )
     p_chk.add_argument("file")
-    p_chk.add_argument("--depth", type=int, default=6)
+    p_chk.add_argument("--depth", type=natural, default=6)
 
     try:
         args = ap.parse_args(argv)

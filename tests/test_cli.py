@@ -62,6 +62,28 @@ def test_negative_repl_bound_is_a_usage_error(corpus_dir, capsys, cmd):
     assert "--repl-bound: must not be negative: -1" in err
 
 
+@pytest.mark.parametrize("cmd, flag", [
+    ("trace", "--steps"),
+    ("explore", "--max-depth"),
+    ("explore", "--max-states"),
+    ("reach", "--max-depth"),
+    ("reach", "--max-states"),
+    ("bisim", "--max-states"),
+    ("check-encoding", "--depth"),
+])
+def test_negative_bound_is_a_usage_error(corpus_dir, capsys, cmd, flag):
+    # before, ``trace --steps -3`` printed only the seed line and exited 0
+    pool = path(corpus_dir, "pool.abc")
+    args = {
+        "bisim": [pool, pool],
+        "reach": [pool, "role='x'"],
+        "check-encoding": [path(corpus_dir, "bpi/t01.bpi")],
+    }.get(cmd, [pool])
+    code, out, err = run([cmd, *args, flag, "-1"], capsys)
+    assert code == 3 and out == ""
+    assert f"{flag}: must not be negative: -1" in err
+
+
 def test_step_is_deterministic(corpus_dir, capsys):
     argv = ["--seed", "7", "step", path(corpus_dir, "robotics.abc")]
     code1, out1, _ = run(argv, capsys)
@@ -144,6 +166,20 @@ def test_encode_golden_send(tmp_path, capsys):
     code, out, _ = run(["encode", str(f)], capsys)
     assert code == 0
     assert "('a', 'v')@('a' = 'a').0" in out
+
+
+def test_encode_gives_each_input_its_own_fresh_name(tmp_path, capsys):
+    # two equal components translate apart: a correspondence check shares
+    # component translations, encode must not
+    f = tmp_path / "twins.bpi"
+    f.write_text("a(x).b<x>.nil | a(x).b<x>.nil | a<v>.nil\n")
+    code, out, _ = run(["encode", str(f)], capsys)
+    assert code == 0
+    assert out == (
+        "system:\n"
+        "  ({}: (_f0 = 'a')(_f0, x).('b', x)@('b' = 'b').0 || "
+        "{}: (_f1 = 'a')(_f1, x).('b', x)@('b' = 'b').0) || {}: ('a', 'v')@('a' = 'a').0\n"
+    )
 
 
 def test_check_encoding_ok(corpus_dir, capsys):
