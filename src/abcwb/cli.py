@@ -237,11 +237,11 @@ def _dispatch(args) -> int:
 
     if args.cmd == "reach":
         prog = _load(args.file)
-        if "=" not in args.query:
+        attr, _, val = (part.strip() for part in args.query.partition("="))
+        if not attr or not val:
             print("error: query must look like attr=value", file=_sys.stderr)
             return 3
-        attr, _, val = args.query.partition("=")
-        value = _parse_value(val.strip())
+        value = _parse_value(val)
         universe = Universe.for_program(prog)
         lts = build_lts(
             prog.main,
@@ -253,7 +253,7 @@ def _dispatch(args) -> int:
             repl_bound=args.repl_bound,
         )
         print(f"# seed {args.seed}")
-        hit = reachable_matching(lts, lambda s: env_has(s, attr.strip(), value))
+        hit = reachable_matching(lts, lambda s: env_has(s, attr, value))
         if hit is not None:
             print(f"reached at state {hit}: {pretty_system(lts.states[hit])}")
             print("witness trace:")

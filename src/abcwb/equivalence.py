@@ -35,35 +35,26 @@ terms and labels.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .attributes import DEFAULT_MESSAGE_BUDGET, Universe, fingerprint, UniverseTooLarge
 from .explorer import TAU_LABEL, Walk, canon_label, label_text
 from .syntax import (
-    AttributeEnv,
-    Bang,
     Comp,
     Definitions,
     In,
-    Lit,
-    NIL,
     Nu,
-    Out,
     Predicate,
-    SysPar,
     System,
     TT_,
     Value,
     canonicalize,
     children,
-    free_names,
     has_binders,
-    names_in_value,
     pretty_system,
     value_sort_key,
 )
-from .system import SIn, SOut, receives, set_fuel, sys_deliver, system_steps
+from .system import SIn, SOut, msg_names, receives, set_fuel, sys_deliver, system_steps
 
 
 def barbs(sys: System, defs: Definitions, universe: Universe) -> set:
@@ -164,8 +155,7 @@ def _explore_pair(
         if len(messages) >= message_budget:
             walk.note("stimulus budget exhausted")
             return
-        names = free_names(pred).union(*map(names_in_value, vals))
-        messages.append((pred, vals, walk.intern(key), names))
+        messages.append((pred, vals, walk.intern(key), msg_names(pred, vals)))
 
     for pred, vals in stimulus_messages(roots, defs, universe, message_budget):
         add_message(pred, vals)  # the baseline never exceeds the budget
@@ -364,101 +354,3 @@ def bisimilar(
     witness = _build_witness(i1, i2, space, succ, history)
     return BisimResult(False, witness, space.truncated, space.reasons)
 
-
-# ---------------------------------------------------------------------------
-# Sampled congruence checks
-
-
-def sample_contexts(values):
-    """A small deterministic family of one-hole system contexts."""
-    vals = sorted(values, key=value_sort_key)
-    listener = Comp(AttributeEnv.of({}), In(TT_, ("_ctxv",), NIL))
-    payload = (Lit(vals[0]),) if vals else ()
-    shouter = Comp(AttributeEnv.of({}), Out(payload, TT_, NIL))
-    return [
-        ("[.] || listener", lambda h: SysPar(h, listener)),
-        ("shouter || [.]", lambda h: SysPar(shouter, h)),
-        ("nu _ctxn ([.])", lambda h: Nu("_ctxn", h)),
-        ("!([.])", lambda h: Bang(h)),
-    ]
-
-
-def random_contexts(values, seed: int = 0, count: int = 100):
-    """Randomly nested one-hole contexts over the context grammar
-    hole | hole par C | C par hole | restriction | replication."""
-    rng = random.Random(seed)
-    vals = sorted(values, key=value_sort_key)
-
-    def rand_component():
-        kind = rng.randrange(3)
-        attr_env = AttributeEnv.of({"cx": vals[rng.randrange(len(vals))]} if vals else {})
-        if kind == 0:
-            return Comp(attr_env, NIL)
-        if kind == 1:
-            payload = (Lit(vals[rng.randrange(len(vals))]),) if vals else ()
-            return Comp(attr_env, Out(payload, TT_, NIL))
-        return Comp(attr_env, In(TT_, ("_ctxv",), NIL))
-
-    out = []
-    for i in range(count):
-        # fix the layer structure now so both systems get the same context
-        layers = []
-        for _ in range(rng.randrange(1, 4)):
-            op = rng.randrange(4)
-            comp = rand_component() if op in (0, 1) else None
-            layers.append((op, comp))
-
-        def build(h, layers=tuple(layers)):
-            for op, comp in layers:
-                if op == 0:
-                    h = SysPar(h, comp)
-                elif op == 1:
-                    h = SysPar(comp, h)
-                elif op == 2:
-                    h = Nu("_ctxn", h)
-                else:
-                    h = Bang(h, 1)
-            return h
-
-        desc = f"random context #{i} ops={[op for op, _ in layers]}"
-        out.append((desc, build))
-    return out
-
-
-def congruence_sample(
-    s1: System,
-    s2: System,
-    defs: Definitions,
-    universe: Universe = None,
-    *,
-    weak: bool = False,
-    repl_bound: int = 2,
-    max_states: int = 2000,
-    seed: int = 0,
-    count: int = None,
-) -> list[tuple[str, BisimResult]]:
-    """Check that plugging both systems into sampled contexts preserves
-    the verdict of the raw comparison.
-
-    With ``count`` unset a small fixed family is used; otherwise that
-    many randomly nested contexts are generated from the seed.
-    """
-    if universe is None:
-        universe = Universe.for_systems([s1, s2], defs)
-    if count is None:
-        contexts = sample_contexts(universe.values)
-    else:
-        contexts = random_contexts(universe.values, seed, count)
-    out = []
-    for desc, ctx in contexts:
-        res = bisimilar(
-            ctx(s1),
-            ctx(s2),
-            defs,
-            universe,
-            weak=weak,
-            repl_bound=repl_bound,
-            max_states=max_states,
-        )
-        out.append((desc, res))
-    return out

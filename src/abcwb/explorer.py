@@ -39,7 +39,6 @@ from .syntax import (
     canonicalize,
     children,
     free_names,
-    names_in_value,
     pretty_pred,
     pretty_system,
     rename_free,
@@ -81,7 +80,7 @@ def canon_label(lab, universe: Universe) -> tuple:
         pred, values = lab.pred, lab.values
         order: list[str] = []
         for v in values:
-            for n in sorted(names_in_value(v)):
+            for n in sorted(free_names(v)):
                 if n in lab.bound and n not in order:
                     order.append(n)
         for n in sorted(free_names(pred)):

@@ -543,7 +543,13 @@ def parse_program(text: str) -> Program:
 
 
 def parse_system(text: str, defs=None, attrs=()) -> System:
-    """Parse a bare system term (used by tests and inline CLI input)."""
+    """Parse a bare system term, one with no ``attrs:`` header,
+    definitions or ``system:`` block around it.
+
+    ``attrs`` declares attributes beyond those the term's environments
+    and updates declare, and each call must match a definition of
+    ``defs`` in name and arity.
+    """
     p = _Parser(text, set(attrs))
     sys = p.system()
     p.finish()

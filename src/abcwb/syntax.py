@@ -147,12 +147,6 @@ def value_sort_key(v: Value):
     raise TypeError(v)
 
 
-def names_in_value(v: Value) -> frozenset[str]:
-    """Names occurring in a value; a value binds nothing, so these are its
-    free names (cached on the value)."""
-    return free_names(v)
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 
@@ -674,7 +668,7 @@ def substitute(node, subst: Mapping[str, Value]):
         return Lit(subst[node.name])
     if kind is In:
         subst = {k: v for k, v in subst.items() if k not in node.vars}
-        incoming = _union(*(names_in_value(v) for v in subst.values()))
+        incoming = _union(*(free_names(v) for v in subst.values()))
         for var in node.vars:
             if var in incoming:
                 taken = free_names(node) | incoming | set(subst) | set(node.vars)

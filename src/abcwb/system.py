@@ -46,7 +46,6 @@ from .syntax import (
     free_names,
     gensym,
     map_children,
-    names_in_value,
     rename_free,
 )
 
@@ -96,11 +95,9 @@ def spent(sys: System) -> bool:
     return any(spent(c) for c in children(sys))
 
 
-def _msg_names(pred: Predicate, values) -> frozenset[str]:
-    out = free_names(pred)
-    for v in values:
-        out |= names_in_value(v)
-    return out
+def msg_names(pred: Predicate, values) -> frozenset[str]:
+    """The names a message mentions, in its predicate or its payload."""
+    return free_names(pred).union(*map(free_names, values))
 
 
 def freshen_binders(sys: System) -> System:
@@ -198,9 +195,7 @@ def _steps(sys, defs, universe, memo):
                 out.append((lab, Nu(fresh, inner2)))
                 continue
             pred_names = free_names(lab.pred)
-            value_names = frozenset()
-            for v in lab.values:
-                value_names |= names_in_value(v)
+            value_names = frozenset().union(*map(free_names, lab.values))
             if y in pred_names:
                 restricted = restrict_predicate(lab.pred, y)
                 if is_ff(restricted, universe):
@@ -239,7 +234,7 @@ def _avoid_clash(lab: SOut, origin: System, sibling: System):
             | bound_names(sibling)
             | free_names(origin)
             | bound_names(origin)
-            | _msg_names(pred, values)
+            | msg_names(pred, values)
         )
         fresh = gensym(avoid)
         pred = rename_free(pred, b, fresh)
@@ -294,8 +289,9 @@ def sys_deliver(
 
     if isinstance(sys, Nu):
         y, inner = sys.name, sys.inner
-        if y in _msg_names(pred, values):
-            fresh = gensym(free_names(inner) | _msg_names(pred, values) | {y})
+        names = msg_names(pred, values)
+        if y in names:
+            fresh = gensym(free_names(inner) | names | {y})
             inner = rename_free(inner, y, fresh)
             y = fresh
         return [

@@ -43,7 +43,6 @@ from abcwb.syntax import (
     TupleV,
     UNDEFINED,
     free_names,
-    names_in_value,
 )
 
 import pred_oracle
@@ -159,7 +158,7 @@ def test_restriction_satisfaction_invariance_10k():
         pi = gen_pred(rng, frozenset(), depth=3)
         x = rng.choice(NAMES + ("zz",))
         g = gen_env(rng)
-        occurs = any(x in names_in_value(v) for _, v in g.bindings)
+        occurs = any(x in free_names(v) for _, v in g.bindings)
         v = Name("_fresh") if occurs else gen_value(rng)
         restricted = restrict_predicate(pi, x)
         before = satisfies(g, restricted)

@@ -20,6 +20,7 @@ from abcwb.syntax import Comp, FF_, NIL, Nu, Out, SysPar
 from astgen import gen_env, gen_system
 from bisim_oracle import explore, oracle_bisimilar, related, saturate
 from conftest import load_corpus
+from contexts import draw_context, plug
 
 # the bounds `abcwb bisim` runs with by default
 CLI_BOUNDS = dict(repl_bound=3, max_states=2000, message_budget=2000)
@@ -143,18 +144,59 @@ def _outcome(decide):
         return "UniverseTooLarge"
 
 
+# bounds small enough for hundreds of generated pairs
+PAIR_BOUNDS = dict(repl_bound=1, max_states=30, message_budget=200)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_random_pairs_match_the_oracle(seed):
     rng = random.Random(seed)
     a = gen_system(rng)
     b = _variant(rng, a)
-    kw = dict(repl_bound=1, max_states=30, message_budget=200)
     universe = Universe.for_systems([a, b])
     for weak in (False, True):
         engine = _outcome(
-            lambda: bisimilar(a, b, {}, universe, weak=weak, **kw).equivalent
+            lambda: bisimilar(a, b, {}, universe, weak=weak, **PAIR_BOUNDS).equivalent
         )
-        oracle = _outcome(lambda: oracle_bisimilar(a, b, {}, universe, weak=weak, **kw))
+        oracle = _outcome(
+            lambda: oracle_bisimilar(a, b, {}, universe, weak=weak, **PAIR_BOUNDS)
+        )
         assert engine == oracle, (weak, seed)
-    assert _outcome(lambda: _same_space(a, b, {}, universe, **kw)) is not False, seed
+    assert _outcome(lambda: _same_space(a, b, {}, universe, **PAIR_BOUNDS)) is not False, seed
+
+
+def _context_mismatches(seed, count=5):
+    """The drawn contexts whose decided strong verdict differs from the
+    pair's, as (layers, verdict in context, verdict of the pair); none
+    when the pair's own verdict is undecided."""
+    rng = random.Random(seed)
+    a = gen_system(rng)
+    b = _variant(rng, a)
+    universe = Universe.for_systems([a, b])
+
+    def verdict(s1, s2):
+        """True or False, or None when truncated or too large to decide."""
+        res = _outcome(lambda: bisimilar(s1, s2, {}, universe, **PAIR_BOUNDS))
+        if res == "UniverseTooLarge" or res.truncated:
+            return None
+        return res.equivalent
+
+    pair = verdict(a, b)
+    if pair is None:
+        return []
+    out = []
+    for _ in range(count):
+        layers = draw_context(rng, universe.values)
+        got = verdict(plug(layers, a), plug(layers, b))
+        if got is not None and got != pair:
+            out.append((layers, got, pair))
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_decided_strong_verdicts_hold_in_every_context(seed):
+    # both directions: a context must neither part a bisimilar pair nor
+    # join one that is not
+    assert _context_mismatches(seed) == [], seed

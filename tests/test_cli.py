@@ -150,6 +150,18 @@ def test_reach_miss_on_exhausted_space(corpus_dir, capsys):
     assert "not reachable" in out
 
 
+@pytest.mark.parametrize("query", ["noequals", "=1", "role="])
+def test_reach_refuses_a_malformed_query(corpus_dir, capsys, query):
+    code, out, err = run(["reach", path(corpus_dir, "channels.abc"), query], capsys)
+    assert code == 3 and out == ""
+    assert "query must look like attr=value" in err
+
+
+def test_reach_takes_an_empty_name_literal(corpus_dir, capsys):
+    code, out, _ = run(["reach", path(corpus_dir, "channels.abc"), "gotA=''"], capsys)
+    assert code == 1 and "not reachable" in out
+
+
 def test_reach_miss_under_truncation_is_inconclusive(corpus_dir, capsys):
     code, out, _ = run(
         ["reach", path(corpus_dir, "robotics.abc"), "role='nobody'",

@@ -1,16 +1,16 @@
 """Behavioral equivalence: strong and weak comparison, observables,
-and sampled compositionality."""
+and verdicts kept by one-hole contexts."""
+
+import random
 
 import pytest
 
 from abcwb.attributes import TT_KEY, Universe
-from abcwb.equivalence import (
-    barbs,
-    bisimilar,
-    congruence_sample,
-)
+from abcwb.equivalence import barbs, bisimilar
 from abcwb.parser import parse_system
-from abcwb.syntax import pretty_system
+from abcwb.syntax import AttributeEnv, Lit, pretty_system, value_sort_key
+
+from contexts import draw_context, listener, plug, shouter
 
 
 def mk(text, attrs=("a",)):
@@ -103,28 +103,46 @@ def test_silent_send_has_no_barb():
     assert barbs(s, {}, u) == set()
 
 
+def _fixed_contexts(values):
+    """Four one-layer contexts: beside a listener, beside a shouter of the
+    least value, under a restriction and under a replication."""
+    vals = sorted(values, key=value_sort_key)
+    empty = AttributeEnv.of({})
+    payload = (Lit(vals[0]),) if vals else ()
+    return [
+        [("hole || C", listener(empty))],
+        [("C || hole", shouter(empty, payload))],
+        [("nu", None)],
+        [("!", None)],
+    ]
+
+
 def test_fixed_context_family_preserves_weak_verdict():
     s1, s2 = mk(SILENT), mk(STUCK)
-    results = congruence_sample(s1, s2, {}, weak=True)
-    assert results
-    for desc, res in results:
-        assert res.equivalent, desc
+    u = Universe.for_systems([s1, s2])
+    contexts = _fixed_contexts(u.values)
+    assert contexts
+    for layers in contexts:
+        res = bisimilar(plug(layers, s1), plug(layers, s2), {}, u, weak=True, repl_bound=2)
+        assert res.equivalent, layers
 
 
 def test_fixed_context_family_preserves_inequivalence():
     s1 = mk("{a := 1}: ('m')@(tt).0")
     s2 = mk("{a := 1}: ('n')@(tt).0")
-    for desc, res in congruence_sample(s1, s2, {}, weak=False):
-        assert not res.equivalent, desc
+    u = Universe.for_systems([s1, s2])
+    for layers in _fixed_contexts(u.values):
+        res = bisimilar(plug(layers, s1), plug(layers, s2), {}, u, repl_bound=2)
+        assert not res.equivalent, layers
 
 
 def test_random_contexts_are_identical_for_both_sides():
     s = mk(SILENT)
     u = Universe.for_systems([s])
-    from abcwb.equivalence import random_contexts
-
-    for desc, ctx in random_contexts(u.values, seed=9, count=20):
-        assert pretty_system(ctx(s)) == pretty_system(ctx(s))
+    rng = random.Random(9)
+    for _ in range(20):
+        layers = draw_context(rng, u.values)
+        assert pretty_system(plug(layers, s)) == pretty_system(plug(layers, s))
 
 
 def _witness_levels(witness):
