@@ -49,8 +49,12 @@ def _load(path: str):
 
 
 def _parse_value(text: str):
-    if text.startswith("'") and text.endswith("'"):
-        return Name(text[1:-1])
+    """The value a ``reach`` query names; None for a name literal whose
+    quotes do not pair up, which no term can hold."""
+    if "'" in text:
+        if len(text) >= 2 and text[0] == text[-1] == "'" and "'" not in text[1:-1]:
+            return Name(text[1:-1])
+        return None
     if text in ("tt", "ff"):
         return Bool(text == "tt")
     try:
@@ -242,6 +246,10 @@ def _dispatch(args) -> int:
             print("error: query must look like attr=value", file=_sys.stderr)
             return 3
         value = _parse_value(val)
+        if value is None:
+            print(f"error: query must look like attr=value; the quotes of {val} "
+                  f"do not pair up", file=_sys.stderr)
+            return 3
         universe = Universe.for_program(prog)
         lts = build_lts(
             prog.main,

@@ -2,14 +2,17 @@
 
 A component is an attribute environment paired with a process.  One
 walk, ``_fire``, applies the rules for updates, awareness, choice,
-interleaving and calls, whichever action fires at the end: a send, or a
-receive of one offered message.  Sends evaluate the message under the
-local environment and close every ``this.`` reference in the carried
-predicate; ``output_steps`` lists them as ``(predicate, values, env,
-process)`` tuples.  ``deliver`` lists every way a component receives an
-incoming message as ``(env, process)`` pairs; an empty list means it
-discards the message, so receiving and discarding are mutually exclusive
-and total.
+interleaving and calls, and stops at every send or input prefix it
+reaches; ``prefixes`` lists them, each with the environment in force
+there and the ``Par`` context around it.  Sends and receives both read
+that one list, so a caller that keeps it walks a component once however
+many messages it offers.  ``output_steps`` evaluates the send prefixes:
+the message under the local environment, with every ``this.`` reference
+in the carried predicate closed, as ``(predicate, values, env,
+process)`` tuples.  ``deliver`` tests the input prefixes against one
+incoming message and lists every way the component receives it as
+``(env, process)`` pairs; an empty list means it discards the message,
+so receiving and discarding are mutually exclusive and total.
 
 Attribute updates guard their action: the assignments are evaluated
 under the environment in force when the update is reached, and commit
@@ -17,7 +20,8 @@ in the same step as the guarded send or receive.  A discard leaves the
 component, including any pending updates, untouched.  ``rand(n)`` is an
 n-way choice, so a component's steps depend only on the component and
 the definitions.  An update, payload or call with more than
-``DEFAULT_MESSAGE_BUDGET`` choices or outcomes raises ``UniverseTooLarge``.
+``DEFAULT_MESSAGE_BUDGET`` choices or prefixes, or a component with
+more sends than that, raises ``UniverseTooLarge``.
 """
 
 from __future__ import annotations
@@ -90,16 +94,45 @@ def _evaluate(keyed, env: AttributeEnv) -> list:
     return out
 
 
-def output_steps(
+def prefixes(
     env: AttributeEnv, proc: Process, defs: Definitions
+) -> list[tuple[AttributeEnv, Process, tuple]]:
+    """Every send or input prefix a component can fire, in walk order.
+
+    Each is ``(env, prefix, context)``: the environment after the
+    updates and calls on the way to the ``Out`` or ``In`` node, the node
+    itself, and the ``Par`` siblings around it, innermost first, each as
+    ``(sibling, hole_on_left)``; ``_plug`` rebuilds the component around
+    the prefix's continuation from them.
+    """
+    return _fire(env, proc, defs)
+
+
+def output_steps(
+    env: AttributeEnv, proc: Process, defs: Definitions, pre: list = None
 ) -> list[tuple[Predicate, tuple[Value, ...], AttributeEnv, Process]]:
     """All send transitions of a component, with their resulting state.
 
     The payload expressions are evaluated under the local environment;
     a send whose payload or closed predicate needs an unbound attribute
-    is simply not enabled.
+    is simply not enabled.  ``pre`` is the component's ``prefixes`` list
+    when the caller keeps one.
     """
-    return _fire(env, proc, defs, None)
+    out = []
+    for env2, p, ctx in _fire(env, proc, defs) if pre is None else pre:
+        if type(p) is not Out:
+            continue
+        try:
+            pred = close_predicate(p.pred, env2)
+        except UndefinedClosure:
+            continue
+        cont = _plug(p.cont, ctx)
+        out += [
+            (pred, tuple(v for _, v in payload), env2, cont)
+            for payload in _evaluate(enumerate(p.exprs), env2)
+        ]
+        _bound(len(out))
+    return out
 
 
 def deliver(
@@ -108,6 +141,7 @@ def deliver(
     sender_pred: Predicate,
     values: tuple[Value, ...],
     defs: Definitions,
+    pre: list = None,
 ) -> list[tuple[AttributeEnv, Process]]:
     """Offer one message to a component: every way it receives it, as
     ``(env, process)`` pairs; none means it discards the message.
@@ -116,54 +150,62 @@ def deliver(
     under the instantiated message, and the sender's predicate against
     the receiver's environment.  Parallel threads inside one component
     compete: exactly one of them consumes the message per outcome.
+    ``pre`` is the component's ``prefixes`` list when the caller keeps
+    one.
     """
-    return _fire(env, proc, defs, (sender_pred, values))
+    out = []
+    for env2, p, ctx in _fire(env, proc, defs) if pre is None else pre:
+        theta = _receive(env2, p, sender_pred, values)
+        if theta is not None:
+            out.append((env2, _plug(substitute(p.cont, theta), ctx)))
+    return out
 
 
-def _fire(env: AttributeEnv, proc: Process, defs: Definitions, msg) -> list:
-    """Every way ``proc`` acts under ``env``: its sends when ``msg`` is
-    None, else its receives of ``msg = (sender_pred, values)``.  The last
-    item of each outcome is the continuation."""
-    # process classes have no subclasses, so the exact type decides; the
-    # kinds most often offered a message come first
+def hears(pre: list, sender_pred: Predicate, values: tuple[Value, ...]) -> bool:
+    """Whether a component with ``prefixes`` list ``pre`` receives the
+    message, without building what it becomes."""
+    return any(_receive(env, p, sender_pred, values) is not None for env, p, _ in pre)
+
+
+def _receive(env: AttributeEnv, p: Process, sender_pred: Predicate, values):
+    """The binding under which prefix ``p`` receives the message in
+    ``env``, or None: it is a send, or a check fails."""
+    if type(p) is not In or len(p.vars) != len(values):
+        return None
+    theta = dict(zip(p.vars, values))
+    if satisfies(env, substitute(p.pred, theta)) and satisfies(env, sender_pred):
+        return theta
+    return None
+
+
+def _plug(cont: Process, ctx: tuple) -> Process:
+    """Put ``cont`` back in the ``Par`` context ``prefixes`` recorded."""
+    for sibling, hole_on_left in ctx:
+        cont = Par(cont, sibling) if hole_on_left else Par(sibling, cont)
+    return cont
+
+
+def _fire(env: AttributeEnv, proc: Process, defs: Definitions) -> list:
+    """The walk behind ``prefixes``: the one place the rules for updates,
+    awareness, choice, interleaving and calls are applied."""
+    # process classes have no subclasses, so the exact type decides
     kind = type(proc)
-    if kind is Out:
-        if msg is not None:
-            return []
-        try:
-            pred = close_predicate(proc.pred, env)
-        except UndefinedClosure:
-            return []
-        return [
-            (pred, tuple(v for _, v in payload), env, proc.cont)
-            for payload in _evaluate(enumerate(proc.exprs), env)
-        ]
+    if kind is Out or kind is In:
+        return [(env, proc, ())]
     if kind is Nil:
         return []
-    if kind is In:
-        if msg is None:
-            return []
-        sender_pred, values = msg
-        if len(proc.vars) != len(values):
-            return []
-        theta = dict(zip(proc.vars, values))
-        own = substitute(proc.pred, theta)
-        if satisfies(env, own) and satisfies(env, sender_pred):
-            return [(env, substitute(proc.cont, theta))]
-        return []
     if kind is Sum:
-        return _fire(env, proc.left, defs, msg) + _fire(env, proc.right, defs, msg)
+        return _fire(env, proc.left, defs) + _fire(env, proc.right, defs)
     if kind is Par:
         left, right = proc.left, proc.right
         return [
-            o[:-1] + (Par(o[-1], right),) for o in _fire(env, left, defs, msg)
-        ] + [o[:-1] + (Par(left, o[-1]),) for o in _fire(env, right, defs, msg)]
+            (e, p, ctx + ((right, True),)) for e, p, ctx in _fire(env, left, defs)
+        ] + [(e, p, ctx + ((left, False),)) for e, p, ctx in _fire(env, right, defs)]
     if kind is Aware:
         if satisfies(env, proc.pred):
-            return _fire(env, proc.cont, defs, msg)
+            return _fire(env, proc.cont, defs)
         return []
     if kind is Upd:
-        # on a discard no outcome carries the committed environment
         steps = [(env.updated(a), proc.cont) for a in _evaluate(proc.assigns, env)]
     elif kind is Call:
         params, body = defs[proc.name]
@@ -174,6 +216,6 @@ def _fire(env: AttributeEnv, proc: Process, defs: Definitions, msg) -> list:
     # an update or a call goes on once per choice of the ``rand`` it mentions
     out = []
     for env2, cont in steps:
-        out += _fire(env2, cont, defs, msg)
+        out += _fire(env2, cont, defs)
         _bound(len(out))
     return out

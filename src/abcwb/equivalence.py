@@ -15,25 +15,36 @@ breadth-first ``Walk`` from both roots: states are numbered in discovery
 order and canonical labels are interned to numbers (tau is 0).  This
 module adds only the stimulus pool and the loop that offers it.  Most
 stimuli are discarded by every component of a state, and the states
-share few distinct components, so the loop asks each distinct component
-once which stimuli it receives and keeps the answers for the call.  A
-stimulus that no component of a state receives is recorded as a
-self-loop, as ``sys_deliver`` would hand back the state itself; every
-other stimulus goes through ``sys_deliver``.  A stimulus that mentions
-a name the state's restrictions bind takes that full path too, because
-delivery renames that restriction first.  Each component's deliveries
-come from the walk's memo, which ``sys_deliver`` shares.
+share few distinct components, so the loop tests each distinct
+component's input prefixes against each stimulus once.  A stimulus that
+no component of a state receives is a discard, which ``sys_deliver``
+would answer with the state itself, and it is not recorded.  Every other
+stimulus goes through ``sys_deliver``, and so does one that mentions a
+name the state's restrictions bind, because delivery renames that
+restriction first; the state lists its label in ``takes``.  The space
+thus holds explicit moves only, and ``_Space.moves`` puts the implicit
+self-loops back on demand.
 
 Bisimilarity is computed by partition refinement over that graph: start
 from one block and split blocks by the set of (label, target block)
-moves of their states until nothing splits.  The round in which two
-states part gives a minimal-depth distinguishing strategy, which is
-reported as a nested witness, printed by mapping the numbers back to
-terms and labels.
+moves of their states until nothing splits.  Every state is offered the
+same stimuli S, so a state that takes the stimuli X, has the explicit
+moves E and discards into the blocks U has the moves E + (S - X) x U.
+Among states with the same U that set is fixed by the symmetric
+difference of E and X x U, which the signature holds instead.  In the
+strong case U is the state's own block, part of the key anyway.  In the
+weak case the moves are saturated over the tau-closure: X is the union
+of ``takes`` over the closure, U is the closure's blocks, which its tau
+move names, and a taken stimulus also leads to the closure of each state
+of the closure that discards it.  The round in which two states part
+gives a minimal-depth distinguishing strategy, reported as a nested
+witness that reads each state's moves, discards included, in the order
+they were found.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -54,7 +65,16 @@ from .syntax import (
     pretty_system,
     value_sort_key,
 )
-from .system import SIn, SOut, msg_names, receives, set_fuel, sys_deliver, system_steps
+from .component import hears
+from .system import (
+    SIn,
+    SOut,
+    comp_prefixes,
+    msg_names,
+    set_fuel,
+    sys_deliver,
+    system_steps,
+)
 
 
 def barbs(sys: System, defs: Definitions, universe: Universe) -> set:
@@ -117,14 +137,33 @@ class _Space:
     States are numbered in discovery order and canonical labels are
     interned to numbers, tau being 0, so refinement hashes and compares
     ints rather than terms and nested label tuples.  ``states`` and
-    ``labels`` map the numbers back for the witness.
+    ``labels`` map the numbers back for the witness.  ``succ`` holds the
+    explicit moves only: a state's steps, and the stimuli it handles
+    through ``sys_deliver``, whose label numbers ``takes`` lists.  Every
+    other label of ``stimuli`` is a discard, an implicit self-loop;
+    ``moves`` puts those back.
     """
 
     states: list  # state number -> canonical System
     labels: list  # label number -> canonical label
     succ: dict  # state number -> dict[label number, tuple of distinct state numbers]
+    takes: list  # state number -> frozenset of the stimulus labels sys_deliver handled
+    stimuli: list  # label numbers of the stimuli, ascending
     truncated: bool
     reasons: list
+
+    def moves(self, s: int) -> dict:
+        """Every move of state ``s``, discards included, in the shape of
+        ``succ``: step labels first, then stimulus labels in ascending
+        order."""
+        explicit, takes = self.succ[s], self.takes[s]
+        out = {k: ts for k, ts in explicit.items() if k not in takes}
+        for k in self.stimuli:
+            if k not in takes:
+                out[k] = (s,)
+            elif k in explicit:  # its targets may all lie past the state budget
+                out[k] = explicit[k]
+        return out
 
 
 def _explore_pair(
@@ -145,8 +184,9 @@ def _explore_pair(
     """
     walk = Walk(roots, defs, universe, repl_bound=repl_bound, max_states=max_states)
 
-    # (predicate, values, label number, names) of every stimulus, in offer order
-    messages: list[tuple[Predicate, tuple[Value, ...], int, frozenset[str]]] = []
+    # (predicate, values, label number) of every stimulus, in offer order
+    messages: list[tuple[Predicate, tuple[Value, ...], int]] = []
+    mentions: dict[str, list[int]] = {}  # name -> the stimuli that mention it
 
     def add_message(pred, vals):
         key = canon_label(SIn(pred, vals), universe)
@@ -155,12 +195,16 @@ def _explore_pair(
         if len(messages) >= message_budget:
             walk.note("stimulus budget exhausted")
             return
-        messages.append((pred, vals, walk.intern(key), msg_names(pred, vals)))
+        for y in msg_names(pred, vals):
+            mentions.setdefault(y, []).append(len(messages))
+        messages.append((pred, vals, walk.intern(key)))
 
     for pred, vals in stimulus_messages(roots, defs, universe, message_budget):
         add_message(pred, vals)  # the baseline never exceeds the budget
 
-    heard: dict[Comp, tuple[int, set[int]]] = {}  # stimuli offered, received
+    # each distinct component: [stimuli offered, those it receives, its inputs]
+    heard: dict[Comp, list] = {}
+    takes: dict[int, set[int]] = {}  # state -> stimulus labels sys_deliver handled
     offered: list[int] = []  # how many stimuli each state has seen
     while True:
         progressed = walk.step(add_message)
@@ -170,23 +214,30 @@ def _explore_pair(
             if n == len(messages):
                 continue
             progressed = True
-            s, comps, received, bound = walk.states[i], set(), set(), set()
+            s, comps, handled, bound = walk.states[i], set(), set(), set()
             _parts(s, comps, bound)
             for c in comps:
-                seen, got = heard.get(c, (0, set()))
-                for m in range(seen, len(messages)):
-                    pred, vals, _, _ = messages[m]
-                    if receives(c, pred, vals, defs, walk.memo):
-                        got.add(m)
-                heard[c] = (len(messages), got)
-                received |= got
-            for m in range(n, len(messages)):
-                pred, vals, k, names = messages[m]
-                if m not in received and bound.isdisjoint(names):
-                    walk.move(i, k, s)  # every component discards: a self-loop
-                    continue
-                for t in sys_deliver(s, pred, vals, defs, universe, walk.memo):
-                    walk.move(i, k, t)
+                entry = heard.get(c)
+                if entry is None:
+                    pre = comp_prefixes(c, defs, walk.memo)
+                    entry = heard[c] = [0, set(), [x for x in pre if type(x[1]) is In]]
+                seen, got, inputs = entry
+                if inputs:
+                    for m in range(seen, len(messages)):
+                        pred, vals, _ = messages[m]
+                        if hears(inputs, pred, vals):
+                            got.add(m)
+                entry[0] = len(messages)
+                handled |= got
+            # delivery renames a restriction whose name the stimulus mentions
+            for y in bound:
+                handled.update(mentions.get(y, ()))
+            for m in sorted(handled):
+                if m >= n:
+                    pred, vals, k = messages[m]
+                    takes.setdefault(i, set()).add(k)
+                    for t in sys_deliver(s, pred, vals, defs, universe, walk.memo):
+                        walk.move(i, k, t)
             offered[i] = len(messages)
         if not progressed:
             break
@@ -196,7 +247,15 @@ def _explore_pair(
         targets = succ[i].get(k, ())
         if j not in targets:
             succ[i][k] = targets + (j,)
-    space = _Space(walk.states, walk.labels, succ, bool(walk.reasons), walk.reasons)
+    space = _Space(
+        walk.states,
+        walk.labels,
+        succ,
+        [frozenset(takes.get(i, ())) for i in range(len(walk.states))],
+        [k for _, _, k in messages],
+        bool(walk.reasons),
+        walk.reasons,
+    )
     return walk.roots, space
 
 
@@ -211,14 +270,19 @@ class BisimResult:
 def _refine(space: _Space, weak: bool):
     """Partition refinement by successor signatures.
 
-    Returns the (possibly saturated) successor map, the final block of
+    Returns the moves of a state as the witness reads them (a function
+    of the state number, saturated when ``weak``), the final block of
     each state (a list indexed by state number), and the partition
     history; two states are related iff they end up in the same block.
     """
-    succ = space.succ
+    n = len(space.succ)
     if weak:
-        succ = _weak_closure(succ)
-    n = len(succ)
+        succ, takes, tclo = _weak_closure(space)
+        loops = tclo  # a discard leads to the whole tau-closure
+        moves = functools.partial(_saturate, space.moves, tclo)
+    else:
+        succ, takes, loops = space.succ, space.takes, [(s,) for s in range(n)]
+        moves = space.moves
     block = [0] * n
     history = [block]
     count = 1
@@ -230,9 +294,15 @@ def _refine(space: _Space, weak: bool):
             sig = frozenset(
                 lab * n + block[t] for lab, ts in succ[s].items() for t in ts
             )
+            if takes[s]:
+                # the discards lead every stimulus outside ``takes`` into
+                # the blocks of ``loops``: key them by their complement
+                sig ^= {
+                    lab * n + b for b in {block[u] for u in loops[s]} for lab in takes[s]
+                }
             refined.append(keys.setdefault((block[s], sig), len(keys)))
         if len(keys) == count:
-            return succ, refined, history
+            return moves, refined, history
         count = len(keys)
         block = refined
         history.append(block)
@@ -246,14 +316,15 @@ def _sep_round(p, q, history) -> int:
     return len(history)  # never separated
 
 
-def _mismatch(p, q, succ, block):
+def _mismatch(p, q, moves, block):
     """An attacker move from p that q cannot answer into the same block.
 
     Targets are tried in discovery order, a move back to p itself last:
     such a stutter restates the pair rather than explaining it.
     """
-    for lab, targets in succ[p].items():
-        answers = succ[q].get(lab, frozenset())
+    replies = moves(q)
+    for lab, targets in moves(p).items():
+        answers = replies.get(lab, frozenset())
         answer_blocks = {block[u] for u in answers}
         for t in sorted(targets, key=lambda t: (t == p, t)):
             if block[t] not in answer_blocks:
@@ -261,8 +332,28 @@ def _mismatch(p, q, succ, block):
     return None
 
 
-def _weak_closure(succ):
-    """Saturate: tau* a tau* for visible moves, tau* for silent ones."""
+def _saturate(moves, tclo, s) -> dict:
+    """The weak moves of ``s`` over ``moves``: tau* for silent ones,
+    tau* a tau* for visible ones, as sets of states."""
+    d: dict = {TAU_LABEL: set(tclo[s])}
+    for mid in tclo[s]:
+        for lab, targets in moves(mid).items():
+            if lab == TAU_LABEL:
+                continue
+            acc = d.setdefault(lab, set())
+            for t in targets:
+                acc |= tclo[t]
+    return d
+
+
+def _weak_closure(space: _Space):
+    """Saturate the explicit moves.
+
+    Returns the weak moves of each state, the stimuli some state of its
+    tau-closure does not discard (the others lead to the whole
+    tau-closure), and the tau-closures.
+    """
+    succ, takes = space.succ, space.takes
     n = len(succ)
     tclo: list[frozenset[int]] = []
     for s in range(n):
@@ -276,20 +367,21 @@ def _weak_closure(succ):
                     stack.append(t)
         tclo.append(frozenset(seen))
     weak: dict = {}
+    wtakes: list[frozenset[int]] = []
     for s in range(n):
-        d: dict = {TAU_LABEL: set(tclo[s])}
-        for mid in tclo[s]:
-            for lab, targets in succ[mid].items():
-                if lab == TAU_LABEL:
-                    continue
-                acc = d.setdefault(lab, set())
-                for t in targets:
-                    acc |= tclo[t]
+        mids = tclo[s]
+        x = frozenset().union(*[takes[mid] for mid in mids])
+        d = _saturate(succ.__getitem__, tclo, s)
+        for lab in x:
+            for mid in mids:
+                if lab not in takes[mid]:  # mid discards it and stays put
+                    d.setdefault(lab, set()).update(tclo[mid])
         weak[s] = {k: tuple(v) for k, v in d.items()}
-    return weak
+        wtakes.append(x)
+    return weak, wtakes, tclo
 
 
-def _build_witness(p, q, space, succ, history):
+def _build_witness(p, q, space, moves, history):
     """The move that parted ``p`` and ``q``, then the pair it leads to.
 
     The move is read off the partition one round before the pair parted,
@@ -299,7 +391,7 @@ def _build_witness(p, q, space, succ, history):
     """
     block = history[_sep_round(p, q, history) - 1]
     for first, second, side in ((p, q, "left"), (q, p, "right")):
-        miss = _mismatch(first, second, succ, block)
+        miss = _mismatch(first, second, moves, block)
         if miss:
             lab, t, answers = miss
             node = {
@@ -311,7 +403,7 @@ def _build_witness(p, q, space, succ, history):
             if answers:
                 # recurse on the answer parted from t as early as possible
                 u = min(sorted(answers), key=lambda u: _sep_round(t, u, history))
-                node["continues"] = _build_witness(t, u, space, succ, history)
+                node["continues"] = _build_witness(t, u, space, moves, history)
             else:
                 node["continues"] = None  # the move is missing outright
             return node
@@ -348,9 +440,9 @@ def bisimilar(
     )
     if i1 is None or i2 is None:  # the state budget ran out at the start
         return BisimResult(False, None, True, space.reasons)
-    succ, block, history = _refine(space, weak)
+    moves, block, history = _refine(space, weak)
     if block[i1] == block[i2]:
         return BisimResult(True, None, space.truncated, space.reasons)
-    witness = _build_witness(i1, i2, space, succ, history)
+    witness = _build_witness(i1, i2, space, moves, history)
     return BisimResult(False, witness, space.truncated, space.reasons)
 

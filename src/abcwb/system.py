@@ -23,7 +23,11 @@ exhaustion is part of the state: a bang out of fuel has no steps and
 A component's sends and receptions depend only on the component, so
 ``system_steps`` and ``sys_deliver`` keep them in a caller's ``memo``
 dict: a walk passes one for its lifetime, a one-off caller a fresh one.
-Its lists are shared, so no caller may change them.
+Under ``c`` it keeps the steps of component ``c``, under ``(c,)`` its
+``component.prefixes`` list, from which both its sends and its
+receptions are read, and under ``(c, pred, values)`` what it becomes on
+receiving that message.  Its lists are shared, so no caller may change
+them.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attributes import Universe, is_ff, restrict_predicate
-from .component import deliver, output_steps
+from .component import deliver, output_steps, prefixes
 from .syntax import (
     Bang,
     Comp,
@@ -132,14 +136,26 @@ def system_steps(
     return _steps(freshen_binders(sys), defs, universe, memo)
 
 
+def comp_prefixes(c: Comp, defs: Definitions, memo: dict) -> list:
+    """The ``component.prefixes`` list of ``c``, kept in ``memo`` under
+    ``(c,)``."""
+    key = (c,)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = prefixes(c.env, c.proc, defs)
+    return out
+
+
 def receives(c: Comp, pred: Predicate, values, defs: Definitions, memo: dict) -> list:
     """Every component ``c`` becomes by receiving a message, kept in
     ``memo`` under ``(c, pred, values)``; none when it discards it."""
     key = (c, pred, values)
     out = memo.get(key)
     if out is None:
+        pre = comp_prefixes(c, defs, memo)
         out = memo[key] = [
-            Comp(env2, cont) for env2, cont in deliver(c.env, c.proc, pred, values, defs)
+            Comp(env2, cont)
+            for env2, cont in deliver(c.env, c.proc, pred, values, defs, pre)
         ]
     return out
 
@@ -152,7 +168,9 @@ def _steps(sys, defs, universe, memo):
                 # a send nobody can satisfy is silent
                 (TAU if is_ff(pred, universe) else SOut(frozenset(), pred, values),
                  Comp(env2, cont))
-                for pred, values, env2, cont in output_steps(sys.env, sys.proc, defs)
+                for pred, values, env2, cont in output_steps(
+                    sys.env, sys.proc, defs, comp_prefixes(sys, defs, memo)
+                )
             ]
         return out
 

@@ -3,9 +3,11 @@ state-keyed greatest-fixpoint reference (``bisim_oracle``).
 
 The reference offers every stimulus to every state through
 ``sys_deliver``, and steps every state with a memo of its own, so it
-also checks, edge for edge, the engine's shortcut that records a
-stimulus every component discards as a self-loop and the walk's memo of
-component steps."""
+also checks, edge for edge, the engine's shortcut that keeps a stimulus
+every component discards as an implicit self-loop and the walk's memo of
+component steps.  The engine's refinement over those implicit loops is
+checked against refinement over fully built ones (``refine_oracle``):
+the same partition in every round and the same witness."""
 
 import random
 
@@ -13,7 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abcwb.attributes import Universe, UniverseTooLarge
-from abcwb.equivalence import _explore_pair, bisimilar
+from abcwb.equivalence import (
+    _build_witness,
+    _explore_pair,
+    _refine,
+    _weak_closure,
+    bisimilar,
+)
 from abcwb.parser import parse_system
 from abcwb.syntax import Comp, FF_, NIL, Nu, Out, SysPar
 
@@ -21,6 +29,7 @@ from astgen import gen_env, gen_system
 from bisim_oracle import explore, oracle_bisimilar, related, saturate
 from conftest import load_corpus
 from contexts import draw_context, plug
+from refine_oracle import full_succ, refine, weak_closure
 
 # the bounds `abcwb bisim` runs with by default
 CLI_BOUNDS = dict(repl_bound=3, max_states=2000, message_budget=2000)
@@ -31,12 +40,25 @@ def _edges(succ) -> int:
 
 
 def _by_term(space):
-    """The engine's joint space keyed as the reference keys it."""
+    """The engine's joint space keyed as the reference keys it, with
+    its implicit discard loops put back."""
     states, labels = space.states, space.labels
     return {
-        states[i]: {labels[k]: {states[j] for j in ts} for k, ts in moves.items()}
-        for i, moves in space.succ.items()
+        states[i]: {
+            labels[k]: {states[j] for j in ts} for k, ts in space.moves(i).items()
+        }
+        for i in space.succ
     }
+
+
+def _in_order(space, succ) -> bool:
+    """Whether every state's moves, discards put back, come in the order
+    the reference found their labels: steps first, then stimuli as they
+    were offered.  A witness tries moves in this order."""
+    states, labels = space.states, space.labels
+    return all(
+        [labels[k] for k in space.moves(i)] == list(succ[states[i]]) for i in space.succ
+    )
 
 
 def _same_space(s1, s2, defs, universe, **kw):
@@ -46,7 +68,43 @@ def _same_space(s1, s2, defs, universe, **kw):
     if space.truncated:
         return None
     inits, succ = explore((s1, s2), defs, universe, **kw)
-    return [space.states[i] for i in roots] == inits and _by_term(space) == succ
+    return (
+        [space.states[i] for i in roots] == inits
+        and _by_term(space) == succ
+        and _in_order(space, succ)
+    )
+
+
+def _refine_matches_the_oracle(s1, s2, defs, universe, **kw):
+    """Refine the engine's space over implicit discards and over fully
+    built ones, strong and weak: the same blocks in every round, the
+    same moves in the same label order, and the same witness as
+    ``bisimilar`` reports."""
+    (i1, i2), space = _explore_pair((s1, s2), defs, universe, **kw)
+    if i1 is None or i2 is None:
+        return
+    succ = full_succ(space)
+    weak_moves, takes, tclo = _weak_closure(space)
+    for s, want in weak_closure(succ).items():
+        # a stimulus no state of the tau-closure takes leads to all of it
+        implicit = {k: tclo[s] for k in space.stimuli if k not in takes[s]}
+        got = {k: frozenset(ts) for k, ts in {**weak_moves[s], **implicit}.items()}
+        assert got == {k: frozenset(ts) for k, ts in want.items()}, s
+    for weak in (False, True):
+        moves, block, history = _refine(space, weak)
+        old_moves, old_block, old_history = refine(succ, weak)
+        assert (block, history) == (old_block, old_history), weak
+        for s in space.succ:
+            got, want = moves(s), old_moves[s]
+            assert list(got) == list(want), (weak, s)
+            assert all(set(got[k]) == set(want[k]) for k in want), (weak, s)
+        witness = bisimilar(s1, s2, defs, universe, weak=weak, **kw).witness
+        if block[i1] == block[i2]:
+            assert witness is None
+        else:
+            assert witness == _build_witness(
+                i1, i2, space, old_moves.__getitem__, old_history
+            ), weak
 
 
 def _corpus_pair(left, right):
@@ -72,10 +130,12 @@ def test_corpus_verdicts_match_the_oracle(left, right, equivalent):
     roots, space = _explore_pair((s1, s2), defs, universe, **CLI_BOUNDS)
     assert [space.states[i] for i in roots] == [i1, i2]
     assert _by_term(space) == succ  # edge for edge
+    assert _in_order(space, succ)
     for weak, moves in ((False, succ), (True, saturate(succ))):
         res = bisimilar(s1, s2, defs, universe, weak=weak)
         assert res.equivalent == related(moves, i1, i2) == equivalent, weak
         assert not res.truncated
+    _refine_matches_the_oracle(s1, s2, defs, universe, **CLI_BOUNDS)
 
 
 @pytest.mark.parametrize(
@@ -101,6 +161,7 @@ def test_discard_shortcut_guards_match_the_oracle(left, right, seed):
     s1, s2 = (parse_system(t, attrs=("a", "x", "y")) for t in (left, right))
     universe = Universe.for_systems([s1, s2])
     assert _same_space(s1, s2, {}, universe, **CLI_BOUNDS)
+    _refine_matches_the_oracle(s1, s2, {}, universe, **CLI_BOUNDS)
     # the run seed is echoed only: the verdict is the oracle's at every seed
     for weak in (False, True):
         assert bisimilar(s1, s2, {}, universe, weak=weak, seed=seed).equivalent == \
@@ -112,7 +173,9 @@ def test_channels_pubsub_joint_space_size():
     universe = Universe.for_systems([s1, s2])
     _, space = _explore_pair((s1, s2), defs, universe, **CLI_BOUNDS)
     assert len(space.succ) == 774
-    assert _edges(space.succ) == 63_838
+    assert _edges({i: space.moves(i) for i in space.succ}) == 63_838
+    # all but these are discards, kept as implicit self-loops
+    assert _edges(space.succ) == 1_666
     _, succ = explore((s1, s2), defs, universe, **CLI_BOUNDS)
     assert (len(succ), _edges(succ)) == (774, 63_838)
     # every label number names one canonical label, tau first
@@ -164,6 +227,7 @@ def test_random_pairs_match_the_oracle(seed):
         )
         assert engine == oracle, (weak, seed)
     assert _outcome(lambda: _same_space(a, b, {}, universe, **PAIR_BOUNDS)) is not False, seed
+    _outcome(lambda: _refine_matches_the_oracle(a, b, {}, universe, **PAIR_BOUNDS))
 
 
 def _context_mismatches(seed, count=5):

@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from abcwb.cli import main
+from abcwb.cli import _parse_value, main
 from abcwb.attributes import Universe, fingerprint
 from abcwb.parser import parse_process, parse_program
-from abcwb.syntax import SysPar, pretty_system
+from abcwb.syntax import Name, SysPar, pretty_system
 
 
 def run(argv, capsys):
@@ -160,6 +160,19 @@ def test_reach_refuses_a_malformed_query(corpus_dir, capsys, query):
 def test_reach_takes_an_empty_name_literal(corpus_dir, capsys):
     code, out, _ = run(["reach", path(corpus_dir, "channels.abc"), "gotA=''"], capsys)
     assert code == 1 and "not reachable" in out
+
+
+@pytest.mark.parametrize("value", ["'", "'x", "x'"])
+def test_reach_refuses_an_unmatched_quote(corpus_dir, capsys, value):
+    code, out, err = run(["reach", path(corpus_dir, "channels.abc"), f"gotA={value}"], capsys)
+    assert code == 3 and out == ""
+    assert "query must look like attr=value" in err and value in err
+
+
+def test_reach_reads_a_quoted_value_as_a_name():
+    assert _parse_value("''") == Name("")
+    assert _parse_value("'d'") == Name("d")
+    assert [_parse_value(v) for v in ("'", "'x", "x'")] == [None, None, None]
 
 
 def test_reach_miss_under_truncation_is_inconclusive(corpus_dir, capsys):

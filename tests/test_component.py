@@ -4,14 +4,34 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abcwb.attributes import Universe, UniverseTooLarge, fingerprint
+from abcwb.attributes import (
+    Universe,
+    UndefinedClosure,
+    UniverseTooLarge,
+    close_predicate,
+    fingerprint,
+)
 from abcwb.cli import main
 from abcwb.component import deliver, output_steps
 from abcwb.parser import parse_process
-from abcwb.syntax import FF_, UNDEFINED, AttributeEnv, In, Int, Name, Par, Process
+from abcwb.syntax import (
+    FF_,
+    TT_,
+    UNDEFINED,
+    AttributeEnv,
+    Call,
+    In,
+    Int,
+    Name,
+    Par,
+    Process,
+    Sum,
+)
 
-from astgen import gen_env, gen_proc, gen_value
+import fire_oracle
+from astgen import VARS, gen_env, gen_expr, gen_pred, gen_proc, gen_value
 
 
 def pp(text, attrs=(), scope=()):
@@ -269,3 +289,43 @@ def test_rand_fan_out_is_bounded(tmp_path, capsys):
     assert main(["step", str(f)]) == 2
     assert time.perf_counter() - start < 10
     assert "resource bound exceeded" in capsys.readouterr().err
+
+
+# -- one prefix walk against the message-taking walk ---------------------------
+
+
+def _outcome(steps):
+    try:
+        return steps()
+    except UniverseTooLarge:
+        return "UniverseTooLarge"
+
+
+def _call(rng):
+    return Call("D", tuple(gen_expr(rng, frozenset(), 1) for _ in range(2)))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_prefix_walk_matches_the_message_taking_walk(seed):
+    """Sends and receives read off the one prefix walk are the old walk's
+    outcomes, in the same order, on generated components with ``rand``
+    updates, awareness, ``Par`` and calls, offered generated messages."""
+    rng = random.Random(seed)
+    params = tuple(VARS[:2])
+    defs = {"D": (params, gen_proc(rng, frozenset(params)))}
+    env, proc = gen_env(rng), gen_proc(rng)
+    if rng.random() < 0.5:
+        proc = (Sum if rng.random() < 0.5 else Par)(proc, _call(rng))
+    assert _outcome(lambda: output_steps(env, proc, defs)) == _outcome(
+        lambda: fire_oracle.output_steps(env, proc, defs)
+    )
+    for _ in range(4):
+        try:
+            pred = close_predicate(gen_pred(rng, frozenset()), gen_env(rng))
+        except UndefinedClosure:
+            pred = TT_
+        vals = tuple(gen_value(rng) for _ in range(rng.randrange(1, 3)))
+        assert _outcome(lambda: deliver(env, proc, pred, vals, defs)) == _outcome(
+            lambda: fire_oracle.deliver(env, proc, pred, vals, defs)
+        )
