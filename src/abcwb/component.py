@@ -1,12 +1,12 @@
 """Single-component transition steps: sends, receives and discards.
 
 A component is an attribute environment paired with a process.  One
-walk, ``_fire``, applies the rules for updates, awareness, choice,
-interleaving and calls, and stops at every send or input prefix it
-reaches; ``prefixes`` lists them, each with the environment in force
-there and the ``Par`` context around it.  Sends and receives both read
-that one list, so a caller that keeps it walks a component once however
-many messages it offers.  ``output_steps`` evaluates the send prefixes:
+walk, ``prefixes``, applies the rules for updates, awareness, choice,
+interleaving and calls, and lists every send or input prefix it
+reaches, each with the environment in force there and the ``Par``
+context around it.  Sends and receives both read that one list, so a
+caller that keeps it walks a component once however many messages it
+offers.  ``output_steps`` evaluates the send prefixes:
 the message under the local environment, with every ``this.`` reference
 in the carried predicate closed, as ``(predicate, values, env,
 process)`` tuples.  ``deliver`` tests the input prefixes against one
@@ -94,32 +94,18 @@ def _evaluate(keyed, env: AttributeEnv) -> list:
     return out
 
 
-def prefixes(
-    env: AttributeEnv, proc: Process, defs: Definitions
-) -> list[tuple[AttributeEnv, Process, tuple]]:
-    """Every send or input prefix a component can fire, in walk order.
-
-    Each is ``(env, prefix, context)``: the environment after the
-    updates and calls on the way to the ``Out`` or ``In`` node, the node
-    itself, and the ``Par`` siblings around it, innermost first, each as
-    ``(sibling, hole_on_left)``; ``_plug`` rebuilds the component around
-    the prefix's continuation from them.
-    """
-    return _fire(env, proc, defs)
-
-
 def output_steps(
-    env: AttributeEnv, proc: Process, defs: Definitions, pre: list = None
+    pre: list,
 ) -> list[tuple[Predicate, tuple[Value, ...], AttributeEnv, Process]]:
-    """All send transitions of a component, with their resulting state.
+    """All send transitions of a component with ``prefixes`` list
+    ``pre``, with their resulting state.
 
     The payload expressions are evaluated under the local environment;
     a send whose payload or closed predicate needs an unbound attribute
-    is simply not enabled.  ``pre`` is the component's ``prefixes`` list
-    when the caller keeps one.
+    is simply not enabled.
     """
     out = []
-    for env2, p, ctx in _fire(env, proc, defs) if pre is None else pre:
+    for env2, p, ctx in pre:
         if type(p) is not Out:
             continue
         try:
@@ -136,25 +122,19 @@ def output_steps(
 
 
 def deliver(
-    env: AttributeEnv,
-    proc: Process,
-    sender_pred: Predicate,
-    values: tuple[Value, ...],
-    defs: Definitions,
-    pre: list = None,
+    pre: list, sender_pred: Predicate, values: tuple[Value, ...]
 ) -> list[tuple[AttributeEnv, Process]]:
-    """Offer one message to a component: every way it receives it, as
-    ``(env, process)`` pairs; none means it discards the message.
+    """Offer one message to a component with ``prefixes`` list ``pre``:
+    every way it receives it, as ``(env, process)`` pairs; none means it
+    discards the message.
 
     A receive needs both checks to pass: the receiver's own predicate
     under the instantiated message, and the sender's predicate against
     the receiver's environment.  Parallel threads inside one component
     compete: exactly one of them consumes the message per outcome.
-    ``pre`` is the component's ``prefixes`` list when the caller keeps
-    one.
     """
     out = []
-    for env2, p, ctx in _fire(env, proc, defs) if pre is None else pre:
+    for env2, p, ctx in pre:
         theta = _receive(env2, p, sender_pred, values)
         if theta is not None:
             out.append((env2, _plug(substitute(p.cont, theta), ctx)))
@@ -185,9 +165,19 @@ def _plug(cont: Process, ctx: tuple) -> Process:
     return cont
 
 
-def _fire(env: AttributeEnv, proc: Process, defs: Definitions) -> list:
-    """The walk behind ``prefixes``: the one place the rules for updates,
-    awareness, choice, interleaving and calls are applied."""
+def prefixes(
+    env: AttributeEnv, proc: Process, defs: Definitions
+) -> list[tuple[AttributeEnv, Process, tuple]]:
+    """Every send or input prefix a component can fire, in walk order:
+    the one place the rules for updates, awareness, choice, interleaving
+    and calls are applied.
+
+    Each is ``(env, prefix, context)``: the environment after the
+    updates and calls on the way to the ``Out`` or ``In`` node, the node
+    itself, and the ``Par`` siblings around it, innermost first, each as
+    ``(sibling, hole_on_left)``; ``_plug`` rebuilds the component around
+    the prefix's continuation from them.
+    """
     # process classes have no subclasses, so the exact type decides
     kind = type(proc)
     if kind is Out or kind is In:
@@ -195,15 +185,15 @@ def _fire(env: AttributeEnv, proc: Process, defs: Definitions) -> list:
     if kind is Nil:
         return []
     if kind is Sum:
-        return _fire(env, proc.left, defs) + _fire(env, proc.right, defs)
+        return prefixes(env, proc.left, defs) + prefixes(env, proc.right, defs)
     if kind is Par:
         left, right = proc.left, proc.right
         return [
-            (e, p, ctx + ((right, True),)) for e, p, ctx in _fire(env, left, defs)
-        ] + [(e, p, ctx + ((left, False),)) for e, p, ctx in _fire(env, right, defs)]
+            (e, p, ctx + ((right, True),)) for e, p, ctx in prefixes(env, left, defs)
+        ] + [(e, p, ctx + ((left, False),)) for e, p, ctx in prefixes(env, right, defs)]
     if kind is Aware:
         if satisfies(env, proc.pred):
-            return _fire(env, proc.cont, defs)
+            return prefixes(env, proc.cont, defs)
         return []
     if kind is Upd:
         steps = [(env.updated(a), proc.cont) for a in _evaluate(proc.assigns, env)]
@@ -216,6 +206,6 @@ def _fire(env: AttributeEnv, proc: Process, defs: Definitions) -> list:
     # an update or a call goes on once per choice of the ``rand`` it mentions
     out = []
     for env2, cont in steps:
-        out += _fire(env2, cont, defs)
+        out += prefixes(env2, cont, defs)
         _bound(len(out))
     return out

@@ -20,8 +20,9 @@ state depends on the run seed; ``trace`` alone draws from it.
 
 Canonicalising a move's target and printing a state reuse what each
 component caches on itself (see ``syntax``): a component shared by many
-states is canonicalised once per counter offset and renaming, and
-printed once, so a state costs about its number of components.
+states is canonicalised once per renaming of its free names, wherever
+it sits, and printed once, so a state costs about its number of
+components.
 """
 
 from __future__ import annotations

@@ -517,6 +517,7 @@ def parse_program(text: str) -> Program:
             p.attrs.add(p.ident_name())
 
     defs: dict[str, tuple[tuple[str, ...], Process]] = {}
+    where: dict[str, Token] = {}  # each definition's name token
     while p.peek().text == "def":
         p.next()
         t = p.peek()
@@ -530,6 +531,7 @@ def parse_program(text: str) -> Program:
         body = p.proc()
         del p.scope[len(p.scope) - len(params) :]
         defs[name] = (params, body)
+        where[name] = t
 
     t = p.peek()
     if t.text != "system":
@@ -539,7 +541,39 @@ def parse_program(text: str) -> Program:
     main = p.system()
     p.finish()
     p.check_calls(defs)
+    _check_guarded(defs, where)
     return Program(defs, main, frozenset(p.attrs))
+
+
+def _check_guarded(defs, where) -> None:
+    """Refuse a definition that can reach a call to itself before any
+    send or input prefix: stepping it would unfold the call forever."""
+    calls = {name: _unguarded_calls(body) for name, (_, body) in defs.items()}
+    for name, t in where.items():
+        seen, todo = set(), list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee == name:
+                raise ResolveError(
+                    f"{t.line}:{t.col}: definition {name!r} can call itself "
+                    "before any send or input (unguarded recursion)"
+                )
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(calls[callee])
+
+
+def _unguarded_calls(proc: Process) -> set[str]:
+    """The definitions ``proc`` calls before any send or input prefix;
+    updates, awareness, ``+`` and ``|`` guard nothing."""
+    kind = type(proc)
+    if kind is Call:
+        return {proc.name}
+    if kind is Upd or kind is Aware:
+        return _unguarded_calls(proc.cont)
+    if kind is Sum or kind is Par:
+        return _unguarded_calls(proc.left) | _unguarded_calls(proc.right)
+    return set()  # a prefix guards its continuation; nil calls nothing
 
 
 def parse_system(text: str, defs=None, attrs=()) -> System:

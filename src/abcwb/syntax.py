@@ -11,17 +11,16 @@ it contains a binder.  They are not fields, so equality, ``repr`` and
 construction are unchanged; a term built once and shared by many states
 pays for each of them once.
 
-A component (``Comp``) has two more: its printed text, which does not
-depend on where it occurs, and its canonical forms (see
-``canonicalize``).  A restriction is a system node and never occurs
-inside a component, so within a component the walk moves only the
-input-binder counter, and it reads its renaming ``rho`` only at the
-component's free names.  The form is therefore a function of the
-counter on entry and of ``rho`` restricted to the free names (kept as a
-sorted tuple, so the key does not depend on string hashing).  Each form
-is stored under that key with how far it moved the counter, so a hit
-moves the counter as the walk would have.  A component that is its own
-form stores ``None`` instead, so no component refers to itself.
+A component (``Comp``) has two more: its printed text and its
+canonical forms (see ``canonicalize``), neither of which depends on
+where it occurs.  A restriction is a system node and never occurs
+inside a component, and an input binds only inside its own component,
+so the walk numbers a component's input binders from ``_v0`` and reads
+its renaming ``rho`` only at the component's free names.  The form is
+therefore a function of ``rho`` restricted to the free names, which is
+its key (a sorted tuple, so the key does not depend on string hashing).
+A component that is its own form stores ``None`` instead, so no
+component refers to itself.
 
 Traversals are written over two functions that know the node kinds:
 ``children(node)`` gives the child nodes in field order, and
@@ -821,10 +820,11 @@ def canonicalize(sys: System) -> System:
     """Rename all binders to canonical reserved names in traversal order.
 
     Two systems are alpha-equivalent iff their canonical forms are equal.
-    Restriction binders become ``_n<k>``, input binders ``_v<k>``; the
-    counters are shared across the whole term so numbering is positional.
-    A counter skips the names that occur free in the binder's scope; the
-    free-name set is alpha-invariant, so the choice is too.
+    Restriction binders become ``_n<k>``, numbered across the whole term;
+    input binders become ``_v<k>``, numbered from ``_v0`` in each
+    component, the only scope they have.  A counter skips the names that
+    occur free in the binder's scope; the free-name set is
+    alpha-invariant, so the choice is too.
 
     The term is walked once, carrying a renaming ``rho`` from the binders
     in scope to their canonical names, so no binder is renamed into a name
@@ -832,10 +832,10 @@ def canonicalize(sys: System) -> System:
     returned itself, and a node without binders whose free names ``rho``
     leaves alone is returned without being walked: a successor built from
     a canonical state keeps most of its nodes, and their cached fields.
-    A component is walked once per key of its form cache (see the module
-    doc): a component shared by many states is canonicalised once.
+    A component is walked once per renaming of its free names (see the
+    module doc): a component shared by many states is canonicalised once.
     """
-    return _canon(sys, {}, {"n": 0, "v": 0})
+    return _canon(sys, {}, {"n": 0})
 
 
 def _pick(kind: str, taken, counter: dict) -> str:
@@ -859,7 +859,7 @@ def _canon(node, rho: dict, counter: dict):
         return node
     kind = type(node)
     if kind is Comp:
-        return _canon_comp(node, rho, counter)
+        return _canon_comp(node, rho)
     if kind is In:
         taken = _scope(node, rho)
         vars_ = tuple(_pick("v", taken, counter) for _ in node.vars)
@@ -880,25 +880,20 @@ def _canon(node, rho: dict, counter: dict):
     return map_children(node, _canon, rho, counter)
 
 
-def _canon_comp(comp: Comp, rho: dict, counter: dict) -> Comp:
+def _canon_comp(comp: Comp, rho: dict) -> Comp:
     """A component's canonical form, from its cache when it has one for
-    this counter and this renaming of its free names."""
-    start = counter["v"]
-    renamed = sorted((x, rho[x]) for x in free_names(comp) if x in rho) if rho else ()
-    key = (start, tuple(renamed))
+    this renaming of its free names."""
+    key = tuple(sorted((x, rho[x]) for x in free_names(comp) if x in rho)) if rho else ()
     forms = getattr(comp, "_canon", None)
     if forms is None:
         forms = {}
         object.__setattr__(comp, "_canon", forms)
-    hit = forms.get(key)
-    if hit is not None:
-        form, advance = hit
-        counter["v"] += advance
-        return comp if form is None else form
-    form = map_children(comp, _canon, rho, counter)
-    # a component that is its own form is not referred to from itself
-    forms[key] = (None if form is comp else form, counter["v"] - start)
-    return form
+    form = forms.get(key, False)  # False: not walked yet
+    if form is False:
+        form = map_children(comp, _canon, rho, {"v": 0})
+        # a component that is its own form is not referred to from itself
+        forms[key] = None if form is comp else form
+    return form or comp
 
 
 def _bind(rho: dict, pairs) -> dict:

@@ -152,10 +152,9 @@ def receives(c: Comp, pred: Predicate, values, defs: Definitions, memo: dict) ->
     key = (c, pred, values)
     out = memo.get(key)
     if out is None:
-        pre = comp_prefixes(c, defs, memo)
         out = memo[key] = [
             Comp(env2, cont)
-            for env2, cont in deliver(c.env, c.proc, pred, values, defs, pre)
+            for env2, cont in deliver(comp_prefixes(c, defs, memo), pred, values)
         ]
     return out
 
@@ -168,9 +167,7 @@ def _steps(sys, defs, universe, memo):
                 # a send nobody can satisfy is silent
                 (TAU if is_ff(pred, universe) else SOut(frozenset(), pred, values),
                  Comp(env2, cont))
-                for pred, values, env2, cont in output_steps(
-                    sys.env, sys.proc, defs, comp_prefixes(sys, defs, memo)
-                )
+                for pred, values, env2, cont in output_steps(comp_prefixes(sys, defs, memo))
             ]
         return out
 

@@ -4,9 +4,11 @@
 a cache on the component and reuses them.  This module canonicalises
 the plain way: one walk over the whole term, every component walked
 again on every call, so tests can check the cached forms against it.
+Like the library, it numbers each component's input binders from
+``_v0``.
 """
 
-from abcwb.syntax import In, Name, Nu, Var, free_names, has_binders, map_children
+from abcwb.syntax import Comp, In, Name, Nu, Var, free_names, has_binders, map_children
 
 
 def canonicalize(sys):
@@ -40,6 +42,9 @@ def canonicalize(sys):
             name = pick("n", scope(node, rho))
             inner = walk(node.inner, _bind(rho, ((node.name, name),)))
             return node if name == node.name and inner is node.inner else Nu(name, inner)
+        if kind is Comp:
+            # input binders are numbered from _v0 in each component
+            counter["v"] = 0
         # a leaf that got here is a free name that rho renames
         if kind is Var:
             return Var(rho[node.name])

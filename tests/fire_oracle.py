@@ -1,9 +1,9 @@
 """The message-taking component walk, for differential tests.
 
-Before the walk listed a component's prefixes once, ``_fire`` took the
-message along: with none it gave the sends, with one the ways of
-receiving it, rebuilding every ``Par`` around each outcome.  The rules
-and the ``_bound`` checks are as they were.
+Before the walk (now ``component.prefixes``) listed a component's
+prefixes once, it took the message along: with none it gave the sends,
+with one the ways of receiving it, rebuilding every ``Par`` around each
+outcome.  The rules and the ``_bound`` checks are as they were.
 """
 
 from __future__ import annotations

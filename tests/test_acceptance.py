@@ -18,7 +18,7 @@ from abcwb.bpi import (
     check_name_invariance,
     parse_bpi,
 )
-from abcwb.component import deliver, output_steps
+from abcwb.component import deliver, output_steps, prefixes
 from abcwb.equivalence import bisimilar
 from abcwb.explorer import build_lts, env_has, reachable_matching, witness_path
 from abcwb.parser import parse_process, parse_system
@@ -52,7 +52,7 @@ def _component(prog, ident):
 def test_criterion_01_rescuer_golden_sends(robotics):
     c = _component(robotics, 1)
     u = Universe.for_program(robotics)
-    steps = output_steps(c.env, c.proc, robotics.defs)
+    steps = output_steps(prefixes(c.env, c.proc, robotics.defs))
     # ``RandWalk`` adds one silent send per ``rand(4)`` choice of direction
     golden = [s for s in steps if s[2].get("direction") is UNDEFINED]
     directions = [(pred, values, env2) for pred, values, env2, _ in steps
@@ -85,7 +85,7 @@ def test_criterion_01_rescuer_golden_sends(robotics):
 def test_criterion_02_explorer_golden_discard(robotics):
     c = _component(robotics, 2)
     pred = ppred("role = 'explorer'", attrs=robotics.attrs)
-    out = deliver(c.env, c.proc, pred, (Name("info"),), robotics.defs)
+    out = deliver(prefixes(c.env, c.proc, robotics.defs), pred, (Name("info"),))
     ok = out == [] and c == _component(robotics, 2)
     report(2, "explorer robot discards the info message unchanged", ok)
 

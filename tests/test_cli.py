@@ -45,6 +45,16 @@ def test_syntax_error_is_reported_with_position(tmp_path, capsys):
     assert "4:" in err  # line number of the offending token
 
 
+@pytest.mark.parametrize("cmd", ["explore", "step", "barbs", "trace"])
+def test_unguarded_recursion_is_a_parse_error(tmp_path, capsys, cmd):
+    # stepping the definition would unfold the call forever
+    bad = tmp_path / "loop.abc"
+    bad.write_text("def A() = (1)@(tt).0 | A()\nsystem:\n  {}: A()\n")
+    code, out, err = run([cmd, str(bad)], capsys)
+    assert code == 3 and out == ""
+    assert "1:5: definition 'A' can call itself" in err
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main([])

@@ -14,7 +14,7 @@ from abcwb.attributes import (
     fingerprint,
 )
 from abcwb.cli import main
-from abcwb.component import deliver, output_steps
+from abcwb.component import deliver, output_steps, prefixes
 from abcwb.parser import parse_process
 from abcwb.syntax import (
     FF_,
@@ -67,7 +67,7 @@ def _robot1(robotics):
 def _golden_and_direction_sends(c, defs):
     """Robot 1's sends, split into the ones that leave ``direction`` unset
     (the two golden sends) and the ones that set it."""
-    steps = output_steps(c.env, c.proc, defs)
+    steps = output_steps(prefixes(c.env, c.proc, defs))
     golden = [s for s in steps if s[2].get("direction") is UNDEFINED]
     return golden, [s for s in steps if s not in golden]
 
@@ -113,7 +113,7 @@ def test_rescuer_silent_send_updates_state(robotics):
 def test_rescuer_query_send_label(robotics):
     c = _robot1(robotics)
     u = Universe.for_program(robotics)
-    steps = output_steps(c.env, c.proc, robotics.defs)
+    steps = output_steps(prefixes(c.env, c.proc, robotics.defs))
     query = [s for s in steps if s[1] != ()]
     assert len(query) == 1
     pred, values, env2, _ = query[0]
@@ -138,7 +138,7 @@ def test_explorer_discards_info_message(robotics):
 
     c = next(c for c in comps(robotics.main) if c.env.get("id") == Int(2))
     pred = ppred("role = 'explorer'", attrs=robotics.attrs)
-    out = deliver(c.env, c.proc, pred, (Name("info"),), robotics.defs)
+    out = deliver(prefixes(c.env, c.proc, robotics.defs), pred, (Name("info"),))
     assert out == []
     # nothing about the component is touched on a discard: same term, same env
     assert c == next(x for x in comps(robotics.main) if x.env.get("id") == Int(2))
@@ -155,29 +155,29 @@ def test_receive_requires_both_predicates():
     proc = pp("(x = 'go')(x).0")
     ok_pred = ppred("a = 1", attrs=("a",))
     bad_pred = ppred("a = 2", attrs=("a",))
-    assert len(deliver(ENV, proc, ok_pred, (Name("go"),), DEFS)) == 1
+    assert len(deliver(prefixes(ENV, proc, DEFS), ok_pred, (Name("go"),))) == 1
     # receiver-side predicate fails
-    assert deliver(ENV, proc, ok_pred, (Name("stop"),), DEFS) == []
+    assert deliver(prefixes(ENV, proc, DEFS), ok_pred, (Name("stop"),)) == []
     # sender-side predicate fails against the receiver environment
-    assert deliver(ENV, proc, bad_pred, (Name("go"),), DEFS) == []
+    assert deliver(prefixes(ENV, proc, DEFS), bad_pred, (Name("go"),)) == []
 
 
 def test_arity_mismatch_discards():
     proc = pp("(tt)(x, y).0")
     tt = ppred("tt")
-    assert deliver(ENV, proc, tt, (Int(1),), DEFS) == []
-    assert len(deliver(ENV, proc, tt, (Int(1), Int(2)), DEFS)) == 1
+    assert deliver(prefixes(ENV, proc, DEFS), tt, (Int(1),)) == []
+    assert len(deliver(prefixes(ENV, proc, DEFS), tt, (Int(1), Int(2)))) == 1
 
 
 def test_sum_collects_both_branches():
     proc = pp("(tt)(x).('l')@(tt).0 + (tt)(x).('r')@(tt).0")
-    out = deliver(ENV, proc, ppred("tt"), (Int(0),), DEFS)
+    out = deliver(prefixes(ENV, proc, DEFS), ppred("tt"), (Int(0),))
     assert len(out) == 2
 
 
 def test_par_delivers_to_one_thread_per_outcome():
     proc = pp("(tt)(x).0 | (tt)(x).0")
-    out = deliver(ENV, proc, ppred("tt"), (Int(0),), DEFS)
+    out = deliver(prefixes(ENV, proc, DEFS), ppred("tt"), (Int(0),))
     assert len(out) == 2
     for _, cont in out:
         # one side consumed, the other still waiting
@@ -187,21 +187,21 @@ def test_par_delivers_to_one_thread_per_outcome():
 
 def test_pending_update_commits_only_on_receive():
     proc = pp("[a := 9](tt)(x).0", attrs=("a",))
-    ((env2, _),) = deliver(ENV, proc, ppred("tt"), (Int(0),), DEFS)
+    ((env2, _),) = deliver(prefixes(ENV, proc, DEFS), ppred("tt"), (Int(0),))
     assert env2.get("a") == Int(9)
-    assert deliver(ENV, proc, ppred("ff"), (Int(0),), DEFS) == []
+    assert deliver(prefixes(ENV, proc, DEFS), ppred("ff"), (Int(0),)) == []
 
 
 def test_update_guarding_send_commits_with_it():
     proc = pp("[a := 9]('m')@(tt).0", attrs=("a",))
-    ((_, values, env2, cont),) = output_steps(ENV, proc, DEFS)
+    ((_, values, env2, cont),) = output_steps(prefixes(ENV, proc, DEFS))
     assert env2.get("a") == Int(9)
     assert values == (Name("m"),)
 
 
 def test_undefined_payload_disables_send():
     proc = pp("(missing)@(tt).0", attrs=("missing",))
-    assert output_steps(ENV, proc, DEFS) == []
+    assert output_steps(prefixes(ENV, proc, DEFS)) == []
 
 
 def test_deliver_total_and_exclusive_on_random_terms():
@@ -214,7 +214,7 @@ def test_deliver_total_and_exclusive_on_random_terms():
         env = gen_env(rng)
         proc = gen_proc(rng)
         vals = tuple(gen_value(rng) for _ in range(rng.randrange(3)))
-        out = deliver(env, proc, tt, vals, DEFS)
+        out = deliver(prefixes(env, proc, DEFS), tt, vals)
         assert isinstance(out, list)
         for got_env, got_proc in out:
             assert isinstance(got_env, AttributeEnv) and isinstance(got_proc, Process)
@@ -227,7 +227,7 @@ def test_rand_is_a_choice_of_every_value_below_its_bound():
     # one outcome per value, through arithmetic too, without repeats: the
     # second payload is 0 whichever value ``rand(2)`` takes
     proc = pp("[a := rand(3)](this.a + rand(2), rand(2) * 0)@(tt).0", attrs=("a",))
-    got = output_steps(ENV, proc, DEFS)
+    got = output_steps(prefixes(ENV, proc, DEFS))
     assert [(env2.get("a"), values) for _, values, env2, _ in got] == [
         (Int(a), (Int(a + r), Int(0))) for a in range(3) for r in range(2)
     ]
@@ -253,7 +253,7 @@ def test_rand_outcomes_are_every_choice_on_small_bounds():
     c = prog.main
     left = "(Q(rand(2)) + [a := rand(2)](rand(2))@(tt).0)"
     right = "([a := rand(2)](tt)(x).0 + Q(rand(2)))"
-    got = output_steps(c.env, c.proc, prog.defs)
+    got = output_steps(prefixes(c.env, c.proc, prog.defs))
     assert all(pred == TT() for pred, _, _, _ in got)
     assert sorted(
         (tuple(str(v) for v in vals), pretty_system(Comp(env2, cont)))
@@ -266,7 +266,7 @@ def test_rand_outcomes_are_every_choice_on_small_bounds():
         + [((str(p), str(r)), f"{{a:=0, b:={b}}}: ({left} | 0)")
            for p in range(2) for b in range(2) for r in range(2)]
     )
-    got = deliver(c.env, c.proc, TT(), (Name("m"),), prog.defs)
+    got = deliver(prefixes(c.env, c.proc, prog.defs), TT(), (Name("m"),))
     # ``Q``'s argument does not reach its receive: each of its two
     # values gives the same outcome
     assert sorted(pretty_system(Comp(env2, cont)) for env2, cont in got) == sorted(
@@ -282,7 +282,7 @@ def test_rand_fan_out_is_bounded(tmp_path, capsys):
 
     prog = parse_program(RAND_SRC)
     with pytest.raises(UniverseTooLarge):
-        output_steps(prog.main.env, prog.main.proc, prog.defs)
+        output_steps(prefixes(prog.main.env, prog.main.proc, prog.defs))
     f = tmp_path / "fan.abc"
     f.write_text(RAND_SRC)
     start = time.perf_counter()
@@ -317,7 +317,7 @@ def test_prefix_walk_matches_the_message_taking_walk(seed):
     env, proc = gen_env(rng), gen_proc(rng)
     if rng.random() < 0.5:
         proc = (Sum if rng.random() < 0.5 else Par)(proc, _call(rng))
-    assert _outcome(lambda: output_steps(env, proc, defs)) == _outcome(
+    assert _outcome(lambda: output_steps(prefixes(env, proc, defs))) == _outcome(
         lambda: fire_oracle.output_steps(env, proc, defs)
     )
     for _ in range(4):
@@ -326,6 +326,6 @@ def test_prefix_walk_matches_the_message_taking_walk(seed):
         except UndefinedClosure:
             pred = TT_
         vals = tuple(gen_value(rng) for _ in range(rng.randrange(1, 3)))
-        assert _outcome(lambda: deliver(env, proc, pred, vals, defs)) == _outcome(
+        assert _outcome(lambda: deliver(prefixes(env, proc, defs), pred, vals)) == _outcome(
             lambda: fire_oracle.deliver(env, proc, pred, vals, defs)
         )

@@ -50,24 +50,24 @@ GOLDEN = {
     'barbs corpus/adaptation.abc': (0, 'eecc6256c7f91d871b9d3e0cd6491e6e956c1bcefc34a766d1a1a27855839b1b'),
     'explore corpus/channels.abc': (0, '8585585d82dd0273934127e2b20f37cc7dc09b988ccb2fdd89c8131f3c9889e8'),
     'barbs corpus/channels.abc': (0, 'eecc6256c7f91d871b9d3e0cd6491e6e956c1bcefc34a766d1a1a27855839b1b'),
-    'explore corpus/groups.abc': (0, '62bba9e285309220dd63ac6cf3101f9244825d35bd41a32306aae4cc8a5bb578'),
+    'explore corpus/groups.abc': (0, '44ee223f349e9b639701a6edb5e3d4e601f14a50c532402749fbb09641559026'),
     'barbs corpus/groups.abc': (0, '41500dbaab1a7e3485fc1368ce37172c5db7435d7f0c6a754068c0baaf248fb7'),
-    'explore corpus/pubsub.abc': (0, '4948bd1461839ebc0c92a79faa522ef99267eac65d8c500776eeb7dd9618dfc8'),
+    'explore corpus/pubsub.abc': (0, '67c8450573b15ac9038daa883f127b8f5e8860b285a071ee0826e0b8a34a01be'),
     'barbs corpus/pubsub.abc': (0, 'eecc6256c7f91d871b9d3e0cd6491e6e956c1bcefc34a766d1a1a27855839b1b'),
-    'explore corpus/robotics.abc': (0, '3c855ee972f7b82b13796cb4c1c8a1e900caba07ed5a10e77f9fca36529f81f0'),
+    'explore corpus/robotics.abc': (0, '77314778651781bbd3d9eb8f720483134c04ee673974238d263fccd9e11bc37e'),
     'barbs corpus/robotics.abc': (0, 'dde7ed21db76447908e0ae4f905cbfe1de0162ee4a46fba38ce1793726dbaf24'),
     'reach corpus/robotics.abc "role=\'helper\'"': (0, '16c409d804162414dd352e28bfd53e96dab2d9ffe7620fa3947fac2c8486be38'),
     'bisim corpus/channels.abc corpus/pubsub.abc': (1, '2cad691185635c938124001500dbd309824fc1f91cc0de2ab6086319321d3e41'),
-    'bisim corpus/groups.abc corpus/adaptation.abc': (1, '2289a21ccd7299b33007e7370ef228e0a426cecf2d001dc5c9caa7a6db37c887'),
+    'bisim corpus/groups.abc corpus/adaptation.abc': (1, 'efd05e0414de307c74f4cfc5379613e125b855a9a62255ba3231a48d7d72ad47'),
     'bisim --weak corpus/channels.abc corpus/pubsub.abc': (1, '5f3d4a60e886d05bed1552e82c22b69be1ec1a51d10e6892805eb94d9c3b86c8'),
-    'bisim --weak corpus/groups.abc corpus/adaptation.abc': (1, 'bd13fa23b77b85f2ffa973d8fddda2a2f6d105e2735a3702caccc78be2a20de4'),
-    'explore --max-depth 3 corpus/robotics.abc': (0, 'c8e37d209f4b1eee2d38f37385392954cfeaf13da7b71584d8b908dd4cba2431'),
-    'explore --max-states 100 corpus/robotics.abc': (0, '7877021b4ac688c1046d685ebf59a30c90fe44d2f73d71c0754d6fd61dea43e2'),
-    '--seed 5 explore --repl-bound 2 --format json corpus/robotics.abc': (0, 'c1e34cc87329fd73de571d801cfde826349842efbce5627e74cb13cde5162396'),
+    'bisim --weak corpus/groups.abc corpus/adaptation.abc': (1, 'a796a5a9db28bce82a3c0de41ce6d4358859b1dd98f460a9ac0a70d64b015d5f'),
+    'explore --max-depth 3 corpus/robotics.abc': (0, '62aa9f629f45d98ed5a80c8785b44fae1df904937f58d2b4e2b29052b9a9e041'),
+    'explore --max-states 100 corpus/robotics.abc': (0, 'b3a642f79165d813385065e76e9480ad0b3ee6d2b1fe0350b9af97e1c4f536bd'),
+    '--seed 5 explore --repl-bound 2 --format json corpus/robotics.abc': (0, '0400b90b3c46ed8d3cf87071a81a8994a13f5c935312a8b6c64359e812d2e7a7'),
     'reach corpus/robotics.abc "role=\'nobody\'"': (1, '58d830a67b95718afeebb42bfa39f853e9d5fbb9f641e7405ccac8c35287f458'),
     'reach --max-states 100 corpus/robotics.abc "role=\'helper\'"': (2, '4d0d7a8c399334026425e0e66778652abf795c9b9e088b6300dbaed53109e9a9'),
     'bisim --max-states 50 corpus/channels.abc corpus/pubsub.abc': (2, 'f7bc9eb07183e7e7c2f2c326c8522481ea4fa15ebfb04258f9bacac821fbc73d'),
-    '--seed 3 trace corpus/robotics.abc': (0, 'c6b36ce2d86086db0667d29ee6a1d61fb911e1e2cf5b1164e19e6f81be5e9c5f'),
+    '--seed 3 trace corpus/robotics.abc': (0, '686f8f43154c9f3e42168ae018f9e8e2ae60e21599c238d6ecc45b38b987a086'),
     '--seed 7 step corpus/robotics.abc': (0, '8bc433374b0a5644f899b92ef1ced7d172e88aaf31ca18d11c6a6f560b453adc'),
     'explore corpus/pool.abc': (0, 'f928d8616519d4cd86fbcdfa0f0a250a445df191f3b62bbfd8d5416289ad2f3f'),
     'reach corpus/pool.abc "job=2"': (2, 'a544be9b27743d826f7c4ce05975a7a842c07653b371c82f8de69e4996083bc2'),

@@ -128,6 +128,33 @@ def test_duplicate_definition_is_reported_at_its_name():
         parse_program(text)
 
 
+@pytest.mark.parametrize("defs, at", [
+    ("def A() = A()\n", "2:5"),
+    ("def A() = [a := 1]A()\n", "2:5"),
+    ("def A() = (1)@(tt).0 | A()\n", "2:5"),
+    ("def A() = (1)@(tt).0 + <tt>A()\n", "2:5"),
+    # mutual recursion through an awareness test
+    ("def A() = B()\ndef  B() = <tt>A()\n", "2:5"),
+    ("def C() = (1)@(tt).B()\ndef A() = B()\ndef  B() = <tt>A()\n", "3:5"),
+])
+def test_unguarded_recursion_is_reported_at_the_definition(defs, at):
+    # stepping such a definition would unfold its call forever
+    text = f"attrs: a\n{defs}system:\n  {{a := 0}}: A()\n"
+    with pytest.raises(ResolveError, match=f"^{at}: definition 'A' can call itself"):
+        parse_program(text)
+
+
+def test_a_prefix_guards_a_call():
+    text = (
+        "attrs: a\n"
+        "def A() = (1)@(tt).A() + (tt)(x).B(x)\n"
+        "def B(x) = [a := x]<tt>C()\n"  # an unguarded call that is not recursive
+        "def C() = (tt)(y).A() | (a)@(tt).0\n"
+        "system:\n  {a := 0}: A()\n"
+    )
+    assert set(parse_program(text).defs) == {"A", "B", "C"}
+
+
 def test_free_variable_in_definition_rejected():
     # a body reads a name no parameter binds as an attribute, so an
     # undeclared one is refused as one
