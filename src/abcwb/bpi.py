@@ -73,12 +73,10 @@ from .syntax import (
     FF_,
     Var,
     alpha_equal,
-    bound_names,
     canonicalize,
-    free_names,
     fresh_names,
     gensym,
-    rename_free,
+    rename,
 )
 from .system import SOut, TAU, system_steps
 
@@ -927,16 +925,6 @@ def check_name_invariance(p: BP) -> bool:
     encoded, _ = encode(p)
     for sigma in renamings:
         lhs, _ = encode(bsubst(p, sigma))
-        rhs = encoded
-        # simultaneous renaming: go through temporaries so chained maps
-        # like a->b, b->a do not collapse; they avoid every name of rhs,
-        # so that no binder of it is captured
-        fresh = fresh_names(free_names(rhs) | bound_names(rhs) | set(sigma.values()))
-        temps = {old: next(fresh) for old in sigma}
-        for old, tmp in temps.items():
-            rhs = rename_free(rhs, old, tmp)
-        for old, new in sigma.items():
-            rhs = rename_free(rhs, temps[old], new)
-        if not alpha_equal(lhs, rhs):
+        if not alpha_equal(lhs, rename(encoded, sigma)):
             return False
     return True

@@ -42,7 +42,7 @@ from .syntax import (
     free_names,
     pretty_pred,
     pretty_system,
-    rename_free,
+    rename,
 )
 from .system import SIn, SOut, TAU, set_fuel, spent, system_steps
 
@@ -87,11 +87,12 @@ def canon_label(lab, universe: Universe) -> tuple:
         for n in sorted(free_names(pred)):
             if n in lab.bound and n not in order:
                 order.append(n)
-        for k, n in enumerate(order):
-            ph = f"_n{k}"
-            if n != ph:
-                pred = rename_free(pred, n, ph)
-                values = tuple(rename_free(v, n, ph) for v in values)
+        sigma = {n: f"_n{k}" for k, n in enumerate(order) if n != f"_n{k}"}
+        if sigma:
+            # all at once: one name at a time could send _n1 to an _n0
+            # not renamed yet
+            pred = rename(pred, sigma)
+            values = tuple(rename(v, sigma) for v in values)
         placeholders = tuple(f"_n{k}" for k in range(len(order)))
         return ("out", fingerprint(pred, universe), values, placeholders)
     raise TypeError(lab)

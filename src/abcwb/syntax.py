@@ -39,6 +39,11 @@ through ``children`` measured slower.  The broadcast pi-calculus in
 ``bpi.py`` keeps its own traversals on purpose: it is the independent
 reference the encoding checks compare against.
 
+Names change in two ways, both capture-avoiding: ``rename`` renames
+free names by a mapping, all at once, and ``substitute`` puts values for
+free variables.  Where a binder of an ``In`` or ``Nu`` node would catch
+an incoming name, ``_rebind`` first renames it to a fresh ``_f`` name.
+
 A single namespace of *names* is used throughout: a name can occur as a
 value atom (``Name``), as an expression placeholder awaiting substitution
 (``Var``), as an input binder, or as a restriction binder.  Identifiers
@@ -619,38 +624,43 @@ def gensym(avoid) -> str:
 # Substitution and renaming
 
 
-def rename_free(node, old: str, new: str):
-    """Rename every free occurrence of name ``old`` (atoms and vars) to ``new``.
+def rename(node, sigma: Mapping[str, str]):
+    """Rename the free names of a node (atoms and vars) by ``sigma``, all
+    at once: ``{a: b, b: a}`` swaps ``a`` and ``b``.
 
-    A node in which ``old`` is not free comes back as itself, with its
-    caches and sharing intact.
+    A binder that would capture a new name is renamed to a fresh one
+    first.  A node in which no name of ``sigma`` is free comes back as
+    itself, with its caches and sharing intact.
     """
-    if old not in free_names(node):
+    names = free_names(node)
+    if names.isdisjoint(sigma):
         return node
-    # below, ``old`` is free in the node, so no binder here is ``old``
     kind = type(node)
     if kind is Var:
-        return Var(new)
+        return Var(sigma[node.name])
     if kind is Name:
-        return Name(new)
-    if kind is In and new in node.vars:
-        # would capture: alpha-rename the binder away first
-        node = _alpha_in(node, new, gensym(free_names(node) | {old, new, *node.vars}))
-    elif kind is Nu and node.name == new:
-        fresh = gensym(free_names(node.inner) | {old, new})
-        node = Nu(fresh, rename_free(node.inner, new, fresh))
-    return map_children(node, rename_free, old, new)
+        return Name(sigma[node.atom])
+    if kind is In or kind is Nu:
+        # only free names are renamed: no entry for a binder reaches below it
+        sigma = {k: v for k, v in sigma.items() if k in names}
+        node = _rebind(node, set(sigma.values()), sigma)
+    return map_children(node, rename, sigma)
 
 
-def _alpha_in(node: In, var: str, fresh: str) -> In:
-    """Alpha-convert one binder variable of an input prefix."""
-    idx = node.vars.index(var)
-    new_vars = node.vars[:idx] + (fresh,) + node.vars[idx + 1 :]
-    return In(
-        rename_free(node.pred, var, fresh),
-        new_vars,
-        rename_free(node.cont, var, fresh),
-    )
+def _rebind(node, incoming, avoid):
+    """An ``In`` or ``Nu`` node whose binders in ``incoming`` are renamed
+    to fresh names, which avoid ``incoming``, ``avoid``, the binders and
+    the node's free names."""
+    binders = node.vars if type(node) is In else (node.name,)
+    clashing = [b for b in binders if b in incoming]
+    if not clashing:
+        return node
+    fresh = fresh_names(free_names(node) | incoming | set(avoid) | set(binders))
+    sigma = {b: next(fresh) for b in clashing}
+    if type(node) is Nu:
+        return Nu(sigma[node.name], rename(node.inner, sigma))
+    vars_ = tuple(sigma.get(v, v) for v in node.vars)
+    return In(rename(node.pred, sigma), vars_, rename(node.cont, sigma))
 
 
 def substitute(node, subst: Mapping[str, Value]):
@@ -667,11 +677,7 @@ def substitute(node, subst: Mapping[str, Value]):
         return Lit(subst[node.name])
     if kind is In:
         subst = {k: v for k, v in subst.items() if k not in node.vars}
-        incoming = _union(*(free_names(v) for v in subst.values()))
-        for var in node.vars:
-            if var in incoming:
-                taken = free_names(node) | incoming | set(subst) | set(node.vars)
-                node = _alpha_in(node, var, gensym(taken))
+        node = _rebind(node, _union(*(free_names(v) for v in subst.values())), subst)
     elif kind is Lit:
         return node
     return map_children(node, substitute, subst)
@@ -679,9 +685,6 @@ def substitute(node, subst: Mapping[str, Value]):
 
 # ---------------------------------------------------------------------------
 # Pretty printing
-
-
-_CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
 
 def pretty_expr(e: Expression) -> str:

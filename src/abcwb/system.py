@@ -16,6 +16,15 @@ had already extruded are re-closed around the continuation.  A hidden
 name sent as a value with a y-free predicate escapes its scope (the
 binder dissolves into the label's bound names).
 
+``freshen_binders`` is the one renaming before a step: it gives every
+restriction a name that no other restriction and no free name of the
+term uses (Barendregt's variable convention).  After it, a step never
+brings two names together: an extruded name is new to every sibling,
+and a sibling's input binder that a received name would capture is
+renamed by ``substitute``.  Only ``sys_deliver`` still renames a
+restriction, because a message from outside (a bisimulation stimulus)
+may name it.
+
 Replication is bounded by a fuel counter carried on the node itself so
 exhaustion is part of the state: a bang out of fuel has no steps and
 ``spent`` finds it, which exploration reports as truncation.
@@ -45,12 +54,11 @@ from .syntax import (
     SysPar,
     System,
     Value,
-    bound_names,
     children,
     free_names,
     gensym,
     map_children,
-    rename_free,
+    rename,
 )
 
 
@@ -77,8 +85,6 @@ class Tau:
 
 
 TAU = Tau()
-
-Label = object  # SOut | SIn | Tau
 
 
 def set_fuel(sys: System, fuel: int) -> System:
@@ -117,7 +123,7 @@ def _freshen(s: System, taken: set) -> System:
     if type(s) is Nu:
         if s.name in taken:
             fresh = gensym(frozenset(taken) | free_names(s.inner))
-            s = Nu(fresh, rename_free(s.inner, s.name, fresh))
+            s = Nu(fresh, rename(s.inner, {s.name: fresh}))
         taken.add(s.name)
     return map_children(s, _freshen, taken)
 
@@ -181,7 +187,6 @@ def _steps(sys, defs, universe, memo):
                 if lab is TAU:
                     out.append((TAU, join(mine2, other)))
                     continue
-                lab, mine2 = _avoid_clash(lab, mine2, other)
                 for other2 in sys_deliver(other, lab.pred, lab.values, defs, universe, memo):
                     out.append((lab, join(mine2, other2)))
         return out
@@ -201,13 +206,6 @@ def _steps(sys, defs, universe, memo):
         for lab, inner2 in _steps(sys.inner, defs, universe, memo):
             if lab is TAU:
                 out.append((TAU, Nu(y, inner2)))
-                continue
-            if y in lab.bound:
-                # a name extruded from below was renamed to y away from its
-                # siblings, which do not mention y: this restriction is
-                # vacuous and keeps its place under another name
-                fresh = gensym(free_names(inner2) | lab.bound)
-                out.append((lab, Nu(fresh, inner2)))
                 continue
             pred_names = free_names(lab.pred)
             value_names = frozenset().union(*map(free_names, lab.values))
@@ -232,32 +230,6 @@ def _steps(sys, defs, universe, memo):
         return out
 
     raise TypeError(sys)
-
-
-def _avoid_clash(lab: SOut, origin: System, sibling: System):
-    """Rename extruded bound names of a label away from a sibling's names;
-    returns the label and its origin."""
-    if not lab.bound:
-        return lab, origin
-    clashing = lab.bound & (free_names(sibling) | bound_names(sibling))
-    if not clashing:
-        return lab, origin
-    pred, values, bound = lab.pred, lab.values, set(lab.bound)
-    for b in sorted(clashing):
-        avoid = (
-            free_names(sibling)
-            | bound_names(sibling)
-            | free_names(origin)
-            | bound_names(origin)
-            | msg_names(pred, values)
-        )
-        fresh = gensym(avoid)
-        pred = rename_free(pred, b, fresh)
-        values = tuple(rename_free(v, b, fresh) for v in values)
-        origin = rename_free(origin, b, fresh)
-        bound.discard(b)
-        bound.add(fresh)
-    return SOut(frozenset(bound), pred, values), origin
 
 
 def sys_deliver(
@@ -307,7 +279,7 @@ def sys_deliver(
         names = msg_names(pred, values)
         if y in names:
             fresh = gensym(free_names(inner) | names | {y})
-            inner = rename_free(inner, y, fresh)
+            inner = rename(inner, {y: fresh})
             y = fresh
         return [
             sys if inner2 is sys.inner and y == sys.name else Nu(y, inner2)

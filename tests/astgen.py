@@ -40,6 +40,7 @@ from abcwb.syntax import (
     TupleV,
     Upd,
     Var,
+    free_names,
 )
 
 ATTRS = ("pa", "pb", "pc")
@@ -201,3 +202,9 @@ def rename_binders(node, rng: random.Random, scramble: bool = False, env=None):
     if isinstance(node, tuple):
         return tuple(rename_binders(x, rng, scramble, env) for x in node)
     return node
+
+
+def reserved_renaming(node, rng: random.Random) -> dict:
+    """A renaming of some free names of ``node`` to reserved names, the
+    ones ``rename_binders`` gives binders, so that they meet."""
+    return {n: rng.choice(RESERVED) for n in sorted(free_names(node)) if rng.random() < 0.7}

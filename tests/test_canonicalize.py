@@ -31,10 +31,11 @@ from abcwb.syntax import (
     canonicalize,
     free_names,
     pretty_system,
+    rename,
 )
 
 import canon_oracle
-from astgen import gen_system, rename_binders
+from astgen import gen_system, rename_binders, reserved_renaming
 from conftest import load_corpus
 from debruijn import debruijn
 
@@ -74,9 +75,11 @@ def test_canonical_form_is_returned_itself():
 def test_canonical_form_is_alpha_equivalent(seed):
     rng = random.Random(seed)
     s = rename_binders(gen_system(rng, depth=3), rng)
-    c = canonicalize(s)
-    assert debruijn(c) == debruijn(s)
-    assert free_names(c) == free_names(s)
+    # and with reserved names free, which canonical binders must skip
+    for s in (s, rename(s, reserved_renaming(s, rng))):
+        c = canonicalize(s)
+        assert debruijn(c) == debruijn(s)
+        assert free_names(c) == free_names(s)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -225,6 +225,15 @@ def test_check_encoding_ok(corpus_dir, capsys):
     assert "step bijection: ok" in out
 
 
+def test_check_encoding_extrudes_a_name_an_input_binds(tmp_path, capsys):
+    # the receiver binds x too; the extruded x keeps its name on both sides
+    f = tmp_path / "term.bpi"
+    f.write_text("nu x (a<x>.nil) | a(x).b<x>.nil\n")
+    code, out, _ = run(["check-encoding", str(f)], capsys)
+    assert code == 0
+    assert "step bijection: ok" in out and "FAIL" not in out
+
+
 @pytest.mark.parametrize("cmd", ["encode", "check-encoding"])
 @pytest.mark.parametrize("text, message", [
     pytest.param("a(_f0).b<_f0, c>.nil | a<c>.nil", "1:3: identifier '_f0' is reserved",
@@ -308,6 +317,16 @@ def test_bisim_refuses_a_name_defined_differently_on_each_side(tmp_path, capsys)
     assert code == 3 and out == "" and "P" in err
     # the same definition on both sides is one definition
     assert run(["bisim", left, same], capsys)[0] == 0
+
+
+def test_extruded_names_are_numbered_in_the_order_they_are_sent(tmp_path, capsys):
+    # the second restriction is sent first
+    crossed = _abc(tmp_path, "crossed.abc", "", "nu a (nu b ({}: ('b', 'a')@(tt).0))")
+    straight = _abc(tmp_path, "straight.abc", "", "nu a (nu b ({}: ('a', 'b')@(tt).0))")
+    code, out, _ = run(["explore", crossed], capsys)
+    assert code == 0 and "vals=('_n0', '_n1')" in out
+    code, out, _ = run(["bisim", crossed, straight], capsys)
+    assert code == 0 and "strongly bisimilar" in out.splitlines()
 
 
 def test_rand_needs_a_nonempty_range(tmp_path, capsys):

@@ -74,7 +74,7 @@ def test_each_component_is_translated_once_per_check(cont_calls):
     # the amount of work is deterministic: a change to it is a reviewed re-pin
     for seed in range(30):
         check_correspondence(gen_term(random.Random(seed), 4), depth=5)
-    assert len(cont_calls) == 355
+    assert len(cont_calls) == 358
 
 
 def test_a_repeated_component_is_the_same_object(monkeypatch):

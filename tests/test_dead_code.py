@@ -1,12 +1,13 @@
-"""Every top-level function and class of the package is named somewhere
-besides its own definition.
+"""Every top-level function, class and assigned name of the package is
+named somewhere besides its own definition.
 
 A name counts where code reads it (a name, an attribute or an import)
 and where a string spells it, alone or dotted (``"output_steps"``,
 ``"syntax.canonicalize"``), since the benchmark finds its layers by
 name.  Comments, docstrings and the definition's own body (recursion)
 do not count.  The search covers ``src/``, ``tests/`` and
-``perfbench/``, so a function only a test calls is still alive."""
+``perfbench/``, so a function only a test calls is still alive.
+Dunder names (``__all__``) are read by Python itself and are exempt."""
 
 import ast
 import pathlib
@@ -35,17 +36,30 @@ def references(tree: ast.AST) -> Counter:
     return out
 
 
+def definitions(tree: ast.Module):
+    """The top-level definitions of a module as (name, node) pairs:
+    functions, classes and assigned names other than dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, node
+
+
 def unreferenced(module: str, others: Counter) -> list[str]:
-    """The top-level functions and classes of ``module`` that neither
-    ``module`` outside their own definition nor ``others``, the
-    ``references`` of the other files, names."""
+    """The top-level definitions of ``module`` that neither ``module``
+    outside their own definition nor ``others``, the ``references`` of
+    the other files, names."""
     tree = ast.parse(module)
     total = references(tree) + others
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return sorted(
-        node.name
-        for node in tree.body
-        if isinstance(node, kinds) and total[node.name] <= references(node)[node.name]
+        name
+        for name, node in definitions(tree)
+        if total[name] <= references(node)[name]
     )
 
 
@@ -58,9 +72,14 @@ def test_unreferenced_definitions_are_found():
         "    'documented and caller are not uses'\n"
         "class Shape: pass\n"
         "def caller(): return used()\n"
+        "LIMIT, _SPARE = 3, 4\n"
+        "_TABLE: dict = {}\n"
+        "ALIAS = object  # never read\n"
+        "__all__ = ['used']\n"
     )
-    other = "import m\nLAYERS = ['m.spelled']\nx: 'Shape' = m.caller\n"
-    assert unreferenced(module, references(ast.parse(other))) == ["documented", "loop"]
+    other = "import m\nLAYERS = ['m.spelled']\nx: 'Shape' = m.caller\nm.LIMIT\nm._TABLE\n"
+    assert unreferenced(module, references(ast.parse(other))) == [
+        "ALIAS", "_SPARE", "documented", "loop"]
 
 
 def test_every_package_definition_is_named_elsewhere():

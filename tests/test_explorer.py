@@ -6,6 +6,7 @@ from collections import deque
 from abcwb.attributes import Universe
 from abcwb.explorer import (
     build_lts,
+    canon_label,
     env_has,
     label_text,
     lts_to_json,
@@ -15,7 +16,8 @@ from abcwb.explorer import (
     witness_path,
 )
 from abcwb.parser import parse_system
-from abcwb.syntax import Int, Name, pretty_system
+from abcwb.syntax import Attr, Cmp, Int, Lit, Name, TT_, pretty_system
+from abcwb.system import SOut
 
 from conftest import load_corpus
 
@@ -78,6 +80,22 @@ def test_random_trace_deterministic_per_seed(robotics):
     t1 = random_trace(robotics.main, robotics.defs, u, seed=5, steps=6)
     t2 = random_trace(robotics.main, robotics.defs, u, seed=5, steps=6)
     assert t1 == t2
+
+
+def test_extruded_names_become_placeholders_in_order_of_occurrence():
+    # the payload sends the second restriction first; renaming _n1 to
+    # _n0 before _n0 is renamed would merge the two
+    s = mk("nu a (nu b ({}: ('b', 'a')@(tt).0))")
+    u = Universe.for_systems([s])
+    crossed = SOut(frozenset({"_n0", "_n1"}), TT_, (Name("_n1"), Name("_n0")))
+    named = SOut(frozenset({"a", "b"}), TT_, (Name("b"), Name("a")))
+    want = ("out", canon_label(named, u)[1], (Name("_n0"), Name("_n1")), ("_n0", "_n1"))
+    assert canon_label(crossed, u) == canon_label(named, u) == want
+    # a name the payload does not send is numbered from the predicate
+    pred = Cmp("=", Attr("k"), Lit(Name("_n0")))
+    hidden = SOut(frozenset({"_n0", "_n1"}), pred, (Name("_n1"),))
+    _, _, values, placeholders = canon_label(hidden, u)
+    assert values == (Name("_n0"),) and placeholders == ("_n0", "_n1")
 
 
 def test_env_has_and_reachable(groups):

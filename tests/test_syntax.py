@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from abcwb.syntax import (
     And,
     Arith,
@@ -40,11 +42,12 @@ from abcwb.syntax import (
     free_names,
     gensym,
     pretty_system,
-    rename_free,
+    rename,
     substitute,
 )
 
-from astgen import gen_system
+import rename_oracle
+from astgen import gen_system, rename_binders, reserved_renaming
 from debruijn import debruijn
 
 
@@ -85,22 +88,47 @@ def test_substitute_is_capture_avoiding():
     assert debruijn(comp(proc=q)) == debruijn(comp(proc=want))
 
 
-def test_rename_free_stops_at_binder():
+def test_rename_stops_at_binder():
     s = Nu("x", comp({"a": Name("x")}))
-    assert rename_free(s, "x", "y") == s
+    assert rename(s, {"x": "y"}) == s
 
 
-def test_rename_free_avoids_capture_by_renaming_binder():
+def test_rename_avoids_capture_by_renaming_binder():
     # renaming y -> x under (nu x) must not capture: the binder moves away
     s = Nu("x", comp({"a": Name("y"), "b": Name("x")}))
-    r = rename_free(s, "y", "x")
+    r = rename(s, {"y": "x"})
     assert free_names(r) == frozenset({"x"})
     assert isinstance(r, Nu) and r.name != "x"
     assert debruijn(r) == debruijn(Nu("z", comp({"a": Name("x"), "b": Name("z")})))
     # the same under an input prefix that binds x
     p = In(Cmp("=", Var("x"), Lit(Name("y"))), ("x",), Out((Var("y"), Var("x")), TT_, NIL))
     want = In(Cmp("=", Var("z"), Lit(Name("x"))), ("z",), Out((Var("x"), Var("z")), TT_, NIL))
-    assert debruijn(comp(proc=rename_free(p, "y", "x"))) == debruijn(comp(proc=want))
+    assert debruijn(comp(proc=rename(p, {"y": "x"}))) == debruijn(comp(proc=want))
+
+
+def test_rename_is_simultaneous():
+    # a swap: renaming one name at a time would merge the two
+    s = comp({"a": Name("x"), "b": TupleV((Name("y"), Name("z")))})
+    assert rename(s, {"x": "y", "y": "x"}) == comp(
+        {"a": Name("y"), "b": TupleV((Name("x"), Name("z")))})
+    # under a binder both new names would capture
+    p = In(TT_, ("x", "y"), Out((Var("x"), Var("y"), Var("a"), Var("b")), TT_, NIL))
+    want = In(TT_, ("u", "w"), Out((Var("u"), Var("w"), Var("y"), Var("x")), TT_, NIL))
+    got = rename(p, {"a": "y", "b": "x"})
+    assert debruijn(comp(proc=got)) == debruijn(comp(proc=want))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_rename_agrees_with_renaming_through_temporaries(seed):
+    # the new names are reserved ones that binders use too, so both
+    # renamings have binders to move out of the way
+    rng = random.Random(seed)
+    s = rename_binders(gen_system(rng, depth=3), rng)
+    sigma = reserved_renaming(s, rng)
+    got = rename(s, sigma)
+    assert debruijn(got) == debruijn(rename_oracle.rename(s, sigma))
+    assert free_names(got) == {sigma.get(n, n) for n in free_names(s)}
 
 
 def test_gensym_depends_only_on_what_it_avoids():
@@ -115,8 +143,8 @@ def test_noop_substitution_and_renaming_return_the_node_itself():
     assert substitute(proc, {"v": Name("x")}) is proc
     assert substitute(proc, {"w": Int(1)}).left is proc.left
     s = Nu("x", comp({"a": Name("y")}))
-    assert rename_free(s, "z", "x") is s
-    assert rename_free(s, "x", "q") is s
+    assert rename(s, {"z": "x"}) is s
+    assert rename(s, {"x": "q"}) is s
 
 
 def test_canonicalize_alpha_equivalent_nus():
