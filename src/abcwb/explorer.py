@@ -18,15 +18,23 @@ A walk keeps one memo of component steps for its lifetime (see
 deliveries depend only on the component, so each is computed once.  No
 state depends on the run seed; ``trace`` alone draws from it.
 
-Canonicalising a move's target and printing a state reuse what each
-component caches on itself (see ``syntax``): a component shared by many
-states is canonicalised once per renaming of its free names, wherever
-it sits, and printed once, so a state costs about its number of
-components.
+States are canonical by construction where they can be.  The memo holds
+canonical, interned components (see ``system``).  A root without a
+restriction reaches only states without one, since no component holds a
+restriction and no step or stimulus adds one, and such a state is
+canonical when its components are (see ``syntax.canonicalize``).  So a
+walk whose roots hold no ``Nu`` looks each move target up as it is
+built; only a walk with a restricted root canonicalises its targets.
+That reuses what each component caches on itself: a component shared by
+many states is canonicalised once per renaming of its free names,
+wherever it sits, and printed once, so a state costs about its number of
+components.  Likewise each raw step label is mapped to its label number
+once, and ``canon_label`` runs only for a label not seen before.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -35,16 +43,17 @@ from .attributes import Universe, fingerprint
 from .syntax import (
     Comp,
     Definitions,
+    Name,
+    Nu,
     System,
     Value,
     canonicalize,
     children,
-    free_names,
     pretty_pred,
     pretty_system,
     rename,
 )
-from .system import SIn, SOut, TAU, set_fuel, spent, system_steps
+from .system import SIn, SOut, TAU, msg_names, set_fuel, spent, system_steps
 
 
 @dataclass
@@ -69,8 +78,9 @@ def state_rng(seed: int) -> random.Random:
 def canon_label(lab, universe: Universe) -> tuple:
     """Canonical, hashable form of a transition label.
 
-    Outputs: extruded names are rewritten to positional placeholders in
-    order of first occurrence (payload first, then predicate), and the
+    Outputs: extruded names are rewritten to the placeholders ``_n0,
+    _n1, ...`` that the label's free names leave over, in order of first
+    occurrence (payload items left to right, then predicate), and the
     predicate is keyed by semantic fingerprint.
     """
     if lab is TAU:
@@ -78,24 +88,31 @@ def canon_label(lab, universe: Universe) -> tuple:
     if isinstance(lab, SIn):
         return ("in", fingerprint(lab.pred, universe), lab.values)
     if isinstance(lab, SOut):
-        pred, values = lab.pred, lab.values
+        pred, values, bound = lab.pred, lab.values, lab.bound
         order: list[str] = []
-        for v in values:
-            for n in sorted(free_names(v)):
-                if n in lab.bound and n not in order:
+        for part in (*values, pred):
+            for n in _atoms(part):
+                if n in bound and n not in order:
                     order.append(n)
-        for n in sorted(free_names(pred)):
-            if n in lab.bound and n not in order:
-                order.append(n)
-        sigma = {n: f"_n{k}" for k, n in enumerate(order) if n != f"_n{k}"}
+        free = msg_names(pred, values) - bound
+        fresh = (p for k in itertools.count() if (p := f"_n{k}") not in free)
+        placeholders = tuple(itertools.islice(fresh, len(order)))
+        sigma = {n: p for n, p in zip(order, placeholders) if n != p}
         if sigma:
             # all at once: one name at a time could send _n1 to an _n0
             # not renamed yet
             pred = rename(pred, sigma)
             values = tuple(rename(v, sigma) for v in values)
-        placeholders = tuple(f"_n{k}" for k in range(len(order)))
         return ("out", fingerprint(pred, universe), values, placeholders)
     raise TypeError(lab)
+
+
+def _atoms(node):
+    """The ``Name`` atoms of a value or predicate, left to right."""
+    if type(node) is Name:
+        yield node.atom
+    for child in children(node):
+        yield from _atoms(child)
 
 
 def label_text(lab) -> str:
@@ -121,6 +138,13 @@ def label_text(lab) -> str:
 TAU_LABEL = 0
 
 
+def _restricted(sys: System) -> bool:
+    """Whether a restriction occurs in a system (no component holds one)."""
+    if type(sys) is Nu:
+        return True
+    return type(sys) is not Comp and any(map(_restricted, children(sys)))
+
+
 class Walk:
     """Breadth-first walk over canonical states from one or more roots.
 
@@ -131,7 +155,10 @@ class Walk:
     ``j`` (None for a root); breadth-first order makes those moves a
     shortest-path tree.  A new state beyond ``max_states`` is dropped
     together with its move, and a state at ``max_depth`` is not stepped.
-    ``memo`` keeps the component steps of every stepped state.
+    ``memo`` keeps the component steps of every stepped state, and
+    ``label_of`` the label number of every raw step label.  A target is
+    canonicalised only when ``restricted``, that is when a root holds a
+    restriction (see the module doc).
     Every bound that was hit leaves its reason in ``reasons`` once.
     """
 
@@ -155,11 +182,12 @@ class Walk:
         self.memo: dict = {}
         self.labels: list[tuple] = [canon_label(TAU, universe)]
         self.label_ids: dict[tuple, int] = {self.labels[0]: TAU_LABEL}
+        self.label_of: dict = {TAU: TAU_LABEL}  # raw step label -> label number
         self.moves: list[tuple[int, int, int]] = []
         self.reasons: list[str] = []
-        self.roots = [
-            self._visit(canonicalize(set_fuel(r, repl_bound)), 0, None) for r in roots
-        ]
+        roots = [canonicalize(set_fuel(r, repl_bound)) for r in roots]
+        self.restricted = any(map(_restricted, roots))
+        self.roots = [self._visit(r, 0, None) for r in roots]
 
     def note(self, reason: str) -> None:
         if reason not in self.reasons:
@@ -187,13 +215,15 @@ class Walk:
     def move(self, i: int, k: int, target: System) -> None:
         """Record a move of state ``i`` under label number ``k``.
 
-        A target that is the state object itself is a self-loop and is
-        not canonicalised again, since states are canonical.
+        A target that is the state object itself is a self-loop.  Any
+        other target is canonicalised first if the walk is restricted.
         """
         if target is self.states[i]:
             j = i
         else:
-            j = self._visit(canonicalize(target), self.depth[i] + 1, len(self.moves))
+            if self.restricted:
+                target = canonicalize(target)
+            j = self._visit(target, self.depth[i] + 1, len(self.moves))
             if j is None:
                 return
         self.moves.append((i, k, j))
@@ -213,7 +243,10 @@ class Walk:
             for lab, t in system_steps(state, self.defs, self.universe, self.memo):
                 if on_output is not None and isinstance(lab, SOut):
                     on_output(lab.pred, lab.values)
-                self.move(i, self.intern(canon_label(lab, self.universe)), t)
+                k = self.label_of.get(lab)
+                if k is None:
+                    k = self.label_of[lab] = self.intern(canon_label(lab, self.universe))
+                self.move(i, k, t)
             if spent(state):
                 self.note("replication budget exhausted")
         return self.stepped > start

@@ -837,6 +837,14 @@ def canonicalize(sys: System) -> System:
     a canonical state keeps most of its nodes, and their cached fields.
     A component is walked once per renaming of its free names (see the
     module doc): a component shared by many states is canonicalised once.
+
+    A term without a restriction is canonical as soon as its components
+    are: ``rho`` is empty outside a ``Nu``, so each component is replaced
+    by its own form under the empty renaming, and the nodes above the
+    components are kept.  Such a term is then returned itself.  The step
+    memo keeps canonical components (see ``system``), so a walk whose
+    roots hold no restriction builds canonical states and need not call
+    this on them.
     """
     return _canon(sys, {}, {"n": 0})
 

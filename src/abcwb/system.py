@@ -36,7 +36,11 @@ Under ``c`` it keeps the steps of component ``c``, under ``(c,)`` its
 ``component.prefixes`` list, from which both its sends and its
 receptions are read, and under ``(c, pred, values)`` what it becomes on
 receiving that message.  Its lists are shared, so no caller may change
-them.
+them.  Every component it keeps, a send's or a reception's successor, is
+canonicalised once, when it is stored, and interned: the table under
+``memo[()]`` maps each canonical component to itself, so equal
+successors are one object per memo and compare by identity.  The table
+lives and dies with its memo, and nothing reads an order from it.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .syntax import (
     SysPar,
     System,
     Value,
+    canonicalize,
     children,
     free_names,
     gensym,
@@ -159,10 +164,17 @@ def receives(c: Comp, pred: Predicate, values, defs: Definitions, memo: dict) ->
     out = memo.get(key)
     if out is None:
         out = memo[key] = [
-            Comp(env2, cont)
+            _canonical(Comp(env2, cont), memo)
             for env2, cont in deliver(comp_prefixes(c, defs, memo), pred, values)
         ]
     return out
+
+
+def _canonical(c: Comp, memo: dict) -> Comp:
+    """The canonical form of ``c``, one object per ``memo``: the table
+    under ``memo[()]`` maps each canonical component to itself."""
+    form = canonicalize(c)
+    return memo.setdefault((), {}).setdefault(form, form)
 
 
 def _steps(sys, defs, universe, memo):
@@ -172,7 +184,7 @@ def _steps(sys, defs, universe, memo):
             out = memo[sys] = [
                 # a send nobody can satisfy is silent
                 (TAU if is_ff(pred, universe) else SOut(frozenset(), pred, values),
-                 Comp(env2, cont))
+                 _canonical(Comp(env2, cont), memo))
                 for pred, values, env2, cont in output_steps(comp_prefixes(sys, defs, memo))
             ]
         return out

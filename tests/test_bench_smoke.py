@@ -33,6 +33,8 @@ def test_traced_explore_round_is_correct():
     counts = {k: v["value"] for k, v in _traced_round("explore").items()}
     assert counts["explorer.states"] == 2_750
     assert counts["explorer.transitions"] == 14_100
+    # the root and each component successor, not every move target (14,101)
+    assert counts["syntax.canonicalize.calls"] == 123
 
 
 def test_traced_swarm_round_is_correct():

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import abcwb.explorer
 import abcwb.syntax
-from abcwb.attributes import Universe
+import abcwb.system
+from abcwb.attributes import Universe, UniverseTooLarge
+from abcwb.bpi import encode, parse_bpi
 from abcwb.equivalence import _explore_pair
 from abcwb.explorer import build_lts
 from abcwb.syntax import (
@@ -30,13 +32,14 @@ from abcwb.syntax import (
     _subterms,
     canonicalize,
     free_names,
+    map_children,
     pretty_system,
     rename,
 )
 
 import canon_oracle
 from astgen import gen_system, rename_binders, reserved_renaming
-from conftest import load_corpus
+from conftest import CORPUS, load_corpus
 from debruijn import debruijn
 
 
@@ -138,59 +141,99 @@ def test_a_component_under_a_restriction_that_renames_its_free_names():
     assert _agrees(Nu("k", comp)) == hidden
 
 
-@pytest.fixture
-def recorded(monkeypatch):
-    """Every (term, canonical form) pair the walks canonicalise."""
-    calls = []
-
-    def record(sys):
-        out = canonicalize(sys)
-        calls.append((sys, out))
-        return out
-
-    monkeypatch.setattr(abcwb.explorer, "canonicalize", record)
-    return calls
-
-
 def _corpus_walk(name, **kw):
     prog = load_corpus(name)
     return build_lts(prog.main, prog.defs, Universe.for_program(prog), **kw)
 
 
-def _joint_walk():
+def _joint_walk(roots, defs):
+    """The states of a bisimulation walk, stimulus targets included."""
+    _, space = _explore_pair(roots, defs, Universe.for_systems(roots, defs), repl_bound=3,
+                             max_states=2000, message_budget=2000)
+    return space.states
+
+
+def _corpus_pair():
     left, right = load_corpus("channels.abc"), load_corpus("pubsub.abc")
-    roots, defs = (left.main, right.main), {**left.defs, **right.defs}
-    return _explore_pair(roots, defs, Universe.for_systems(roots), repl_bound=3,
-                         max_states=2000, message_budget=2000)
+    return _joint_walk((left.main, right.main), {**left.defs, **right.defs})
+
+
+def _restricted_walk():
+    # four broadcast-pi terms with restrictions, three of them on c
+    text = " | ".join((CORPUS / "bpi" / f"t{k:02d}.bpi").read_text().strip()
+                      for k in (9, 10, 19, 21))
+    sys, defs = encode(parse_bpi(text))
+    assert any(type(n) is Nu for n in _subterms(sys))
+    return build_lts(sys, defs, Universe.for_systems([sys], defs)).states
 
 
 @pytest.mark.parametrize("walk", [
-    pytest.param(lambda: _corpus_walk("robotics.abc", repl_bound=2), id="robotics"),
-    pytest.param(lambda: _corpus_walk("pool.abc"), id="pool"),
-    pytest.param(_joint_walk, id="channels-pubsub"),
+    pytest.param(lambda: _corpus_walk("robotics.abc", repl_bound=2).states, id="robotics"),
+    pytest.param(lambda: _corpus_walk("pool.abc").states, id="pool"),
+    pytest.param(_corpus_pair, id="channels-pubsub"),
+    pytest.param(_restricted_walk, id="bpi-restricted"),
 ])
-def test_every_move_target_agrees_with_the_plain_walk(walk, recorded):
-    walk()
-    assert len(recorded) > 30
-    for sys, got in recorded:
-        assert got == canon_oracle.canonicalize(sys)
+def test_every_move_target_agrees_with_the_plain_walk(walk):
+    # a walk without restrictions stores its targets as built, so what it
+    # stores is checked, not what it canonicalises
+    states = walk()
+    assert len(states) > 10
+    for s in states:
+        assert s == canon_oracle.canonicalize(s)
+
+
+def _unrestricted(sys):
+    """``sys`` with every restriction dropped: its names turn free."""
+    if type(sys) is Nu:
+        return _unrestricted(sys.inner)
+    return sys if type(sys) is Comp else map_children(sys, _unrestricted)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_walks_store_canonical_states(seed):
+    rng = random.Random(seed)
+    drawn = rename_binders(gen_system(rng), rng)
+    drawn = rename(drawn, reserved_renaming(drawn, rng))
+    for root in (drawn, _unrestricted(drawn)):
+        try:
+            states = _joint_walk((root,), {})
+        except UniverseTooLarge:
+            continue
+        for s in states:
+            assert s == canon_oracle.canonicalize(s), seed
+        if root is not drawn:
+            # no step and no stimulus adds a restriction
+            assert not any(type(n) is Nu for s in states for n in _subterms(s)), seed
+
+
+def _count_calls(monkeypatch, counts, name, module, *also):
+    """Count the calls of ``module.name`` made through ``module`` and
+    through each module of ``also``."""
+    fn = getattr(module, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    for m in (module, *also):
+        monkeypatch.setattr(m, name, counted)
 
 
 def test_robotics_walks_few_components(monkeypatch):
     # the amount of work is deterministic: a change to it is a reviewed
-    # re-pin.  The plain walk makes 464,901 visits on the same walk.
-    visits = 0
-    walk = abcwb.syntax._canon
-
-    def counted(node, rho, counter):
-        nonlocal visits
-        visits += 1
-        return walk(node, rho, counter)
-
-    monkeypatch.setattr(abcwb.syntax, "_canon", counted)
+    # re-pin.  The plain walk makes 464,901 visits on the same walk; with
+    # the target canonicalised on every move it made 63,711 visits,
+    # 14,101 canonicalize calls and 14,101 canon_label calls.
+    counts = dict.fromkeys(("_canon", "canonicalize", "canon_label"), 0)
+    _count_calls(monkeypatch, counts, "_canon", abcwb.syntax)
+    _count_calls(monkeypatch, counts, "canonicalize", abcwb.syntax, abcwb.explorer,
+                 abcwb.system)
+    _count_calls(monkeypatch, counts, "canon_label", abcwb.explorer)
     lts = _corpus_walk("robotics.abc", repl_bound=2)
     assert (len(lts.states), len(lts.transitions)) == (2_750, 14_100)
-    assert visits == 63_711
+    # the root, and each component successor once, when the memo keeps it
+    assert counts == {"_canon": 1_645, "canonicalize": 123, "canon_label": 5}
     # a component reads the same wherever it sits, so the states share
     # few distinct ones
     comps = {n for state in lts.states for n in _subterms(state) if type(n) is Comp}

@@ -329,6 +329,27 @@ def test_extruded_names_are_numbered_in_the_order_they_are_sent(tmp_path, capsys
     assert code == 0 and "strongly bisimilar" in out.splitlines()
 
 
+def test_a_placeholder_skips_a_name_extruded_earlier(tmp_path, capsys):
+    # a is free once it is sent, so b's placeholder must not merge with it:
+    # the second sends differ in which name comes first
+    old_first = _abc(tmp_path, "old.abc", "",
+                     "nu a (nu b ({}: ('a')@(tt).('a', 'b')@(tt).0))")
+    new_first = _abc(tmp_path, "new.abc", "",
+                     "nu a (nu b ({}: ('a')@(tt).('b', 'a')@(tt).0))")
+    code, out, _ = run(["explore", old_first], capsys)
+    assert code == 0 and re.search(r"--out nu _n1 fp=.* vals=\('_n0', '_n1'\)--", out)
+    code, out, _ = run(["bisim", old_first, new_first], capsys)
+    assert code == 1 and "not strongly bisimilar" in out.splitlines()
+
+
+def test_names_extruded_in_one_value_are_numbered_by_position(tmp_path, capsys):
+    # alpha-variants: the tuple sends the second restriction first
+    crossed = _abc(tmp_path, "crossed.abc", "", "nu a (nu b ({}: (<'b', 'a'>)@(tt).0))")
+    straight = _abc(tmp_path, "straight.abc", "", "nu a (nu b ({}: (<'a', 'b'>)@(tt).0))")
+    code, out, _ = run(["bisim", crossed, straight], capsys)
+    assert code == 0 and "strongly bisimilar" in out.splitlines()
+
+
 def test_rand_needs_a_nonempty_range(tmp_path, capsys):
     bad = _abc(tmp_path, "bad.abc", "", "{a := 0}: (rand(0))@(tt).0")
     code, _, err = run(["explore", bad], capsys)

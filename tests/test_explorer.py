@@ -16,7 +16,7 @@ from abcwb.explorer import (
     witness_path,
 )
 from abcwb.parser import parse_system
-from abcwb.syntax import Attr, Cmp, Int, Lit, Name, TT_, pretty_system
+from abcwb.syntax import Attr, Cmp, Int, Lit, Name, TT_, TupleV, pretty_system
 from abcwb.system import SOut
 
 from conftest import load_corpus
@@ -96,6 +96,14 @@ def test_extruded_names_become_placeholders_in_order_of_occurrence():
     hidden = SOut(frozenset({"_n0", "_n1"}), pred, (Name("_n1"),))
     _, _, values, placeholders = canon_label(hidden, u)
     assert values == (Name("_n0"),) and placeholders == ("_n0", "_n1")
+    # names inside one tuple are numbered left to right, not by spelling
+    nested = SOut(frozenset({"a", "b"}), TT_, (TupleV((Name("b"), Name("a"))),))
+    assert canon_label(nested, u)[2] == (TupleV((Name("_n0"), Name("_n1"))),)
+    # a placeholder skips the names the label leaves free
+    later = SOut(frozenset({"_n1"}), TT_, (Name("_n0"), Name("_n1")))
+    assert canon_label(later, u)[2:] == ((Name("_n0"), Name("_n1")), ("_n1",))
+    renamed = SOut(frozenset({"b"}), TT_, (Name("b"), Name("_n0")))
+    assert canon_label(renamed, u)[2:] == ((Name("_n1"), Name("_n0")), ("_n1",))
 
 
 def test_env_has_and_reachable(groups):

@@ -68,7 +68,7 @@ GOLDEN = {
     'reach --max-states 100 corpus/robotics.abc "role=\'helper\'"': (2, '4d0d7a8c399334026425e0e66778652abf795c9b9e088b6300dbaed53109e9a9'),
     'bisim --max-states 50 corpus/channels.abc corpus/pubsub.abc': (2, 'f7bc9eb07183e7e7c2f2c326c8522481ea4fa15ebfb04258f9bacac821fbc73d'),
     '--seed 3 trace corpus/robotics.abc': (0, '686f8f43154c9f3e42168ae018f9e8e2ae60e21599c238d6ecc45b38b987a086'),
-    '--seed 7 step corpus/robotics.abc': (0, '8bc433374b0a5644f899b92ef1ced7d172e88aaf31ca18d11c6a6f560b453adc'),
+    '--seed 7 step corpus/robotics.abc': (0, '92c36fd40d53558128e728e092de77e573387a170bb9d754dfd811d40be7ffd5'),
     'explore corpus/pool.abc': (0, 'f928d8616519d4cd86fbcdfa0f0a250a445df191f3b62bbfd8d5416289ad2f3f'),
     'reach corpus/pool.abc "job=2"': (2, 'a544be9b27743d826f7c4ce05975a7a842c07653b371c82f8de69e4996083bc2'),
     'check-encoding corpus/bpi/t01.bpi': (0, 'ee82e30b0f8d8b7e8bce2c684dd1c991400c7e1e67d3874ecb3f809e41bf38eb'),
