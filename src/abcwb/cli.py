@@ -36,16 +36,33 @@ from .syntax import Bool, Int, Name, canonicalize, pretty_proc, pretty_system
 from .system import set_fuel, system_steps
 
 
-def _load(path: str):
+class Refusal(Exception):
+    """A run the command line refuses; ``main`` prints ``error: <message>``
+    on stderr and exits 3."""
+
+
+def _load(path: str, parse=parse_program):
+    """``parse`` applied to the text of the file at ``path``; a missing
+    file, one that does not decode, or text ``parse`` rejects is refused."""
     try:
         with open(path) as f:
-            return parse_program(f.read())
+            return parse(f.read())
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=_sys.stderr)
-        raise SystemExit(3)
-    except (ParseError, ResolveError) as e:
-        print(f"error: {path}: {e}", file=_sys.stderr)
-        raise SystemExit(3)
+        raise Refusal(f"no such file: {path}") from None
+    except (ParseError, ResolveError, ValueError) as e:
+        raise Refusal(f"{path}: {e}") from None
+
+
+def _encoded(text: str):
+    """A broadcast-pi term and its translation; a term outside the
+    translatable fragment raises ``ValueError``."""
+    term = parse_bpi(text)
+    return term, encode_program(term)
+
+
+def _print_defs(defs) -> None:
+    for name, (params, body) in sorted(defs.items()):
+        print(f"def {name}({', '.join(params)}) = {pretty_proc(body)}")
 
 
 def _parse_value(text: str):
@@ -85,19 +102,15 @@ def main(argv=None) -> int:
 
     p_step = sub.add_parser("step", help="show the immediate steps of a system")
     p_step.add_argument("file")
-    p_step.add_argument("--repl-bound", type=natural, default=3)
 
     p_exp = sub.add_parser("explore", help="build the bounded transition graph")
     p_exp.add_argument("file")
     p_exp.add_argument("--max-states", type=natural, default=10_000)
     p_exp.add_argument("--max-depth", type=natural, default=None)
-    p_exp.add_argument("--repl-bound", type=natural, default=3)
-    p_exp.add_argument("--format", choices=("text", "json"), default="text")
 
     p_trace = sub.add_parser("trace", help="one random walk through a system")
     p_trace.add_argument("file")
     p_trace.add_argument("--steps", type=natural, default=20)
-    p_trace.add_argument("--repl-bound", type=natural, default=3)
 
     p_barbs = sub.add_parser("barbs", help="immediate observables of a system")
     p_barbs.add_argument("file")
@@ -107,7 +120,6 @@ def main(argv=None) -> int:
     p_bisim.add_argument("right")
     p_bisim.add_argument("--weak", action="store_true")
     p_bisim.add_argument("--max-states", type=natural, default=2000)
-    p_bisim.add_argument("--repl-bound", type=natural, default=3)
 
     p_reach = sub.add_parser(
         "reach", help="search explored states for attr=value in some component"
@@ -116,7 +128,12 @@ def main(argv=None) -> int:
     p_reach.add_argument("query", help="attr=value, e.g. role='rescuer' or count=3")
     p_reach.add_argument("--max-states", type=natural, default=10_000)
     p_reach.add_argument("--max-depth", type=natural, default=None)
-    p_reach.add_argument("--repl-bound", type=natural, default=3)
+
+    # the commands that unfold replication share one budget; each usage
+    # line lists it after the command's other bounds, before --format
+    for p in (p_step, p_exp, p_trace, p_bisim, p_reach):
+        p.add_argument("--repl-bound", type=natural, default=3)
+    p_exp.add_argument("--format", choices=("text", "json"), default="text")
 
     p_enc = sub.add_parser("encode", help="translate a broadcast pi term")
     p_enc.add_argument("file")
@@ -137,6 +154,9 @@ def main(argv=None) -> int:
         code = _dispatch(args)
         _sys.stdout.flush()
         return code
+    except Refusal as e:
+        print(f"error: {e}", file=_sys.stderr)
+        return 3
     except UniverseTooLarge as e:
         print(f"error: resource bound exceeded: {e}", file=_sys.stderr)
         return 2
@@ -152,8 +172,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.cmd == "parse":
         prog = _load(args.file)
-        for name, (params, body) in sorted(prog.defs.items()):
-            print(f"def {name}({', '.join(params)}) = {pretty_proc(body)}")
+        _print_defs(prog.defs)
         print(pretty_system(prog.main))
         return 0
 
@@ -166,20 +185,41 @@ def _dispatch(args) -> int:
             print(f"{label_text(lab)}\n    -> {pretty_system(succ)}")
         return 0
 
-    if args.cmd == "explore":
+    if args.cmd in ("explore", "reach"):
         prog = _load(args.file)
-        universe = Universe.for_program(prog)
+        if args.cmd == "reach":
+            attr, _, val = (part.strip() for part in args.query.partition("="))
+            if not attr or not val:
+                raise Refusal("query must look like attr=value")
+            value = _parse_value(val)
+            if value is None:
+                raise Refusal(f"query must look like attr=value; the quotes of {val} "
+                              f"do not pair up")
         lts = build_lts(
             prog.main,
             prog.defs,
-            universe,
+            Universe.for_program(prog),
             seed=args.seed,
             max_states=args.max_states,
             max_depth=args.max_depth,
             repl_bound=args.repl_bound,
         )
-        print(lts_to_json(lts) if args.format == "json" else lts_to_text(lts))
-        return 0
+        if args.cmd == "explore":
+            print(lts_to_json(lts) if args.format == "json" else lts_to_text(lts))
+            return 0
+        print(f"# seed {args.seed}")
+        hit = reachable_matching(lts, lambda s: env_has(s, attr, value))
+        if hit is not None:
+            print(f"reached at state {hit}: {pretty_system(lts.states[hit])}")
+            print("witness trace:")
+            for line in _witness_path(lts, hit):
+                print(f"  {line}")
+            return 0
+        if lts.truncated:
+            print(f"not reached within bounds ({'; '.join(lts.reasons)})")
+            return 2
+        print("not reachable")
+        return 1
 
     if args.cmd == "trace":
         prog = _load(args.file)
@@ -209,9 +249,8 @@ def _dispatch(args) -> int:
         clashes = sorted(n for n in left.defs.keys() & right.defs.keys()
                          if left.defs[n] != right.defs[n])
         if clashes:
-            print(f"error: {args.left} and {args.right} define "
-                  f"{', '.join(clashes)} differently", file=_sys.stderr)
-            return 3
+            raise Refusal(f"{args.left} and {args.right} define "
+                          f"{', '.join(clashes)} differently")
         defs = {**left.defs, **right.defs}
         universe = Universe.for_systems([left.main, right.main], defs)
         res = bisimilar(
@@ -239,56 +278,10 @@ def _dispatch(args) -> int:
         print(json.dumps(res.witness, indent=2))
         return 1
 
-    if args.cmd == "reach":
-        prog = _load(args.file)
-        attr, _, val = (part.strip() for part in args.query.partition("="))
-        if not attr or not val:
-            print("error: query must look like attr=value", file=_sys.stderr)
-            return 3
-        value = _parse_value(val)
-        if value is None:
-            print(f"error: query must look like attr=value; the quotes of {val} "
-                  f"do not pair up", file=_sys.stderr)
-            return 3
-        universe = Universe.for_program(prog)
-        lts = build_lts(
-            prog.main,
-            prog.defs,
-            universe,
-            seed=args.seed,
-            max_states=args.max_states,
-            max_depth=args.max_depth,
-            repl_bound=args.repl_bound,
-        )
-        print(f"# seed {args.seed}")
-        hit = reachable_matching(lts, lambda s: env_has(s, attr, value))
-        if hit is not None:
-            print(f"reached at state {hit}: {pretty_system(lts.states[hit])}")
-            print("witness trace:")
-            for line in _witness_path(lts, hit):
-                print(f"  {line}")
-            return 0
-        if lts.truncated:
-            print(f"not reached within bounds ({'; '.join(lts.reasons)})")
-            return 2
-        print("not reachable")
-        return 1
-
     if args.cmd in ("encode", "check-encoding"):
-        try:
-            with open(args.file) as f:
-                term = parse_bpi(f.read())
-            # a term outside the translatable fragment raises ValueError
-            prog = encode_program(term)
-        except FileNotFoundError:
-            print(f"error: no such file: {args.file}", file=_sys.stderr)
-            return 3
-        except (ParseError, ValueError) as e:
-            print(f"error: {args.file}: {e}", file=_sys.stderr)
-            return 3
+        term, prog = _load(args.file, _encoded)
         if args.cmd == "encode":
-            for name, (params, body) in sorted(prog.defs.items()):
-                print(f"def {name}({', '.join(params)}) = {pretty_proc(body)}")
+            _print_defs(prog.defs)
             print("system:")
             print(f"  {pretty_system(prog.main)}")
             return 0

@@ -49,7 +49,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .attributes import DEFAULT_MESSAGE_BUDGET, Universe, fingerprint, UniverseTooLarge
-from .explorer import TAU_LABEL, Walk, canon_label, label_text
+from .explorer import TAU_LABEL, Walk, label_text, stimulus_label
 from .syntax import (
     Comp,
     Definitions,
@@ -67,7 +67,6 @@ from .syntax import (
 )
 from .component import hears
 from .system import (
-    SIn,
     SOut,
     comp_prefixes,
     msg_names,
@@ -189,7 +188,7 @@ def _explore_pair(
     mentions: dict[str, list[int]] = {}  # name -> the stimuli that mention it
 
     def add_message(pred, vals):
-        key = canon_label(SIn(pred, vals), universe)
+        key = stimulus_label(pred, vals, universe)
         if key in walk.label_ids:  # only stimuli intern input labels
             return
         if len(messages) >= message_budget:

@@ -53,7 +53,7 @@ from .syntax import (
     pretty_system,
     rename,
 )
-from .system import SIn, SOut, TAU, msg_names, set_fuel, spent, system_steps
+from .system import SOut, TAU, msg_names, set_fuel, spent, system_steps
 
 
 @dataclass
@@ -76,7 +76,7 @@ def state_rng(seed: int) -> random.Random:
 
 
 def canon_label(lab, universe: Universe) -> tuple:
-    """Canonical, hashable form of a transition label.
+    """Canonical, hashable form of a step label, ``TAU`` or an ``SOut``.
 
     Outputs: extruded names are rewritten to the placeholders ``_n0,
     _n1, ...`` that the label's free names leave over, in order of first
@@ -85,26 +85,28 @@ def canon_label(lab, universe: Universe) -> tuple:
     """
     if lab is TAU:
         return ("tau",)
-    if isinstance(lab, SIn):
-        return ("in", fingerprint(lab.pred, universe), lab.values)
-    if isinstance(lab, SOut):
-        pred, values, bound = lab.pred, lab.values, lab.bound
-        order: list[str] = []
-        for part in (*values, pred):
-            for n in _atoms(part):
-                if n in bound and n not in order:
-                    order.append(n)
-        free = msg_names(pred, values) - bound
-        fresh = (p for k in itertools.count() if (p := f"_n{k}") not in free)
-        placeholders = tuple(itertools.islice(fresh, len(order)))
-        sigma = {n: p for n, p in zip(order, placeholders) if n != p}
-        if sigma:
-            # all at once: one name at a time could send _n1 to an _n0
-            # not renamed yet
-            pred = rename(pred, sigma)
-            values = tuple(rename(v, sigma) for v in values)
-        return ("out", fingerprint(pred, universe), values, placeholders)
-    raise TypeError(lab)
+    pred, values, bound = lab.pred, lab.values, lab.bound
+    order: list[str] = []
+    for part in (*values, pred):
+        for n in _atoms(part):
+            if n in bound and n not in order:
+                order.append(n)
+    free = msg_names(pred, values) - bound
+    fresh = (p for k in itertools.count() if (p := f"_n{k}") not in free)
+    placeholders = tuple(itertools.islice(fresh, len(order)))
+    sigma = {n: p for n, p in zip(order, placeholders) if n != p}
+    if sigma:
+        # all at once: one name at a time could send _n1 to an _n0
+        # not renamed yet
+        pred = rename(pred, sigma)
+        values = tuple(rename(v, sigma) for v in values)
+    return ("out", fingerprint(pred, universe), values, placeholders)
+
+
+def stimulus_label(pred, values, universe: Universe) -> tuple:
+    """Canonical label of a message offered from outside: no step yields
+    an input, so this is the one form an input label takes."""
+    return ("in", fingerprint(pred, universe), values)
 
 
 def _atoms(node):
@@ -118,9 +120,6 @@ def _atoms(node):
 def label_text(lab) -> str:
     if lab is TAU:
         return "tau"
-    if isinstance(lab, SIn):
-        vals = ", ".join(str(v) for v in lab.values)
-        return f"in ({pretty_pred(lab.pred)})({vals})"
     if isinstance(lab, SOut):
         vals = ", ".join(str(v) for v in lab.values)
         nu = f"nu {', '.join(sorted(lab.bound))} " if lab.bound else ""
@@ -215,18 +214,15 @@ class Walk:
     def move(self, i: int, k: int, target: System) -> None:
         """Record a move of state ``i`` under label number ``k``.
 
-        A target that is the state object itself is a self-loop.  Any
-        other target is canonicalised first if the walk is restricted.
+        The target is canonicalised first if the walk is restricted and
+        then looked up in the index like any other state, a self-loop
+        included; a new one past the state budget drops the move.
         """
-        if target is self.states[i]:
-            j = i
-        else:
-            if self.restricted:
-                target = canonicalize(target)
-            j = self._visit(target, self.depth[i] + 1, len(self.moves))
-            if j is None:
-                return
-        self.moves.append((i, k, j))
+        if self.restricted:
+            target = canonicalize(target)
+        j = self._visit(target, self.depth[i] + 1, len(self.moves))
+        if j is not None:
+            self.moves.append((i, k, j))
 
     def step(self, on_output=None) -> bool:
         """Step every state not stepped yet, states found meanwhile

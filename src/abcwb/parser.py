@@ -11,7 +11,9 @@ Layout of a file::
 Process syntax: output ``(E, ...)@(Pi).P``, input ``(Pi)(x, ...).P``,
 update ``[a := E, ...]P``, awareness ``<Pi>P``, choice ``+``, process
 parallel ``|``.  System syntax: ``{a := v, ...}: P``, ``||``, ``!C``,
-``nu x C``.  Name literals are quoted (``'qry'``) and end on their line;
+``nu x C``.  In an expression ``*`` binds tighter than ``+`` and ``-``,
+and all three group to the left: ``1 + 2 * 3`` is 7 and ``5 - 2 - 1`` is 2.
+Name literals are quoted (``'qry'``) and end on their line;
 a bare identifier in an expression is a bound variable if one is in
 scope, else an attribute, which the file must declare somewhere.
 
@@ -256,11 +258,15 @@ class _Parser(_Cursor):
         raise ParseError(f"expected a value, found {t.text!r}", t.line, t.col)
 
     def expr(self, in_pred: bool = False) -> Expression:
+        lhs = self.expr_term(in_pred)
+        while self.peek().kind in ("+", "-"):
+            lhs = Arith(self.next().kind, lhs, self.expr_term(in_pred))
+        return lhs
+
+    def expr_term(self, in_pred: bool) -> Expression:
         lhs = self.expr_atom(in_pred)
-        while self.peek().kind in ("+", "-", "*"):
-            op = self.next().kind
-            rhs = self.expr_atom(in_pred)
-            lhs = Arith(op, lhs, rhs)
+        while self.accept("*"):
+            lhs = Arith("*", lhs, self.expr_atom(in_pred))
         return lhs
 
     def expr_atom(self, in_pred: bool) -> Expression:

@@ -76,14 +76,6 @@ class SOut:
     values: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
-class SIn:
-    """Input label: the message a system is offered from outside."""
-
-    pred: Predicate
-    values: tuple[Value, ...]
-
-
 class Tau:
     def __repr__(self) -> str:
         return "TAU"
@@ -258,7 +250,7 @@ def sys_deliver(
     discards contributes itself unchanged.  Parallel branches all handle
     the message, so outcomes multiply across them.  An outcome in which
     every part discards is ``sys`` itself, not a rebuilt equal node, so
-    a caller can recognise a discarded message by identity.
+    the subtrees a message leaves unchanged stay shared.
     """
     if isinstance(sys, Comp):
         return receives(sys, pred, values, defs, memo) or [sys]

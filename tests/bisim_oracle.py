@@ -14,9 +14,9 @@ none is left to delete.
 from __future__ import annotations
 
 from abcwb.equivalence import DEFAULT_MESSAGE_BUDGET, stimulus_messages
-from abcwb.explorer import canon_label
+from abcwb.explorer import canon_label, stimulus_label
 from abcwb.syntax import canonicalize
-from abcwb.system import SIn, SOut, TAU, set_fuel, sys_deliver, system_steps
+from abcwb.system import SOut, TAU, set_fuel, sys_deliver, system_steps
 
 TAU_KEY = canon_label(TAU, None)
 
@@ -27,7 +27,7 @@ def explore(roots, defs, universe, *, repl_bound, max_states, message_budget):
     messages, seen = [], set()
 
     def offer(pred, vals):
-        key = canon_label(SIn(pred, vals), universe)
+        key = stimulus_label(pred, vals, universe)
         if key not in seen and len(messages) < message_budget:
             seen.add(key)
             messages.append((pred, vals))
@@ -70,7 +70,7 @@ def explore(roots, defs, universe, *, repl_bound, max_states, message_budget):
                 continue
             progressed = True
             for pred, vals in messages[offered[s]:]:
-                lab = canon_label(SIn(pred, vals), universe)
+                lab = stimulus_label(pred, vals, universe)
                 for t in sys_deliver(s, pred, vals, defs, universe, {}):
                     record(s, lab, canonicalize(t))
             offered[s] = len(messages)

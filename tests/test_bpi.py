@@ -12,6 +12,9 @@ from abcwb import bpi, syntax
 from abcwb.bpi import (
     BOut,
     BCall,
+    BNu,
+    GOut,
+    PG,
     BRec,
     BTAU,
     abc_divergent,
@@ -101,6 +104,18 @@ def test_recursion_unfolds():
     assert lab == BOut("a", ("v",))
     (lab2, _), = bpi_steps(q)
     assert lab2 == BOut("a", ("v",))
+
+
+def test_recursion_unfolds_under_a_restriction():
+    # the body's nu carries the call, so unfolding maps through a BNu
+    p = parse_bpi("rec A(). tau.nu x (x<v>.A()) @ ()")
+    (lab, q), = bpi_steps(p)
+    assert lab is BTAU and q == BNu("x", PG(GOut("x", ("v",), p)))
+    # the send on the restricted x is silent, and the copy of A unfolds again
+    (lab, r), = bpi_steps(q)
+    assert lab is BTAU and r == BNu("x", p)
+    (lab, _), = bpi_steps(r)
+    assert lab is BTAU
 
 
 def test_divergence_detected():
@@ -342,6 +357,15 @@ def test_a_failing_pair_below_the_bound_is_not_hidden_by_a_deeper_visit():
     res = check_correspondence(term, depth=2)
     assert not res.ok
     assert res.failures[0].endswith("at depth 1")
+
+
+def test_correspondence_stops_at_the_pair_bound(monkeypatch):
+    term = parse_bpi("a<v>.nil | b<v>.nil | c<v>.nil")
+    whole = check_correspondence(term)
+    assert whole.ok and whole.checked_pairs == 8 and not whole.truncated
+    monkeypatch.setattr(bpi, "MAX_PAIRS", 3)
+    cut = check_correspondence(term)
+    assert cut.ok and cut.truncated and cut.checked_pairs < whole.checked_pairs
 
 
 def test_generated_terms_correspond(monkeypatch):

@@ -185,6 +185,21 @@ def test_reach_reads_a_quoted_value_as_a_name():
     assert [_parse_value(v) for v in ("'", "'x", "x'")] == [None, None, None]
 
 
+@pytest.mark.parametrize("query, code", [
+    ("on=tt", 0), ("on=ff", 1),
+    ("off=ff", 0),
+    ("pos=-2", 0), ("pos=2", 1),
+    ("who=bob", 0), ("who='bob'", 0), ("who=ann", 1),
+])
+def test_reach_reads_booleans_integers_and_bare_names(tmp_path, capsys, query, code):
+    f = tmp_path / "values.abc"
+    f.write_text("attrs: on, off, pos, who\nsystem:\n"
+                 "  {on := tt, off := ff, pos := -2, who := 'bob'}: 0\n")
+    got, out, _ = run(["reach", str(f), query], capsys)
+    assert got == code
+    assert ("reached at state 0" if code == 0 else "not reachable") in out
+
+
 def test_reach_miss_under_truncation_is_inconclusive(corpus_dir, capsys):
     code, out, _ = run(
         ["reach", path(corpus_dir, "robotics.abc"), "role='nobody'",
@@ -246,6 +261,15 @@ def test_encoding_refuses_a_term_with_exit_3(tmp_path, capsys, cmd, text, messag
     code, out, err = run([cmd, str(f)], capsys)
     assert code == 3 and out == ""
     assert err.startswith(f"error: {f}: {message}")
+
+
+def test_an_integer_past_the_digit_limit_is_refused(tmp_path, capsys):
+    # Python refuses to read an integer literal of more than 4300 digits
+    f = tmp_path / "huge.abc"
+    f.write_text(f"attrs: a\nsystem:\n  {{a := {'9' * 5000}}}: 0\n")
+    code, out, err = run(["parse", str(f)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {f}: ") and "Traceback" not in err
 
 
 def test_check_encoding_rejects_garbage(tmp_path, capsys):

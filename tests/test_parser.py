@@ -5,8 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abcwb.attributes import eval_expr
+from abcwb.explorer import build_lts, env_has
 from abcwb.parser import ParseError, ResolveError, parse_process, parse_program, parse_system
 from abcwb.syntax import (
+    Arith,
+    AttributeEnv,
     Attr,
     Aware,
     Bool,
@@ -59,6 +63,43 @@ def test_nested_tuple_in_comparison():
     p = parse_process("<this.a = <1, <2, 3>>>0", attrs=("a",))
     assert isinstance(p, Aware)
     assert p.pred.rhs == Lit(TupleV((Int(1), TupleV((Int(2), Int(3))))))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2 * 3 - 1", 5),
+    ("1 + 2 * 3", 7),
+    ("2 * 3 * 4 - 20", 4),
+    ("5 - 2 - 1", 2),
+    ("(1 + 2) * 3", 9),
+])
+def test_times_binds_tighter_than_plus_and_minus(text, value):
+    upd = parse_process(f"[a := {text}]0", attrs=("a",))
+    (_, e), = upd.assigns
+    assert eval_expr(e, AttributeEnv()) == Int(value)
+
+
+def test_an_update_with_mixed_arithmetic_reaches_its_value():
+    prog = parse_program("attrs: a\nsystem:\n  {a := 0}: [a := 1 + 2 * 3]('v')@(tt).0\n")
+    (_, e), = prog.main.proc.assigns
+    assert e == Arith("+", Lit(Int(1)), Arith("*", Lit(Int(2)), Lit(Int(3))))
+    states = build_lts(prog.main, prog.defs).states
+    assert [env_has(s, "a", Int(7)) for s in states] == [False, True]
+    assert not any(env_has(s, "a", Int(9)) for s in states)
+    assert parse_system(pretty_system(prog.main), attrs=("a",)) == prog.main
+
+
+def test_a_restricted_identifier_in_an_expression_is_a_name():
+    prog = parse_program("attrs: a\nsystem:\n  nu x ({}: (x)@(tt).0)\n")
+    assert prog.main.inner.proc.exprs == (Lit(Name("x")),)
+    # outside the restriction x would be an attribute, which no one declares
+    with pytest.raises(ResolveError, match="unresolvable identifier 'x'"):
+        parse_program("attrs: a\nsystem:\n  {}: (x)@(tt).0\n")
+
+
+def test_an_update_target_may_be_written_with_this():
+    written = parse_program("system:\n  {a := 0}: [this.a := 1]()@(tt).0\n")
+    plain = parse_program("system:\n  {a := 0}: [a := 1]()@(tt).0\n")
+    assert written.main == plain.main and written.attrs == {"a"}
 
 
 def test_parse_error_has_position():
