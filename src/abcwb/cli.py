@@ -31,8 +31,8 @@ from .explorer import (
     reachable_matching,
     witness_path as _witness_path,
 )
-from .parser import ParseError, ResolveError, parse_program
-from .syntax import Bool, Int, Name, canonicalize, pretty_proc, pretty_system
+from .parser import ParseError, ResolveError, _Parser, parse_program
+from .syntax import Name, canonicalize, pretty_proc, pretty_system
 from .system import set_fuel, system_steps
 
 
@@ -66,18 +66,19 @@ def _print_defs(defs) -> None:
 
 
 def _parse_value(text: str):
-    """The value a ``reach`` query names; None for a name literal whose
-    quotes do not pair up, which no term can hold."""
-    if "'" in text:
-        if len(text) >= 2 and text[0] == text[-1] == "'" and "'" not in text[1:-1]:
-            return Name(text[1:-1])
-        return None
-    if text in ("tt", "ff"):
-        return Bool(text == "tt")
+    """The value a ``reach`` query names, read as a value of ``.abc``
+    text, but a bare identifier reads as a name; None for text that is
+    no value."""
     try:
-        return Int(int(text))
-    except ValueError:
-        return Name(text)
+        p = _Parser(text, set())
+        t = p.peek()
+        if t.kind == "ident" and t.text not in ("tt", "ff") and p.peek(1).kind == "eof":
+            return Name(t.text)
+        value = p.value()
+        p.expect("eof")
+        return value
+    except (ParseError, ValueError):
+        return None
 
 
 def natural(text: str) -> int:
@@ -193,8 +194,7 @@ def _dispatch(args) -> int:
                 raise Refusal("query must look like attr=value")
             value = _parse_value(val)
             if value is None:
-                raise Refusal(f"query must look like attr=value; the quotes of {val} "
-                              f"do not pair up")
+                raise Refusal(f"query must look like attr=value; {val} is no value")
         lts = build_lts(
             prog.main,
             prog.defs,

@@ -63,6 +63,7 @@ from .syntax import (
     children,
     has_binders,
     pretty_system,
+    spine,
     value_sort_key,
 )
 from .component import hears
@@ -95,16 +96,10 @@ def _input_arities(node) -> set[int]:
     return out
 
 
-def _parts(sys: System, comps: set, bound: set) -> None:
-    """Add a state's components to ``comps`` and the names its
-    restrictions bind to ``bound``."""
-    if type(sys) is Comp:
-        comps.add(sys)
-        return
-    if type(sys) is Nu:
-        bound.add(sys.name)
-    for c in children(sys):
-        _parts(c, comps, bound)
+def _parts(sys: System) -> tuple[set, set]:
+    """A state's components and the names its restrictions bind."""
+    nodes = spine(sys)
+    return {s for s in nodes if type(s) is Comp}, {s.name for s in nodes if type(s) is Nu}
 
 
 def stimulus_messages(
@@ -213,8 +208,8 @@ def _explore_pair(
             if n == len(messages):
                 continue
             progressed = True
-            s, comps, handled, bound = walk.states[i], set(), set(), set()
-            _parts(s, comps, bound)
+            s, handled = walk.states[i], set()
+            comps, bound = _parts(s)
             for c in comps:
                 entry = heard.get(c)
                 if entry is None:

@@ -52,6 +52,7 @@ from .syntax import (
     pretty_pred,
     pretty_system,
     rename,
+    spine,
 )
 from .system import SOut, TAU, msg_names, set_fuel, spent, system_steps
 
@@ -139,9 +140,7 @@ TAU_LABEL = 0
 
 def _restricted(sys: System) -> bool:
     """Whether a restriction occurs in a system (no component holds one)."""
-    if type(sys) is Nu:
-        return True
-    return type(sys) is not Comp and any(map(_restricted, children(sys)))
+    return any(type(s) is Nu for s in spine(sys))
 
 
 class Walk:
@@ -311,9 +310,7 @@ def reachable_matching(lts: Lts, match) -> int | None:
 
 def env_has(sys: System, attr: str, value: Value) -> bool:
     """Whether any component of the system maps ``attr`` to ``value``."""
-    if type(sys) is Comp:
-        return sys.env.get(attr) == value
-    return any(env_has(c, attr, value) for c in children(sys))
+    return any(type(s) is Comp and s.env.get(attr) == value for s in spine(sys))
 
 
 def witness_path(lts: Lts, target: int) -> list[str]:

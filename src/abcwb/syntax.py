@@ -33,11 +33,16 @@ node itself when every child comes back as the same object and rebuilds
 it otherwise, so a traversal that changes nothing keeps the caches and
 the sharing.  A traversal treats only its special kinds by hand (the
 ``In``/``Nu`` binders, the ``Var``/``Name`` leaves, attribute keys) and
-leaves the rest to these two.  ``free_names`` and ``has_binders`` keep
-their own dispatch: they run on every newly built node, where routing
-through ``children`` measured slower.  The broadcast pi-calculus in
-``bpi.py`` keeps its own traversals on purpose: it is the independent
-reference the encoding checks compare against.
+leaves the rest to these two; ``free_names`` and ``has_binders`` treat
+only the ``Name``/``Var`` leaves and the ``In``/``Nu`` binders.  Above
+the components a system is a spine of ``||``, ``!`` and ``nu`` nodes:
+``spine(sys)`` yields its nodes and stops at the components, and every
+search over the spine (``system.spent``, ``explorer.env_has``, ...) is
+a filter over that one walk.  Only ``set_fuel`` and ``freshen_binders``,
+which rebuild the spine, stop at a component by hand and map the rest.
+The broadcast pi-calculus in ``bpi.py`` keeps its own traversals on
+purpose: it is the independent reference the encoding checks compare
+against.
 
 Names change in two ways, both capture-avoiding: ``rename`` renames
 free names by a mapping, all at once, and ``substitute`` puts values for
@@ -413,73 +418,28 @@ def free_names(node: Node) -> frozenset[str]:
     """
     out = getattr(node, "_free", None)
     if out is None:
-        out = _free_names(node)
+        kind = type(node)
+        if kind is Name:
+            out = frozenset((node.atom,))
+        elif kind is Var:
+            out = frozenset((node.name,))
+        else:
+            out = _union(*map(free_names, children(node)))
+            if kind is In and not out.isdisjoint(node.vars):
+                out = out - frozenset(node.vars)
+            elif kind is Nu and node.name in out:
+                out = out - {node.name}
         object.__setattr__(node, "_free", out)
     return out
-
-
-def _free_names(node: Node) -> frozenset[str]:
-    # node classes have no subclasses, so the exact type decides
-    kind = type(node)
-    if kind is Par or kind is Sum or kind is SysPar:
-        return _union(free_names(node.left), free_names(node.right))
-    if kind is Cmp or kind is Arith or kind is And or kind is Or:
-        return _union(free_names(node.lhs), free_names(node.rhs))
-    if kind is Lit:
-        return free_names(node.value)
-    if kind is Name:
-        return frozenset((node.atom,))
-    if kind is Var:
-        return frozenset((node.name,))
-    if kind is In:
-        out = _union(free_names(node.pred), free_names(node.cont))
-        return out - frozenset(node.vars) if not out.isdisjoint(node.vars) else out
-    if kind is Out:
-        exprs = (free_names(e) for e in node.exprs)
-        return _union(free_names(node.pred), free_names(node.cont), *exprs)
-    if kind is Upd:
-        exprs = (free_names(e) for _, e in node.assigns)
-        return _union(free_names(node.cont), *exprs)
-    if kind is Aware:
-        return _union(free_names(node.pred), free_names(node.cont))
-    if kind is Not:
-        return free_names(node.inner)
-    if kind is Call:
-        return _union(*(free_names(e) for e in node.args))
-    if kind is Comp:
-        return _union(free_names(node.proc), free_names(node.env))
-    if kind is AttributeEnv:
-        return _union(*(free_names(v) for _, v in node.bindings))
-    if kind is TupleV:
-        return _union(*(free_names(i) for i in node.items))
-    if kind is Bang:
-        return free_names(node.inner)
-    if kind is Nu:
-        out = free_names(node.inner)
-        return out - {node.name} if node.name in out else out
-    if kind in _LEAVES:  # Name and Var are handled above
-        return _NO_NAMES
-    raise TypeError(node)
 
 
 def has_binders(node: Node) -> bool:
     """Whether an input prefix or a restriction occurs in a node (cached)."""
     out = getattr(node, "_binders", None)
-    if out is not None:
-        return out
-    if isinstance(node, (In, Nu)):
-        out = True
-    elif isinstance(node, (Out, Upd, Aware)):
-        out = has_binders(node.cont)
-    elif isinstance(node, (Sum, Par, SysPar)):
-        out = has_binders(node.left) or has_binders(node.right)
-    elif isinstance(node, Comp):
-        out = has_binders(node.proc)
-    elif isinstance(node, Bang):
-        out = has_binders(node.inner)
-    else:  # values, expressions, predicates, environments, nil and calls
-        out = False
-    object.__setattr__(node, "_binders", out)
+    if out is None:
+        kind = type(node)
+        out = kind is In or kind is Nu or any(map(has_binders, children(node)))
+        object.__setattr__(node, "_binders", out)
     return out
 
 
@@ -787,6 +747,16 @@ def _subterms(node):
         node = stack.pop()
         yield node
         stack.extend(children(node))
+
+
+def spine(sys: System) -> list:
+    """Every system node of a system, the system itself and its
+    components included: the walk stops at a component."""
+    out = [sys]
+    for node in out:  # a list iterator also reaches what is appended
+        if type(node) is not Comp:
+            out.extend(children(node))
+    return out
 
 
 def collect_attrs(node) -> frozenset[str]:

@@ -59,11 +59,11 @@ from .syntax import (
     System,
     Value,
     canonicalize,
-    children,
     free_names,
     gensym,
     map_children,
     rename,
+    spine,
 )
 
 
@@ -95,11 +95,7 @@ def set_fuel(sys: System, fuel: int) -> System:
 
 def spent(sys: System) -> bool:
     """Whether a bang of the system has run out of replication fuel."""
-    if type(sys) is Comp:
-        return False
-    if type(sys) is Bang and sys.fuel == 0:
-        return True
-    return any(spent(c) for c in children(sys))
+    return any(type(s) is Bang and s.fuel == 0 for s in spine(sys))
 
 
 def msg_names(pred: Predicate, values) -> frozenset[str]:

@@ -3,7 +3,8 @@
 Everything produced here is printable and re-parseable: attribute
 identifiers come from a fixed declared pool, variables only occur under
 an input binder, and the name pools are disjoint so resolution is
-unambiguous.
+unambiguous.  A name value is a message name or a restriction name, so
+a restriction can bind a name that occurs below it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def gen_value(rng: random.Random, depth: int = 1):
     if k == 1:
         return Bool(rng.random() < 0.5)
     if k == 2:
-        return Name(rng.choice(NAMES))
+        return Name(rng.choice(NAMES + NUS))
     return TupleV(tuple(gen_value(rng, depth - 1) for _ in range(rng.randrange(3))))
 
 

@@ -39,11 +39,11 @@ def check_correspondence(p: BP, *, depth: int = 6) -> Correspondence:
         key = (src, canon_tgt)
         if key in seen:
             continue
-        seen.add(key)
-        checked += 1
-        if checked > MAX_PAIRS:
+        if checked == MAX_PAIRS:
             truncated = True
             break
+        seen.add(key)
+        checked += 1
         if d >= depth:
             truncated = True
             continue

@@ -10,7 +10,7 @@ import pytest
 from abcwb.cli import _parse_value, main
 from abcwb.attributes import Universe, fingerprint
 from abcwb.parser import parse_process, parse_program
-from abcwb.syntax import Name, SysPar, pretty_system
+from abcwb.syntax import Int, Name, SysPar, TupleV, pretty_system
 
 
 def run(argv, capsys):
@@ -172,7 +172,8 @@ def test_reach_takes_an_empty_name_literal(corpus_dir, capsys):
     assert code == 1 and "not reachable" in out
 
 
-@pytest.mark.parametrize("value", ["'", "'x", "x'"])
+# and other text that is no value
+@pytest.mark.parametrize("value", ["'", "'x", "x'", "<1, 2", "1 2", "x-y", "'_n0'"])
 def test_reach_refuses_an_unmatched_quote(corpus_dir, capsys, value):
     code, out, err = run(["reach", path(corpus_dir, "channels.abc"), f"gotA={value}"], capsys)
     assert code == 3 and out == ""
@@ -183,6 +184,7 @@ def test_reach_reads_a_quoted_value_as_a_name():
     assert _parse_value("''") == Name("")
     assert _parse_value("'d'") == Name("d")
     assert [_parse_value(v) for v in ("'", "'x", "x'")] == [None, None, None]
+    assert _parse_value("<'d', <1>>") == TupleV((Name("d"), TupleV((Int(1),))))
 
 
 @pytest.mark.parametrize("query, code", [
@@ -190,11 +192,12 @@ def test_reach_reads_a_quoted_value_as_a_name():
     ("off=ff", 0),
     ("pos=-2", 0), ("pos=2", 1),
     ("who=bob", 0), ("who='bob'", 0), ("who=ann", 1),
+    ("at=<1, 2>", 0), ("at=<2, 1>", 1),
 ])
 def test_reach_reads_booleans_integers_and_bare_names(tmp_path, capsys, query, code):
     f = tmp_path / "values.abc"
-    f.write_text("attrs: on, off, pos, who\nsystem:\n"
-                 "  {on := tt, off := ff, pos := -2, who := 'bob'}: 0\n")
+    f.write_text("attrs: on, off, pos, who, at\nsystem:\n"
+                 "  {on := tt, off := ff, pos := -2, who := 'bob', at := <1, 2>}: 0\n")
     got, out, _ = run(["reach", str(f), query], capsys)
     assert got == code
     assert ("reached at state 0" if code == 0 else "not reachable") in out

@@ -1,6 +1,7 @@
 """Core term representation: names, substitution, canonical forms."""
 
 import random
+from dataclasses import fields, is_dataclass, replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,7 @@ from abcwb.syntax import (
     Rand,
     Sum,
     SysPar,
+    System,
     ThisAttr,
     TT_,
     TupleV,
@@ -37,10 +39,13 @@ from abcwb.syntax import (
     alpha_equal,
     bound_names,
     canonicalize,
+    children,
     collect_attrs,
     collect_values,
     free_names,
     gensym,
+    has_binders,
+    map_children,
     pretty_system,
     rename,
     substitute,
@@ -194,8 +199,9 @@ def test_collect_values_reaches_env_and_payload():
     assert Int(4) in vals and Name("m") in vals
 
 
-def test_collect_attrs_and_values_see_every_node_kind():
-    # every node kind occurs, and each attribute and value in one place
+def _every_kind():
+    """A system in which every node kind occurs, and each attribute and
+    value in one place."""
     proc = Sum(
         Out((Arith("+", Attr("a1"), Rand(2)),), Or(Cmp("=", ThisAttr("a2"), Lit(Int(5))), FF_), NIL),
         Par(
@@ -204,12 +210,83 @@ def test_collect_attrs_and_values_see_every_node_kind():
             Aware(Cmp("=", Attr("a5"), Lit(TupleV((Name("m"), Int(7))))), Call("D", (Attr("a6"),))),
         ),
     )
-    s = Nu("r", SysPar(Bang(comp({"a7": Name("n")}, proc)), comp({"a8": Int(9)})))
+    return Nu("r", SysPar(Bang(comp({"a7": Name("n")}, proc), 2), comp({"a8": Int(9)})))
+
+
+def _direct(x):
+    """The syntax nodes in a field's value, read through the dataclass
+    fields (no code shared with ``children``)."""
+    if is_dataclass(x):
+        yield x
+    elif isinstance(x, tuple):
+        for item in x:
+            yield from _direct(item)
+
+
+def _fields(node) -> list:
+    return [c for f in fields(node) for c in _direct(getattr(node, f.name))]
+
+
+def _nodes(node):
+    """Every node of a term, the term itself included."""
+    yield node
+    for child in _fields(node):
+        yield from _nodes(child)
+
+
+def _free_in_nameless(form) -> set:
+    """The names a nameless form marks ``("free", n)``."""
+    if len(form) == 2 and form[0] == "free" and isinstance(form[1], str):
+        return {form[1]}
+    return set().union(*(_free_in_nameless(x) for x in form if isinstance(x, tuple)))
+
+
+def test_collect_attrs_and_values_see_every_node_kind():
+    s = _every_kind()
     assert collect_attrs(s) == {f"a{k}" for k in range(1, 9)}
     assert collect_values(s) == {
         Int(0), Int(1), Int(5), Bool(True), TupleV((Name("m"), Int(7))), Name("m"), Int(7),
         Name("n"), Int(9),
     }
+
+
+def test_free_names_and_binders_see_every_node_kind():
+    s = _every_kind()
+    bang, plain = s.inner.left, s.inner.right
+    sends, hears = bang.inner.proc.left, bang.inner.proc.right
+    assert free_names(s) == {"m", "n"}
+    assert free_names(hears.left) == set()  # the input binds x
+    assert free_names(hears.left.pred) == {"x"}
+    assert free_names(hears.right) == {"m"}
+    assert free_names(Nu("n", bang)) == {"m"}
+    assert free_names(sends) == free_names(plain) == set()
+    assert has_binders(s) and has_binders(bang) and has_binders(hears)
+    assert has_binders(SysPar(bang, plain)) and has_binders(Nu("r", plain))
+    assert not has_binders(sends) and not has_binders(plain) and not has_binders(hears.right)
+
+
+def test_children_and_map_children_share_one_dispatch():
+    for node in _nodes(_every_kind()):
+        seen = []
+        assert map_children(node, lambda c: seen.append(c) or c) is node
+        assert seen == list(children(node)) == _fields(node)
+        # each child rebuilt as an equal copy: an equal node, built anew
+        copied = map_children(node, replace)
+        assert copied == node and (copied is node) == (not seen)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_free_names_and_binders_agree_with_the_nameless_form(seed):
+    rng = random.Random(seed)
+    s = rename_binders(gen_system(rng, depth=3), rng)
+    # and with reserved names free, as canonical binders have them
+    for s in (s, rename(s, reserved_renaming(s, rng))):
+        for node in _nodes(s):
+            binders = any(type(n) in (In, Nu) for n in _nodes(node))
+            assert has_binders(node) == binders
+            if isinstance(node, System):
+                assert free_names(node) == _free_in_nameless(debruijn(node))
 
 
 def test_env_binding_order_is_canonical():
