@@ -344,6 +344,8 @@ class _BParser(_Cursor):
             self.next()
             name = self.ident_name()
             params = self.name_list("(", ")")
+            if len(set(params)) != len(params):
+                raise ParseError(f"rec {name}: parameters must be distinct", t.line, t.col)
             self.expect(".")
             outer, self.recs = self.recs, {**self.recs, name: len(params)}
             body = self.gsum()

@@ -31,7 +31,7 @@ from .explorer import (
     reachable_matching,
     witness_path as _witness_path,
 )
-from .parser import ParseError, ResolveError, _Parser, parse_program
+from .parser import ParseError, _Parser, parse_program
 from .syntax import Name, canonicalize, pretty_proc, pretty_system
 from .system import set_fuel, system_steps
 
@@ -49,7 +49,7 @@ def _load(path: str, parse=parse_program):
             return parse(f.read())
     except FileNotFoundError:
         raise Refusal(f"no such file: {path}") from None
-    except (ParseError, ResolveError, ValueError) as e:
+    except (ParseError, ValueError) as e:
         raise Refusal(f"{path}: {e}") from None
 
 
@@ -160,6 +160,10 @@ def main(argv=None) -> int:
         return 3
     except UniverseTooLarge as e:
         print(f"error: resource bound exceeded: {e}", file=_sys.stderr)
+        return 2
+    except RecursionError:
+        # parsing, stepping and printing recurse along the term
+        print("error: resource bound exceeded: the term nests too deeply", file=_sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader left early (``abcwb explore ... | head``); point

@@ -60,10 +60,9 @@ from .syntax import (
     TT_,
     Value,
     canonicalize,
-    children,
-    has_binders,
     pretty_system,
     spine,
+    subterms,
     value_sort_key,
 )
 from .component import hears
@@ -88,12 +87,7 @@ def barbs(sys: System, defs: Definitions, universe: Universe) -> set:
 
 def _input_arities(node) -> set[int]:
     """Numbers of variables of the input prefixes in a term."""
-    if not has_binders(node):
-        return set()
-    out = set().union(*map(_input_arities, children(node)))
-    if type(node) is In:
-        out.add(len(node.vars))
-    return out
+    return {len(n.vars) for n in subterms(node) if type(n) is In}
 
 
 def _parts(sys: System) -> tuple[set, set]:

@@ -19,9 +19,10 @@ scope, else an attribute, which the file must declare somewhere.
 
 One lexer, ``tokenize``, reads both `.abc` and broadcast-pi `.bpi` text,
 and both parsers share one token cursor and one ``ParseError``, which
-gives a ``line:col``.  A file is read in one pass: attributes used before
-their declaration, and calls to definitions, are checked at the end of
-the text, at the token that used them.
+gives a ``line:col``; a ``ResolveError`` is one.  A file is read in one
+pass: attributes used before their declaration, and calls to
+definitions, are checked at the end of the text, at the token that used
+them.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ class ParseError(Exception):
         self.col = col
 
 
-class ResolveError(Exception):
-    pass
+class ResolveError(ParseError):
+    """Text that parses but does not resolve: an unknown or duplicate
+    name, an arity that does not match, unguarded recursion."""
 
 
 @dataclass(slots=True)
@@ -215,12 +217,12 @@ class _Parser(_Cursor):
         """Check every call read so far against ``defs`` (name and arity)."""
         for t, arity in self.calls:
             if t.text not in defs:
-                raise ResolveError(f"{t.line}:{t.col}: unknown definition {t.text!r}")
+                raise ResolveError(f"unknown definition {t.text!r}", t.line, t.col)
             params, _ = defs[t.text]
             if len(params) != arity:
                 raise ResolveError(
-                    f"{t.line}:{t.col}: call to {t.text!r} with {arity} argument(s), "
-                    f"definition takes {len(params)}"
+                    f"call to {t.text!r} with {arity} argument(s), "
+                    f"definition takes {len(params)}", t.line, t.col
                 )
 
     def finish(self) -> None:
@@ -230,8 +232,8 @@ class _Parser(_Cursor):
         for t in self.undeclared:
             if t.text not in self.attrs:
                 raise ResolveError(
-                    f"{t.line}:{t.col}: unresolvable identifier {t.text!r} "
-                    "(neither a bound variable nor a declared attribute)"
+                    f"unresolvable identifier {t.text!r} "
+                    "(neither a bound variable nor a declared attribute)", t.line, t.col
                 )
 
     # -- values and expressions --------------------------------------------
@@ -439,9 +441,7 @@ class _Parser(_Cursor):
                 self.expect("(")
                 vars_ = self.items(self.ident_name, ")")
                 if len(set(vars_)) != len(vars_):
-                    raise ResolveError(
-                        f"{t.line}:{t.col}: input variables must be pairwise distinct"
-                    )
+                    raise ResolveError("input variables must be pairwise distinct", t.line, t.col)
                 after_vars = self.pos
                 self.pos = pi_start
                 self.scope.extend(vars_)
@@ -532,7 +532,9 @@ def parse_program(text: str) -> Program:
         params = p.items(p.ident_name, ")")
         p.expect("=")
         if name in defs:
-            raise ResolveError(f"{t.line}:{t.col}: duplicate definition {name!r}")
+            raise ResolveError(f"duplicate definition {name!r}", t.line, t.col)
+        if len(set(params)) != len(params):
+            raise ResolveError(f"parameters of {name!r} must be pairwise distinct", t.line, t.col)
         p.scope.extend(params)
         body = p.proc()
         del p.scope[len(p.scope) - len(params) :]
@@ -561,8 +563,8 @@ def _check_guarded(defs, where) -> None:
             callee = todo.pop()
             if callee == name:
                 raise ResolveError(
-                    f"{t.line}:{t.col}: definition {name!r} can call itself "
-                    "before any send or input (unguarded recursion)"
+                    f"definition {name!r} can call itself "
+                    "before any send or input (unguarded recursion)", t.line, t.col
                 )
             if callee not in seen:
                 seen.add(callee)

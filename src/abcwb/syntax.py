@@ -4,12 +4,14 @@ Components carry an attribute environment and a process; processes
 communicate by broadcast filtered through predicates over attributes.
 All nodes are immutable (frozen, slotted dataclasses) and safe to share.
 
-Every node also has three cache slots that are filled on first use and
+Every node also has two cache slots that are filled on first use and
 never change afterwards: its structural hash (leaves, whose hash costs
-no more than the lookup, leave it unused), its free names and whether
-it contains a binder.  They are not fields, so equality, ``repr`` and
-construction are unchanged; a term built once and shared by many states
-pays for each of them once.
+no more than the lookup, leave it unused) and its free names.  They are
+not fields, so equality, ``repr`` and construction are unchanged; a term
+built once and shared by many states pays for each of them once.
+Whether a node can hold a binder needs no slot: only an ``In`` (a
+process) and a ``Nu`` (a system) bind, so a value, expression, predicate
+or attribute environment never holds one.
 
 A component (``Comp``) has two more: its printed text and its
 canonical forms (see ``canonicalize``), neither of which depends on
@@ -33,13 +35,15 @@ node itself when every child comes back as the same object and rebuilds
 it otherwise, so a traversal that changes nothing keeps the caches and
 the sharing.  A traversal treats only its special kinds by hand (the
 ``In``/``Nu`` binders, the ``Var``/``Name`` leaves, attribute keys) and
-leaves the rest to these two; ``free_names`` and ``has_binders`` treat
-only the ``Name``/``Var`` leaves and the ``In``/``Nu`` binders.  Above
-the components a system is a spine of ``||``, ``!`` and ``nu`` nodes:
-``spine(sys)`` yields its nodes and stops at the components, and every
-search over the spine (``system.spent``, ``explorer.env_has``, ...) is
-a filter over that one walk.  Only ``set_fuel`` and ``freshen_binders``,
-which rebuild the spine, stop at a component by hand and map the rest.
+leaves the rest to these two; ``free_names`` treats only the
+``Name``/``Var`` leaves and the ``In``/``Nu`` binders, and the searches
+over a whole term (``bound_names``, ``collect_*``, ...) are filters over
+``subterms(node)``.  Above the components a system is a spine of ``||``,
+``!`` and ``nu`` nodes: ``spine(sys)`` yields its nodes and stops at the
+components, and every search over the spine (``system.spent``,
+``explorer.env_has``, ...) is a filter over that one walk.  Only
+``set_fuel`` and ``freshen_binders``, which rebuild the spine, stop at a
+component by hand and map the rest.
 The broadcast pi-calculus in ``bpi.py`` keeps its own traversals on
 purpose: it is the independent reference the encoding checks compare
 against.
@@ -71,7 +75,7 @@ RESERVED_NAME = re.compile(r"_[nvfw]\d+$")
 class _Node:
     """Base of every syntax node: the per-object caches (see module doc)."""
 
-    __slots__ = ("_hash", "_free", "_binders")
+    __slots__ = ("_hash", "_free")
 
 
 # A node without child nodes: its hash is as cheap as a cache lookup, so
@@ -433,27 +437,10 @@ def free_names(node: Node) -> frozenset[str]:
     return out
 
 
-def has_binders(node: Node) -> bool:
-    """Whether an input prefix or a restriction occurs in a node (cached)."""
-    out = getattr(node, "_binders", None)
-    if out is None:
-        kind = type(node)
-        out = kind is In or kind is Nu or any(map(has_binders, children(node)))
-        object.__setattr__(node, "_binders", out)
-    return out
-
-
 def bound_names(node: Node) -> frozenset[str]:
     """Names bound by an input prefix or a restriction anywhere in a node."""
-    if not has_binders(node):
-        return _NO_NAMES
-    out = _union(*map(bound_names, children(node)))
-    kind = type(node)
-    if kind is In:
-        return _union(frozenset(node.vars), out)
-    if kind is Nu:
-        return _union(frozenset((node.name,)), out)
-    return out
+    return frozenset(itertools.chain.from_iterable(
+        n.vars if type(n) is In else (n.name,) for n in subterms(node) if type(n) in (In, Nu)))
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +727,7 @@ def _sys_operand(s: System) -> str:
     return pretty_system(s)
 
 
-def _subterms(node):
+def subterms(node):
     """Every node of a term, the term itself included."""
     stack = [node]
     while stack:
@@ -762,7 +749,7 @@ def spine(sys: System) -> list:
 def collect_attrs(node) -> frozenset[str]:
     """All attribute identifiers mentioned anywhere in a node."""
     out = set()
-    for n in _subterms(node):
+    for n in subterms(node):
         kind = type(n)
         if kind is Attr or kind is ThisAttr:
             out.add(n.attr)
@@ -777,7 +764,7 @@ def collect_values(node) -> frozenset[Value]:
     """All literal values mentioned anywhere in a node (tuples flattened
     in); ``rand(k)`` mentions ``0`` to ``k - 1``."""
     out = set()
-    for n in _subterms(node):
+    for n in subterms(node):
         if type(n) is Rand:
             out.update(map(Int, range(n.bound)))
         elif isinstance(n, Value):
@@ -802,9 +789,10 @@ def canonicalize(sys: System) -> System:
     The term is walked once, carrying a renaming ``rho`` from the binders
     in scope to their canonical names, so no binder is renamed into a name
     another one still uses.  A node whose children come back unchanged is
-    returned itself, and a node without binders whose free names ``rho``
-    leaves alone is returned without being walked: a successor built from
-    a canonical state keeps most of its nodes, and their cached fields.
+    returned itself, and a value, expression, predicate or environment
+    (none of which holds a binder) whose free names ``rho`` leaves alone
+    is returned without being walked: a successor built from a canonical
+    state keeps most of its nodes, and their cached fields.
     A component is walked once per renaming of its free names (see the
     module doc): a component shared by many states is canonicalised once.
 
@@ -835,8 +823,12 @@ def _scope(node, rho: dict):
     return {rho.get(x, x) for x in names} if rho else names
 
 
+# only an ``In`` binds inside a component and only a ``Nu`` above them
+_MAY_BIND = (Process, System)
+
+
 def _canon(node, rho: dict, counter: dict):
-    if not has_binders(node) and (not rho or free_names(node).isdisjoint(rho)):
+    if not isinstance(node, _MAY_BIND) and (not rho or free_names(node).isdisjoint(rho)):
         return node
     kind = type(node)
     if kind is Comp:

@@ -5,10 +5,16 @@ a cache on the component and reuses them.  This module canonicalises
 the plain way: one walk over the whole term, every component walked
 again on every call, so tests can check the cached forms against it.
 Like the library, it numbers each component's input binders from
-``_v0``.
+``_v0``.  It skips only a subterm that holds no binder, found by a
+search of its own, where the library skips by node kind.
 """
 
-from abcwb.syntax import Comp, In, Name, Nu, Var, free_names, has_binders, map_children
+from abcwb.syntax import Comp, In, Name, Nu, Var, children, free_names, map_children
+
+
+def _has_binders(node) -> bool:
+    """Whether an input prefix or a restriction occurs in a node."""
+    return type(node) in (In, Nu) or any(map(_has_binders, children(node)))
 
 
 def canonicalize(sys):
@@ -27,7 +33,7 @@ def canonicalize(sys):
         return {rho.get(x, x) for x in names} if rho else names
 
     def walk(node, rho):
-        if not has_binders(node) and (not rho or free_names(node).isdisjoint(rho)):
+        if not _has_binders(node) and (not rho or free_names(node).isdisjoint(rho)):
             return node
         kind = type(node)
         if kind is In:

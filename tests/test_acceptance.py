@@ -34,6 +34,7 @@ from abcwb.syntax import (
 )
 
 from astgen import ATTRS, NAMES, gen_env, gen_pred, gen_system, gen_value
+from conftest import cli_env
 from contexts import draw_context, plug
 from test_attributes import _subst_in_env
 from test_component import ppred
@@ -247,6 +248,7 @@ def test_criterion_11_cli_determinism(corpus_dir):
             [sys.executable, "-m", "abcwb.cli", *argv],
             capture_output=True,
             check=True,
+            env=cli_env(),
         ).stdout
 
     explore = ["explore", str(corpus_dir / "groups.abc"), "--format", "json"]

@@ -29,7 +29,7 @@ from abcwb.syntax import (
     SysPar,
     TT_,
     Var,
-    _subterms,
+    subterms,
     canonicalize,
     free_names,
     map_children,
@@ -163,7 +163,7 @@ def _restricted_walk():
     text = " | ".join((CORPUS / "bpi" / f"t{k:02d}.bpi").read_text().strip()
                       for k in (9, 10, 19, 21))
     sys, defs = encode(parse_bpi(text))
-    assert any(type(n) is Nu for n in _subterms(sys))
+    assert any(type(n) is Nu for n in subterms(sys))
     return build_lts(sys, defs, Universe.for_systems([sys], defs)).states
 
 
@@ -204,7 +204,7 @@ def test_walks_store_canonical_states(seed):
             assert s == canon_oracle.canonicalize(s), seed
         if root is not drawn:
             # no step and no stimulus adds a restriction
-            assert not any(type(n) is Nu for s in states for n in _subterms(s)), seed
+            assert not any(type(n) is Nu for s in states for n in subterms(s)), seed
 
 
 def _count_calls(monkeypatch, counts, name, module, *also):
@@ -232,9 +232,12 @@ def test_robotics_walks_few_components(monkeypatch):
     _count_calls(monkeypatch, counts, "canon_label", abcwb.explorer)
     lts = _corpus_walk("robotics.abc", repl_bound=2)
     assert (len(lts.states), len(lts.transitions)) == (2_750, 14_100)
-    # the root, and each component successor once, when the memo keeps it
-    assert counts == {"_canon": 1_645, "canonicalize": 123, "canon_label": 5}
+    # the root, and each component successor once, when the memo keeps it.
+    # A process or system node is always walked, as only those kinds can
+    # hold a binder: 2,537 visits, where a cached per-node "holds a
+    # binder" flag that also skipped binder-free processes made 1,645
+    assert counts == {"_canon": 2_537, "canonicalize": 123, "canon_label": 5}
     # a component reads the same wherever it sits, so the states share
     # few distinct ones
-    comps = {n for state in lts.states for n in _subterms(state) if type(n) is Comp}
+    comps = {n for state in lts.states for n in subterms(state) if type(n) is Comp}
     assert len(comps) == 65

@@ -12,6 +12,8 @@ from abcwb.attributes import Universe, fingerprint
 from abcwb.parser import parse_process, parse_program
 from abcwb.syntax import Int, Name, SysPar, TupleV, pretty_system
 
+from conftest import cli_env
+
 
 def run(argv, capsys):
     try:
@@ -257,6 +259,7 @@ def test_check_encoding_extrudes_a_name_an_input_binds(tmp_path, capsys):
     pytest.param("a(_f0).b<_f0, c>.nil | a<c>.nil", "1:3: identifier '_f0' is reserved",
                  id="a(_f0).b<_f0, c>.nil | a<c>.nil-identifier '_f0' is reserved"),
     ("a(x).nu k x<k>.nil", "restriction under a prefix has no image"),
+    ("rec A(x, x). x<x>.nil @ (a, b)", "1:1: rec A: parameters must be distinct"),
 ])
 def test_encoding_refuses_a_term_with_exit_3(tmp_path, capsys, cmd, text, message):
     f = tmp_path / "term.bpi"
@@ -264,6 +267,35 @@ def test_encoding_refuses_a_term_with_exit_3(tmp_path, capsys, cmd, text, messag
     code, out, err = run([cmd, str(f)], capsys)
     assert code == 3 and out == ""
     assert err.startswith(f"error: {f}: {message}")
+
+
+def test_a_repeated_parameter_is_refused(tmp_path, capsys):
+    # one argument would be lost: A(1, 2) would send 2
+    f = tmp_path / "dup.abc"
+    f.write_text("def A(x, x) = (x)@(tt).0\nsystem:\n  {}: A(1, 2)\n")
+    code, out, err = run(["explore", str(f)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: {f}: 1:5: parameters of 'A' must be pairwise distinct\n"
+
+
+DEEP = 5_000
+DEEP_COMPONENTS = "system:\n  " + " || ".join(["{}: 0"] * DEEP) + "\n"
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    pytest.param(["parse"], "deep.abc", "system:\n  {}: " + "(1)@(tt)." * DEEP + "0\n",
+                 id="parse-prefixes"),
+    pytest.param(["explore"], "deep.abc", DEEP_COMPONENTS, id="explore-components"),
+    pytest.param(["reach", "a=1"], "deep.abc", DEEP_COMPONENTS, id="reach-components"),
+    pytest.param(["encode"], "deep.bpi", "a<v>." * DEEP + "nil\n", id="encode-sends"),
+])
+def test_a_term_nested_too_deeply_exceeds_a_resource_bound(tmp_path, capsys, argv, name, text):
+    # parsing, stepping and printing recurse along the term
+    f = tmp_path / name
+    f.write_text(text)
+    code, out, err = run([argv[0], str(f), *argv[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: resource bound exceeded: the term nests too deeply\n"
 
 
 def test_an_integer_past_the_digit_limit_is_refused(tmp_path, capsys):
@@ -287,14 +319,12 @@ def test_closed_stdout_exits_quietly(corpus_dir, cmd):
     # like ``abcwb explore robotics.abc | head -4``: the reader is gone
     # before the report is written
     argv = [cmd[0], path(corpus_dir, "robotics.abc"), *cmd[1:], "--max-states", "50"]
-    src = str(corpus_dir.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run(
             [sys.executable, "-m", "abcwb.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=60,
         )
     finally:
         os.close(write_end)

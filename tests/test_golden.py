@@ -8,15 +8,13 @@ must not depend on it anyway).
 """
 
 import hashlib
-import os
-import pathlib
 import shlex
 import subprocess
 import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conftest import ROOT, cli_env
 
 SYSTEMS = ("adaptation", "channels", "groups", "pubsub", "robotics")
 COMMANDS = (
@@ -119,15 +117,9 @@ GOLDEN = {
 
 
 def run_cli(command: str) -> tuple[int, str]:
-    src = str(ROOT / "src")
-    env = {
-        **os.environ,
-        "PYTHONHASHSEED": "0",
-        "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-    }
     done = subprocess.run(
         [sys.executable, "-m", "abcwb.cli", *shlex.split(command)],
-        cwd=ROOT, env=env, stdout=subprocess.PIPE, timeout=300,
+        cwd=ROOT, env=cli_env(PYTHONHASHSEED="0"), stdout=subprocess.PIPE, timeout=300,
     )
     return done.returncode, hashlib.sha256(done.stdout).hexdigest()
 
