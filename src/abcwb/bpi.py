@@ -912,9 +912,9 @@ def abc_divergent(sys: System, defs: Definitions, bound: int = 50) -> tuple[bool
     )
 
 
-def check_divergence_correspondence(p: BP, bound: int = 50) -> bool:
+def check_divergence_correspondence(p: BP) -> bool:
     sys, defs = encode(p)
-    return bpi_divergent(p, bound)[0] == abc_divergent(sys, defs, bound)[0]
+    return bpi_divergent(p)[0] == abc_divergent(sys, defs)[0]
 
 
 def check_name_invariance(p: BP) -> bool:

@@ -13,6 +13,10 @@ update ``[a := E, ...]P``, awareness ``<Pi>P``, choice ``+``, process
 parallel ``|``.  System syntax: ``{a := v, ...}: P``, ``||``, ``!C``,
 ``nu x C``.  In an expression ``*`` binds tighter than ``+`` and ``-``,
 and all three group to the left: ``1 + 2 * 3`` is 7 and ``5 - 2 - 1`` is 2.
+In a predicate, ``tt``, ``ff`` or a parenthesised group is the left
+operand of a comparison when one of ``= != < <= >= + - *`` follows it,
+or when the group does not parse as a predicate, and else a predicate:
+``(tt) = x``, ``tt < x`` and ``(x) > 1`` compare, ``<((tt))>P`` does not.
 Name literals are quoted (``'qry'``) and end on their line;
 a bare identifier in an expression is a bound variable if one is in
 scope, else an attribute, which the file must declare somewhere.
@@ -195,6 +199,11 @@ class _Cursor:
         return t.text
 
 
+# The tokens that continue a comparison: ``tt``, ``ff`` or a group before
+# one is an operand (``>`` is not one: it closes ``<Pi>P``).
+_CMP_CONT = frozenset(("=", "!=", "<", "<=", ">=", "+", "-", "*"))
+
+
 class _Parser(_Cursor):
     """Recursive-descent parser for ``.abc`` text, in one pass.
 
@@ -328,64 +337,34 @@ class _Parser(_Cursor):
         if t.kind == "!":
             self.next()
             return Not(self.pred_atom())
-        if t.kind == "ident" and t.text in ("tt", "ff"):
-            # bare tt/ff is the truth constant unless it clearly starts a
-            # comparison operand; a following < or > reads as a delimiter
-            # (ordering is only meaningful on integers anyway)
-            if self.peek(1).kind not in ("=", "!=", "<=", ">=", "+", "-", "*"):
-                self.next()
-                return TT_ if t.text == "tt" else FF_
-        if t.kind == "(":
-            # parenthesized predicate, unless it closes into a comparison;
-            # a following < or > is ambiguous and decided by the contents
-            after = self.toks[self._matching_paren(self.pos)].kind
-            if after in ("=", "!=", "<=", ">=", "+", "-", "*"):
-                pass  # expression operand of a comparison
-            elif after in ("<", ">") and not self._group_is_pred(self.pos):
-                pass
-            else:
+        if t.kind == "ident" and t.text in ("tt", "ff") and self.peek(1).kind not in _CMP_CONT:
+            self.next()
+            return TT_ if t.text == "tt" else FF_
+        failed = None
+        if t.kind == "(":  # a predicate, unless a comparison continues after it
+            start, used = self.pos, len(self.undeclared)
+            try:
                 self.next()
                 p = self.pred()
                 self.expect(")")
-                return p
-        lhs = self.expr(True)
-        op = self.peek()
-        if op.kind not in ("=", "!=", "<", "<=", ">", ">="):
-            raise ParseError(f"expected a comparison, found {op.text!r}", op.line, op.col)
-        self.next()
-        rhs = self.expr(True)
-        return Cmp(op.kind, lhs, rhs)
-
-    def _group_is_pred(self, start: int) -> bool:
-        """Whether a parenthesized group reads as a predicate.
-
-        Logical connectives and (in)equality settle it outright; a bare
-        ``<``/``>`` counts as a comparison unless it opens or closes a
-        tuple literal, which only happens in expression-start position.
-        """
-        end = self._matching_paren(start) - 1
-        if end - start == 2:
-            lone = self.toks[start + 1]
-            if lone.kind == "ident" and lone.text in ("tt", "ff"):
-                return True
-        tuple_depth = 0
-        prev = None
-        for i in range(start + 1, end):
-            k = self.toks[i].kind
-            if k in ("&&", "||", "=", "!=", "<=", ">=", "!"):
-                return True
-            if k == "<":
-                if prev in (None, "(", ",", "+", "-", "*", "<"):
-                    tuple_depth += 1
-                else:
-                    return True
-            elif k == ">":
-                if tuple_depth > 0:
-                    tuple_depth -= 1
-                else:
-                    return True
-            prev = k
-        return False
+                if self.peek().kind not in _CMP_CONT:
+                    return p
+            except ParseError as e:
+                failed = e
+            self.pos = start
+            del self.undeclared[used:]
+        try:
+            lhs = self.expr(True)
+            op = self.peek()
+            if op.kind not in ("=", "!=", "<", "<=", ">", ">="):
+                raise ParseError(f"expected a comparison, found {op.text!r}", op.line, op.col)
+            self.next()
+            return Cmp(op.kind, lhs, self.expr(True))
+        except ParseError as e:
+            # of two failed readings of a group, report the one that read further
+            if failed is not None and (failed.line, failed.col) > (e.line, e.col):
+                raise failed
+            raise
 
     # -- processes ---------------------------------------------------------
 
@@ -496,6 +475,8 @@ class _Parser(_Cursor):
         if t.kind == "{":
             self.next()
             bindings = self.items(self.env_binding, "}")
+            if len({a for a, _ in bindings}) != len(bindings):
+                raise ResolveError("an environment binds an attribute twice", t.line, t.col)
             self.expect(":")
             for a, _ in bindings:
                 self.attrs.add(a)

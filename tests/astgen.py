@@ -42,6 +42,8 @@ from abcwb.syntax import (
     Upd,
     Var,
     free_names,
+    pretty_expr,
+    pretty_pred,
 )
 
 ATTRS = ("pa", "pb", "pc")
@@ -114,9 +116,9 @@ def gen_pred(rng: random.Random, scope, depth: int = 2):
     if k == "cmp":
         op = rng.choice(CMP_OPS)
         lhs = gen_expr(rng, scope, 1, rand=False)
-        if op in ("<", ">"):
+        if op == ">":
             # a leading bool literal would read as the truth constant
-            # followed by a delimiter, so keep these comparisons off it
+            # followed by the ``>`` that closes an awareness
             while _starts_with_bool(lhs):
                 lhs = gen_expr(rng, scope, 1, rand=False)
         return Cmp(op, lhs, gen_expr(rng, scope, 1, rand=False))
@@ -168,6 +170,75 @@ def gen_system(rng: random.Random, depth: int = 2):
     if k == 1:
         return Bang(gen_system(rng, depth - 1))
     return Nu(rng.choice(NUS), gen_system(rng, depth - 1))
+
+
+def show_system(s, rng: random.Random) -> str:
+    """Concrete text of ``s`` as ``pretty_system`` prints it, but with
+    extra parentheses around random sub-predicates and sub-expressions."""
+    if isinstance(s, Comp):
+        return f"{s.env}: {_show_atom(s.proc, rng)}"
+    if isinstance(s, SysPar):
+        return f"({show_system(s.left, rng)}) || ({show_system(s.right, rng)})"
+    if isinstance(s, Bang):
+        return f"!({show_system(s.inner, rng)})"
+    return f"nu {s.name} ({show_system(s.inner, rng)})"
+
+
+def _show_atom(p, rng) -> str:
+    if isinstance(p, (Sum, Par)):
+        return f"({_show_proc(p, rng)})"
+    return _show_proc(p, rng)
+
+
+def _show_proc(p, rng) -> str:
+    if isinstance(p, Out):
+        es = ", ".join(_show_expr(e, rng) for e in p.exprs)
+        return f"({es})@({_show_pred(p.pred, rng)}).{_show_atom(p.cont, rng)}"
+    if isinstance(p, In):
+        vs = ", ".join(p.vars)
+        return f"({_show_pred(p.pred, rng)})({vs}).{_show_atom(p.cont, rng)}"
+    if isinstance(p, Upd):
+        asg = ", ".join(f"{a} := {_show_expr(e, rng)}" for a, e in p.assigns)
+        return f"[{asg}]{_show_atom(p.cont, rng)}"
+    if isinstance(p, Aware):
+        return f"<{_show_pred(p.pred, rng)}>{_show_atom(p.cont, rng)}"
+    if isinstance(p, Sum):
+        return f"{_show_atom(p.left, rng)} + {_show_atom(p.right, rng)}"
+    if isinstance(p, Par):
+        return f"{_show_atom(p.left, rng)} | {_show_atom(p.right, rng)}"
+    assert p is NIL, p  # the generators build no calls
+    return "0"
+
+
+def _show_pred(p, rng) -> str:
+    if isinstance(p, Cmp):
+        text = f"{_show_expr(p.lhs, rng)} {p.op} {_show_expr(p.rhs, rng)}"
+    elif isinstance(p, (And, Or)):
+        op = "&&" if isinstance(p, And) else "||"
+        text = f"({_show_pred(p.lhs, rng)}) {op} ({_show_pred(p.rhs, rng)})"
+    elif isinstance(p, Not):
+        text = f"!({_show_pred(p.inner, rng)})"
+    else:
+        text = pretty_pred(p)
+    return _extra_parens(text, rng)
+
+
+def _show_expr(e, rng) -> str:
+    if isinstance(e, Arith):
+        lhs, rhs = (
+            f"({_show_expr(x, rng)})" if isinstance(x, Arith) else _show_expr(x, rng)
+            for x in (e.lhs, e.rhs)
+        )
+        text = f"{lhs} {e.op} {rhs}"
+    else:
+        text = pretty_expr(e)
+    return _extra_parens(text, rng)
+
+
+def _extra_parens(text: str, rng) -> str:
+    while rng.random() < 0.3:
+        text = f"({text})"
+    return text
 
 
 RESERVED = ("_v0", "_v1", "_v2", "_v3", "_n0", "_n1", "_n2")

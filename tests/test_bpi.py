@@ -356,7 +356,29 @@ def test_a_failing_pair_below_the_bound_is_not_hidden_by_a_deeper_visit():
     term = parse_bpi(f"tau.({y}) + tau.(tau.{y})")
     res = check_correspondence(term, depth=2)
     assert not res.ok
-    assert res.failures[0].endswith("at depth 1")
+    # perfbench.gen.Defect matches this report by its start
+    assert res.failures == [
+        "no target successor translates source continuation after ('tau',) at depth 1"
+    ]
+
+
+def test_a_target_without_the_source_steps_is_reported(monkeypatch):
+    monkeypatch.setattr(bpi, "system_steps", lambda *args: [])
+    res = check_correspondence(parse_bpi("a<v>.nil"))
+    assert not res.ok and res.checked_pairs == 1
+    assert res.failures == [
+        "label sets differ at depth 0: source=[('out', 'a', ('v',), ())] target=[]"
+    ]
+
+
+def test_a_target_with_each_step_twice_is_reported(monkeypatch):
+    real = bpi.system_steps
+    monkeypatch.setattr(
+        bpi, "system_steps", lambda *args: [s for s in real(*args) for _ in range(2)]
+    )
+    res = check_correspondence(parse_bpi("a<v>.nil"))
+    assert not res.ok
+    assert res.failures == ["branching differs on ('out', 'a', ('v',), ()): 1 source vs 2 target"]
 
 
 def test_correspondence_stops_at_the_pair_bound(monkeypatch):

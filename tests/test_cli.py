@@ -278,6 +278,43 @@ def test_a_repeated_parameter_is_refused(tmp_path, capsys):
     assert err == f"error: {f}: 1:5: parameters of 'A' must be pairwise distinct\n"
 
 
+def test_an_environment_that_binds_an_attribute_twice_is_refused(tmp_path, capsys):
+    # one binding would be lost: the component would hold a = 2
+    f = _abc(tmp_path, "dup.abc", "", "{a := 1, a := 2}: (a)@(tt).0")
+    code, out, err = run(["parse", f], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: {f}: 4:3: an environment binds an attribute twice\n"
+    # an update may assign one attribute twice: the last write wins
+    ok = _abc(tmp_path, "upd.abc", "", "{a := 1}: [a := 2, a := 3](a)@(tt).0")
+    assert run(["parse", ok], capsys)[:2] == (0, "{a:=1}: [a := 2, a := 3](a)@(tt).0\n")
+
+
+@pytest.mark.parametrize("system", [
+    # a parenthesised truth constant, and one that starts a comparison
+    "{}: <((tt))>(1)@(tt).0",
+    "{}: (tt < 1)(x).0",
+])
+def test_a_truth_constant_reads_by_what_follows_it(tmp_path, capsys, system):
+    f = _abc(tmp_path, "t.abc", "", system)
+    code, out, err = run(["parse", f], capsys)
+    assert code == 0 and err == ""
+
+
+def test_a_send_hidden_in_part_keeps_the_rest_of_its_predicate(tmp_path, capsys):
+    # ``a = y`` names the restricted y, which no one outside can satisfy
+    f = _abc(
+        tmp_path, "hide.abc", "",
+        "nu y ({}: ('m')@(a = y || b = 1).0) || {b := 1}: (tt)(x).0",
+    )
+    assert run(["step", f], capsys) == (
+        0,
+        "# seed 0\n"
+        "out ('m')@((ff) || (b = 1))\n"
+        "    -> nu _n0 ({}: 0) || {b:=1}: 0\n",
+        "",
+    )
+
+
 DEEP = 5_000
 DEEP_COMPONENTS = "system:\n  " + " || ".join(["{}: 0"] * DEEP) + "\n"
 

@@ -7,20 +7,30 @@ from hypothesis import given, settings, strategies as st
 
 from abcwb.attributes import eval_expr
 from abcwb.explorer import build_lts, env_has
-from abcwb.parser import ParseError, ResolveError, parse_process, parse_program, parse_system
+from abcwb.parser import (
+    ParseError,
+    ResolveError,
+    _Parser,
+    parse_process,
+    parse_program,
+    parse_system,
+)
 from abcwb.syntax import (
     Arith,
     AttributeEnv,
     Attr,
+    And,
     Aware,
     Bool,
     Cmp,
     Comp,
+    FF_,
     In,
     Int,
     Lit,
     Name,
     NIL,
+    Not,
     Out,
     ThisAttr,
     TT_,
@@ -29,7 +39,7 @@ from abcwb.syntax import (
     pretty_system,
 )
 
-from astgen import ATTRS, gen_system
+from astgen import ATTRS, gen_system, show_system
 
 
 def test_output_prefix():
@@ -51,6 +61,51 @@ def test_empty_output_is_allowed():
 def test_awareness_vs_comparison():
     p = parse_process("<this.a = tt>0", attrs=("a",))
     assert p == Aware(Cmp("=", ThisAttr("a"), Lit(Bool(True))), NIL)
+
+
+A = Attr("a")
+ONE = Lit(Int(1))
+TRUE = Lit(Bool(True))
+
+
+@pytest.mark.parametrize("text, pred", [
+    # a truth constant or a group is a predicate unless one of
+    # = != < <= >= + - * follows it
+    ("tt", TT_),
+    ("(tt)", TT_),
+    ("((tt))", TT_),
+    ("((ff)) && (a = 1)", And(FF_, Cmp("=", A, ONE))),
+    ("tt < a", Cmp("<", TRUE, A)),
+    ("(tt) <= a", Cmp("<=", TRUE, A)),
+    ("((tt)) = a", Cmp("=", TRUE, A)),
+    ("tt + 1 != a", Cmp("!=", Arith("+", TRUE, ONE), A)),
+    ("(a) > 1", Cmp(">", A, ONE)),
+    ("((a)) < 1", Cmp("<", A, ONE)),
+    ("(a + 1) * a >= 1", Cmp(">=", Arith("*", Arith("+", A, ONE), A), ONE)),
+    ("((a = 1))", Cmp("=", A, ONE)),
+    ("!((a) = 1)", Not(Cmp("=", A, ONE))),
+])
+def test_a_predicate_atom_is_read_by_what_follows_it(text, pred):
+    assert parse_process(f"<{text}>0", attrs=("a",)) == Aware(pred, NIL)
+    assert parse_process(f"({text})(x).0", attrs=("a",)).pred == pred
+
+
+@pytest.mark.parametrize("text, error", [
+    # the group reads further as a predicate: it is never closed
+    ("<(a = 1 && a = 2>0", "1:17: expected ')', found '>'"),
+    # the group reads further as the left operand of a comparison
+    ("<(a) + = 1>0", "1:8: expected an expression, found '='"),
+])
+def test_a_group_that_reads_neither_way_reports_the_further_error(text, error):
+    with pytest.raises(ParseError) as exc:
+        parse_process(text, attrs=("a",))
+    assert str(exc.value) == error
+
+
+def test_a_rewound_group_records_its_attributes_once():
+    p = _Parser("(ghost + 1) = 2", set())
+    assert p.pred() == Cmp("=", Arith("+", Attr("ghost"), ONE), Lit(Int(2)))
+    assert [(t.text, t.col) for t in p.undeclared] == [("ghost", 2)]
 
 
 def test_tuple_values_parse():
@@ -236,3 +291,20 @@ def test_round_trip_random_asts():
         text = pretty_system(s)
         again = parse_system(text, attrs=ATTRS)
         assert again == s, f"iteration {i}: {text}"
+
+
+def test_round_trip_with_extra_parentheses():
+    # random sub-predicates and sub-expressions wrapped in extra parentheses
+    rng = random.Random(2024)
+    for i in range(1000):
+        s = gen_system(rng)
+        text = show_system(s, rng)
+        assert parse_system(text, attrs=ATTRS) == s, f"iteration {i}: {text}"
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_round_trip_with_extra_parentheses_any_seed(seed):
+    rng = random.Random(seed)
+    s = gen_system(rng)
+    assert parse_system(show_system(s, rng), attrs=ATTRS) == s
