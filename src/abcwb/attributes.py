@@ -41,6 +41,7 @@ from .syntax import (
     collect_attrs,
     collect_values,
     free_names,
+    fresh_names,
     map_children,
     value_sort_key,
 )
@@ -190,10 +191,7 @@ class Universe:
         for term in [*systems, *(body for _, body in (defs or {}).values())]:
             values |= collect_values(term)
         used = {v.atom for v in values if isinstance(v, Name)}
-        k = 0
-        while f"_w{k}" in used:
-            k += 1
-        return Universe(frozenset(values), Name(f"_w{k}"))
+        return Universe(frozenset(values), Name(next(fresh_names(used, "w"))))
 
 
 def is_ff(p: Predicate, u: Universe) -> bool:

@@ -38,9 +38,10 @@ only inside the component (see ``_Encoder``).
 
 Only the lexing and parsing machinery is shared with `.abc` files: the
 text goes through ``parser.tokenize``, the parser is a ``parser._Cursor``
-and errors are ``parser.ParseError`` with a ``line:col``.  The semantics
-and the traversals above stay separate from ``syntax`` on purpose, so
-that the oracle is independent of the calculus it checks.
+and errors are ``parser.ParseError`` with a ``line:col``; the parser
+decides by reading, never by scanning ahead (see ``_BParser``).  The
+semantics and the traversals above stay separate from ``syntax`` on
+purpose, so that the oracle is independent of the calculus it checks.
 """
 
 from __future__ import annotations
@@ -313,8 +314,13 @@ def _replace_calls(p, name: str, replace, carried=frozenset()):
 
 
 class _BParser(_Cursor):
-    """Recursive-descent parser for ``.bpi`` text; each call is checked
-    against the ``rec`` binders around it as it is read."""
+    """Recursive-descent parser for ``.bpi`` text.  A sum groups to the
+    left, and a whole component that reads as a sum may take more ``+``
+    summands (``nil + P``, ``(P) + Q``).  After a prefix the continuation
+    is one atom, which a sum takes whole (``a<v>.b<v>.nil + c<v>.nil`` is
+    ``a<v>.(b<v>.nil + c<v>.nil)``) and ``nil`` ends.  An identifier and
+    its ``(...)`` list start an input if ``.`` follows, and else call an
+    enclosing ``rec``, checked against the ``rec`` binders around it."""
 
     keywords = ("nu", "rec", "tau", "nil")
 
@@ -329,10 +335,10 @@ class _BParser(_Cursor):
         return lhs
 
     def component(self) -> BP:
-        # a sum may start with nil only here: after a prefix, nil ends it
-        if self.peek().text == "nil" and self.peek(1).kind == "+":
-            return PG(self.gsum())
-        return self.proc_atom()
+        p = self.proc_atom()
+        while isinstance(p, PG) and self.accept("+"):
+            p = PG(GSum(p.g, self.prefix()))
+        return p
 
     def proc_atom(self) -> BP:
         t = self.peek()
@@ -363,27 +369,21 @@ class _BParser(_Cursor):
         if t.text == "nil":
             self.next()
             return BNIL
-        if self._is_prefix_start():
+        if t.text == "tau" or self.peek(1).kind == "<":
             return PG(self.gsum())
-        # an identifier that starts no prefix calls an enclosing rec
+        start = self.pos
         name = self.ident_name()
-        args = self.name_list("(", ")") if self.peek().kind == "(" else ()
+        listed = self.peek().kind == "("
+        args = self.name_list("(", ")") if listed else ()
+        if listed and self.peek().kind == ".":
+            self.pos = start
+            return PG(self.gsum())
         arity = self.recs.get(name)
         if arity is None:
             raise ParseError(f"call to unknown recursion variable {name!r}", t.line, t.col)
         if arity != len(args):
             raise ParseError(f"call to {name!r} with wrong arity", t.line, t.col)
         return BCall(name, args)
-
-    def _is_prefix_start(self) -> bool:
-        # a(x).P and a<v>.P have a "." after the closing bracket; a call
-        # A(x) does not, and only prefixes use angle brackets
-        t, nxt = self.peek(), self.peek(1).kind
-        if t.text == "tau":
-            return True
-        return t.kind == "ident" and (
-            nxt == "<" or nxt == "(" and self.toks[self._matching_paren(self.pos + 1)].kind == "."
-        )
 
     def gsum(self) -> BG:
         lhs = self.prefix()

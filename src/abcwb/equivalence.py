@@ -224,7 +224,7 @@ def _explore_pair(
                 if m >= n:
                     pred, vals, k = messages[m]
                     takes.setdefault(i, set()).add(k)
-                    for t in sys_deliver(s, pred, vals, defs, universe, walk.memo):
+                    for t in sys_deliver(s, pred, vals, defs, walk.memo):
                         walk.move(i, k, t)
             offered[i] = len(messages)
         if not progressed:

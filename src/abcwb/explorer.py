@@ -48,11 +48,12 @@ from .syntax import (
     System,
     Value,
     canonicalize,
-    children,
+    fresh_names,
     pretty_pred,
     pretty_system,
     rename,
     spine,
+    subterms,
 )
 from .system import SOut, TAU, msg_names, set_fuel, spent, system_steps
 
@@ -93,8 +94,7 @@ def canon_label(lab, universe: Universe) -> tuple:
             if n in bound and n not in order:
                 order.append(n)
     free = msg_names(pred, values) - bound
-    fresh = (p for k in itertools.count() if (p := f"_n{k}") not in free)
-    placeholders = tuple(itertools.islice(fresh, len(order)))
+    placeholders = tuple(itertools.islice(fresh_names(free, "n"), len(order)))
     sigma = {n: p for n, p in zip(order, placeholders) if n != p}
     if sigma:
         # all at once: one name at a time could send _n1 to an _n0
@@ -112,10 +112,7 @@ def stimulus_label(pred, values, universe: Universe) -> tuple:
 
 def _atoms(node):
     """The ``Name`` atoms of a value or predicate, left to right."""
-    if type(node) is Name:
-        yield node.atom
-    for child in children(node):
-        yield from _atoms(child)
+    return (n.atom for n in subterms(node) if type(n) is Name)
 
 
 def label_text(lab) -> str:

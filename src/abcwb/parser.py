@@ -26,7 +26,9 @@ and both parsers share one token cursor and one ``ParseError``, which
 gives a ``line:col``; a ``ResolveError`` is one.  A file is read in one
 pass: attributes used before their declaration, and calls to
 definitions, are checked at the end of the text, at the token that used
-them.
+them.  Only ``proc_prefix`` scans ahead, with ``_matching_paren``: an
+input ``(Pi)(x, ...).P`` binds variables that ``Pi`` reads, so they come
+into scope before ``Pi`` is parsed.
 """
 
 from __future__ import annotations
@@ -172,24 +174,6 @@ class _Cursor:
         self.expect(close)
         return tuple(out)
 
-    def _matching_paren(self, start: int) -> int:
-        """Index of the token after the `)` matching the `(` at ``start``."""
-        depth = 0
-        i = start
-        while True:
-            k = self.toks[i].kind
-            if k == "(":
-                depth += 1
-            elif k == ")":
-                depth -= 1
-                if depth == 0:
-                    return i + 1
-            elif k == "eof":
-                break
-            i += 1
-        t = self.toks[start]
-        raise ParseError("unbalanced parenthesis", t.line, t.col)
-
     def ident_name(self) -> str:
         t = self.expect("ident")
         if t.text in self.keywords:
@@ -244,6 +228,24 @@ class _Parser(_Cursor):
                     f"unresolvable identifier {t.text!r} "
                     "(neither a bound variable nor a declared attribute)", t.line, t.col
                 )
+
+    def _matching_paren(self, start: int) -> int:
+        """Index of the token after the `)` matching the `(` at ``start``."""
+        depth = 0
+        i = start
+        while True:
+            k = self.toks[i].kind
+            if k == "(":
+                depth += 1
+            elif k == ")":
+                depth -= 1
+                if depth == 0:
+                    return i + 1
+            elif k == "eof":
+                break
+            i += 1
+        t = self.toks[start]
+        raise ParseError("unbalanced parenthesis", t.line, t.col)
 
     # -- values and expressions --------------------------------------------
 
@@ -370,8 +372,7 @@ class _Parser(_Cursor):
 
     def proc(self) -> Process:
         lhs = self.proc_sum()
-        while self.peek().kind == "|" :
-            self.next()
+        while self.accept("|"):
             lhs = Par(lhs, self.proc_sum())
         return lhs
 

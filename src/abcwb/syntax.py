@@ -553,9 +553,9 @@ def map_children(node: Node, f, *args):
     raise TypeError(node)
 
 
-def fresh_names(taken):
-    """The names ``_f0, _f1, ...`` that are not in ``taken``, in order."""
-    return (n for k in itertools.count() if (n := f"_f{k}") not in taken)
+def fresh_names(taken, kind: str = "f"):
+    """The names ``_{kind}0, _{kind}1, ...`` not in ``taken``, in order."""
+    return (n for k in itertools.count() if (n := f"_{kind}{k}") not in taken)
 
 
 def gensym(avoid) -> str:
@@ -728,12 +728,12 @@ def _sys_operand(s: System) -> str:
 
 
 def subterms(node):
-    """Every node of a term, the term itself included."""
+    """Every node of a term in pre-order, left to right."""
     stack = [node]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(children(node))
+        stack.extend(children(node)[::-1])
 
 
 def spine(sys: System) -> list:

@@ -187,7 +187,7 @@ def _steps(sys, defs, universe, memo):
                 if lab is TAU:
                     out.append((TAU, join(mine2, other)))
                     continue
-                for other2 in sys_deliver(other, lab.pred, lab.values, defs, universe, memo):
+                for other2 in sys_deliver(other, lab.pred, lab.values, defs, memo):
                     out.append((lab, join(mine2, other2)))
         return out
 
@@ -237,7 +237,6 @@ def sys_deliver(
     pred: Predicate,
     values: tuple[Value, ...],
     defs: Definitions,
-    universe: Universe,
     memo: dict,
 ) -> list[System]:
     """All ways a system can absorb one broadcast message.
@@ -252,8 +251,8 @@ def sys_deliver(
         return receives(sys, pred, values, defs, memo) or [sys]
 
     if isinstance(sys, SysPar):
-        lefts = sys_deliver(sys.left, pred, values, defs, universe, memo)
-        rights = sys_deliver(sys.right, pred, values, defs, universe, memo)
+        lefts = sys_deliver(sys.left, pred, values, defs, memo)
+        rights = sys_deliver(sys.right, pred, values, defs, memo)
         left, right = sys.left, sys.right
         return [
             sys if l is left and r is right else SysPar(l, r)
@@ -266,7 +265,7 @@ def sys_deliver(
             return [sys]
         fuel = None if sys.fuel is None else sys.fuel - 1
         out = []
-        for inner2 in sys_deliver(sys.inner, pred, values, defs, universe, memo):
+        for inner2 in sys_deliver(sys.inner, pred, values, defs, memo):
             if inner2 == sys.inner:
                 # a copy that ignores the message is folded back into the bang
                 out.append(sys)
@@ -283,7 +282,7 @@ def sys_deliver(
             y = fresh
         return [
             sys if inner2 is sys.inner and y == sys.name else Nu(y, inner2)
-            for inner2 in sys_deliver(inner, pred, values, defs, universe, memo)
+            for inner2 in sys_deliver(inner, pred, values, defs, memo)
         ]
 
     raise TypeError(sys)

@@ -71,7 +71,7 @@ def explore(roots, defs, universe, *, repl_bound, max_states, message_budget):
             progressed = True
             for pred, vals in messages[offered[s]:]:
                 lab = stimulus_label(pred, vals, universe)
-                for t in sys_deliver(s, pred, vals, defs, universe, {}):
+                for t in sys_deliver(s, pred, vals, defs, {}):
                     record(s, lab, canonicalize(t))
             offered[s] = len(messages)
         if not progressed:

@@ -121,7 +121,11 @@ def _show_proc(p, rng):
 
 
 def _show_component(p, rng):
-    # only a whole component may be a sum that starts with nil
+    # only a whole component may be a sum that starts with nil, or one
+    # whose left summand is a group
+    if isinstance(p, PG) and isinstance(p.g, GSum) and rng.random() < 0.3:
+        left = ["("] + _show_proc(PG(p.g.left), rng) + [")"]
+        return left + ["+"] + _show_summand(p.g.right, rng, False)
     if isinstance(p, PG) and rng.random() < 0.8:
         return _show_sum(p.g, rng, False)
     return _show_atom(p, rng, False)
@@ -162,13 +166,16 @@ def _show_atom(p, rng, tail):
     return _show_sum(p.g, rng, tail)
 
 
+def _show_summand(g, rng, tail):
+    """A right summand: one prefix, so a sum there is a group."""
+    if isinstance(g, GSum):
+        return ["("] + _show_sum(g, rng, False) + [")"]
+    return _show_sum(g, rng, tail)
+
+
 def _show_sum(g, rng, tail):
     if isinstance(g, GSum):
-        if isinstance(g.right, GSum):
-            right = ["("] + _show_sum(g.right, rng, False) + [")"]
-        else:
-            right = _show_sum(g.right, rng, tail)
-        return _show_sum(g.left, rng, True) + ["+"] + right
+        return _show_sum(g.left, rng, True) + ["+"] + _show_summand(g.right, rng, tail)
     if isinstance(g, GNil):
         return ["nil"]
     cont = _show_atom(g.cont, rng, tail)

@@ -43,7 +43,7 @@ def _steps(sys, defs, universe, memo):
                     out.append((TAU, join(mine2, other)))
                     continue
                 lab, mine2 = _avoid_clash(lab, mine2, other)
-                for other2 in sys_deliver(other, lab.pred, lab.values, defs, universe, memo):
+                for other2 in sys_deliver(other, lab.pred, lab.values, defs, memo):
                     out.append((lab, join(mine2, other2)))
         return out
 

@@ -13,7 +13,11 @@ from abcwb.bpi import (
     BOut,
     BCall,
     BNu,
+    BPar,
+    GIn,
+    GNil,
     GOut,
+    GSum,
     PG,
     BRec,
     BTAU,
@@ -209,9 +213,48 @@ def test_calls_are_checked_at_the_call(text, message, col):
     assert str(exc.value) == f"1:{col}: {message}"
 
 
+_A, _B, _C = (GOut(c, ("v",), bpi.BNIL) for c in "abc")
+
+
+@pytest.mark.parametrize("text, term", [
+    # a whole component that reads as a sum takes more summands
+    ("(a<v>.nil + b<v>.nil) + c<v>.nil", PG(GSum(GSum(_A, _B), _C))),
+    ("(nil) + a<v>.nil", PG(GSum(GNil(), _A))),
+    ("nil + a<v>.nil", PG(GSum(GNil(), _A))),
+    ("a<v>.nil | (b<v>.nil) + c<v>.nil", BPar(PG(_A), PG(GSum(_B, _C)))),
+    ("a<v>.nil + (b<v>.nil + c<v>.nil)", PG(GSum(_A, GSum(_B, _C)))),
+    # a continuation is one atom: a sum after a prefix takes it whole,
+    # and nil there ends it
+    ("a<v>.b<v>.nil + c<v>.nil", PG(GOut("a", ("v",), PG(GSum(_B, _C))))),
+    ("a<v>.nil + c<v>.nil", PG(GSum(_A, _C))),
+])
+def test_sums_parse(text, term):
+    assert parse_bpi(text) == term
+
+
+def test_an_identifier_with_a_list_is_an_input_before_a_dot_and_else_a_call():
+    term = parse_bpi("rec A(). a<v>.(c().nil | A()) @ ()")
+    inner = BPar(PG(GIn("c", (), bpi.BNIL)), BCall("A", ()))
+    assert term == BRec("A", (), GOut("a", ("v",), inner), ())
+
+
+def test_an_unclosed_list_is_reported_where_it_stops():
+    with pytest.raises(ParseError) as exc:
+        parse_bpi("a(x.nil")
+    assert str(exc.value) == "1:4: expected ')', found '.'"
+
+
+def test_a_sum_is_not_extended_past_a_restriction_or_a_call():
+    with pytest.raises(ParseError, match="expected 'eof', found '\\+'"):
+        parse_bpi("nu x (a<x>.nil) + b<v>.nil")
+    with pytest.raises(ParseError, match="expected 'eof', found '\\+'"):
+        parse_bpi("rec A(). a<v>.A() @ () + b<v>.nil")
+
+
 def test_printed_terms_parse_back():
     # spaces, newlines, comments and parentheses between tokens change
-    # nothing; ``nil + P`` reads as a sum where it is a whole component
+    # nothing; ``nil + P`` and ``(P) + Q`` read as sums where they are a
+    # whole component
     for seed in range(300):
         term = gen_term(random.Random(seed), 4)
         text = show(term, random.Random(seed))

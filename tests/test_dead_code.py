@@ -7,7 +7,11 @@ and where a string spells it, alone or dotted (``"output_steps"``,
 name.  Comments, docstrings and the definition's own body (recursion)
 do not count.  The search covers ``src/``, ``tests/`` and
 ``perfbench/``, so a function only a test calls is still alive.
-Dunder names (``__all__``) are read by Python itself and are exempt."""
+Dunder names (``__all__``) are read by Python itself and are exempt.
+
+Every parameter of a package function is read, too, and read for more
+than passing it on unchanged to a call of the function's own name: a
+parameter that only recursion carries decides nothing."""
 
 import ast
 import pathlib
@@ -92,3 +96,76 @@ def test_every_package_definition_is_named_elsewhere():
         if (names := unreferenced(texts[path], everywhere - refs[path]))
     }
     assert dead == {}
+
+
+# Parameters kept on purpose: callers pass ``seed=`` to ``bisimilar``,
+# whose docstring says that no verdict reads it.
+KEPT_PARAMETERS = {"equivalence.py": ["bisimilar.seed"]}
+
+
+def _calls_itself(callee: ast.expr, name: str) -> bool:
+    """Whether ``callee`` is ``name`` or ``self.name``."""
+    if isinstance(callee, ast.Attribute):
+        return callee.attr == name and getattr(callee.value, "id", None) in ("self", "cls")
+    return isinstance(callee, ast.Name) and callee.id == name
+
+
+def unread_parameters(module: str) -> list[str]:
+    """``function.parameter`` for each parameter of a function or method
+    in ``module`` that the body never reads, or reads only as an
+    argument of a call of the function's own name.  A method's first
+    parameter, ``self`` or ``cls``, is exempt."""
+    tree = ast.parse(module)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+        if id(func) in methods:
+            params = params[1:]
+        passed = set()  # the argument nodes of calls of the function itself
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and _calls_itself(node.func, func.name):
+                passed.update(id(arg) for arg in node.args)
+                passed.update(id(kw.value) for kw in node.keywords)
+        reads = {
+            node.id
+            for stmt in func.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and id(node) not in passed
+        }
+        out += [f"{func.name}.{p}" for p in params if p not in reads]
+    return sorted(out)
+
+
+def test_unread_parameters_are_found():
+    module = (
+        "def used(a, *rest, k=1, **kw): return a, rest, k, kw\n"
+        "def ignored(a, b): return a\n"
+        "def carried(n, extra):\n"
+        "    return 0 if n == 0 else carried(n - 1, extra)\n"
+        "def changed(n, acc):\n"
+        "    return acc if n == 0 else changed(n - 1, acc + 1)\n"
+        "def keyword(n, *, depth): return keyword(n, depth=depth) if n else 0\n"
+        "def closure(a):\n"
+        "    def inner(): return a\n"
+        "    return inner\n"
+        "class C(B):\n"
+        "    def method(self, x): return self.method(x)\n"
+        "    def name(self): return 'self is exempt'\n"
+        "    def __init__(self, text): super().__init__(text)\n"
+    )
+    assert unread_parameters(module) == [
+        "carried.extra", "ignored.b", "keyword.depth", "method.x"]
+
+
+def test_every_package_parameter_is_read():
+    unread = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := unread_parameters(path.read_text()))
+    }
+    assert unread == KEPT_PARAMETERS

@@ -240,13 +240,12 @@ def test_freshen_binders_separates_equal_restrictions():
 def test_a_discarded_message_returns_the_system_itself():
     listener = Comp(AttributeEnv.of({}), In(Cmp("=", Var("x"), Lit(Name("go"))), ("x",), NIL))
     s = Nu("y", SysPar(listener, Comp(AttributeEnv.of({}), NIL)))
-    u = universe_of(s)
-    (same,) = sys_deliver(s, TT_, (Name("stop"),), {}, u, {})
+    (same,) = sys_deliver(s, TT_, (Name("stop"),), {}, {})
     assert same is s
-    (moved,) = sys_deliver(s, TT_, (Name("go"),), {}, u, {})
+    (moved,) = sys_deliver(s, TT_, (Name("go"),), {}, {})
     assert moved != s
     # a message naming the bound y renames the binder: equal up to alpha only
-    (renamed,) = sys_deliver(s, TT_, (Name("y"),), {}, u, {})
+    (renamed,) = sys_deliver(s, TT_, (Name("y"),), {}, {})
     assert renamed is not s and renamed.name != "y"
     assert canonicalize(renamed) == canonicalize(s)
 
@@ -260,8 +259,8 @@ def test_a_memo_hit_still_returns_the_system_itself():
     )
     assert first == second and first is not second
     memo = {}
-    assert sys_deliver(first, TT_, (Name("stop"),), {}, universe_of(first), memo)[0] is first
-    assert sys_deliver(second, TT_, (Name("stop"),), {}, universe_of(first), memo)[0] is second
+    assert sys_deliver(first, TT_, (Name("stop"),), {}, memo)[0] is first
+    assert sys_deliver(second, TT_, (Name("stop"),), {}, memo)[0] is second
 
 
 def test_one_memo_serves_every_state_of_a_walk(robotics):
