@@ -27,9 +27,14 @@ walk whose roots hold no ``Nu`` looks each move target up as it is
 built; only a walk with a restricted root canonicalises its targets.
 That reuses what each component caches on itself: a component shared by
 many states is canonicalised once per renaming of its free names,
-wherever it sits, and printed once, so a state costs about its number of
-components.  Likewise each raw step label is mapped to its label number
-once, and ``canon_label`` runs only for a label not seen before.
+wherever it sits, and printed once.  The memo also interns the ``||``
+nodes above the components and keeps their steps (see ``system``), so a
+move to a known state builds nothing and is found by identity.  A new
+state ``L || R`` costs the steps of whichever operand no earlier state
+had, and then one delivery of each send of either operand to the other,
+a memo lookup per component that hears it.  Likewise each raw step
+label is mapped to its label number once, and ``canon_label`` runs only
+for a label not seen before; a render formats each interned label once.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .syntax import (
     Comp,
     Definitions,
     Name,
-    Nu,
     System,
     Value,
     canonicalize,
@@ -55,7 +59,7 @@ from .syntax import (
     spine,
     subterms,
 )
-from .system import SOut, TAU, msg_names, set_fuel, spent, system_steps
+from .system import SOut, TAU, msg_names, restricted, set_fuel, spent, system_steps
 
 
 @dataclass
@@ -135,11 +139,6 @@ def label_text(lab) -> str:
 TAU_LABEL = 0
 
 
-def _restricted(sys: System) -> bool:
-    """Whether a restriction occurs in a system (no component holds one)."""
-    return any(type(s) is Nu for s in spine(sys))
-
-
 class Walk:
     """Breadth-first walk over canonical states from one or more roots.
 
@@ -150,7 +149,7 @@ class Walk:
     ``j`` (None for a root); breadth-first order makes those moves a
     shortest-path tree.  A new state beyond ``max_states`` is dropped
     together with its move, and a state at ``max_depth`` is not stepped.
-    ``memo`` keeps the component steps of every stepped state, and
+    ``memo`` keeps the steps of every stepped state and of its parts, and
     ``label_of`` the label number of every raw step label.  A target is
     canonicalised only when ``restricted``, that is when a root holds a
     restriction (see the module doc).
@@ -181,7 +180,7 @@ class Walk:
         self.moves: list[tuple[int, int, int]] = []
         self.reasons: list[str] = []
         roots = [canonicalize(set_fuel(r, repl_bound)) for r in roots]
-        self.restricted = any(map(_restricted, roots))
+        self.restricted = any(map(restricted, roots))
         self.roots = [self._visit(r, 0, None) for r in roots]
 
     def note(self, reason: str) -> None:
@@ -323,6 +322,19 @@ def witness_path(lts: Lts, target: int) -> list[str]:
     return [f"[{lts.initial}] {pretty_system(lts.states[lts.initial])}"] + path
 
 
+def _label_texts(lts: Lts) -> list[str]:
+    """The label text of each transition.  ``Walk`` interns labels, so
+    many transitions share one label object, and each is formatted once."""
+    texts: dict[int, str] = {}  # the transitions hold every label keyed here
+    out = []
+    for _, lab, _ in lts.transitions:
+        text = texts.get(id(lab))
+        if text is None:
+            text = texts[id(lab)] = label_text(lab)
+        out.append(text)
+    return out
+
+
 def lts_to_dict(lts: Lts) -> dict:
     return {
         "seed": lts.seed,
@@ -331,8 +343,8 @@ def lts_to_dict(lts: Lts) -> dict:
         "reasons": lts.reasons,
         "states": [pretty_system(s) for s in lts.states],
         "transitions": [
-            {"from": i, "label": label_text(lab), "to": j}
-            for i, lab, j in lts.transitions
+            {"from": i, "label": text, "to": j}
+            for (i, _, j), text in zip(lts.transitions, _label_texts(lts))
         ],
     }
 
@@ -351,6 +363,6 @@ def lts_to_text(lts: Lts) -> str:
     for i, s in enumerate(lts.states):
         mark = "*" if i == lts.initial else " "
         lines.append(f"{mark}[{i}] {pretty_system(s)}")
-    for i, lab, j in lts.transitions:
-        lines.append(f"  [{i}] --{label_text(lab)}--> [{j}]")
+    for (i, _, j), text in zip(lts.transitions, _label_texts(lts)):
+        lines.append(f"  [{i}] --{text}--> [{j}]")
     return "\n".join(lines)

@@ -41,6 +41,21 @@ canonicalised once, when it is stored, and interned: the table under
 ``memo[()]`` maps each canonical component to itself, so equal
 successors are one object per memo and compare by identity.  The table
 lives and dies with its memo, and nothing reads an order from it.
+
+The spine above the components is shared the same way (hash-consing,
+after Filliatre and Conchon, "Type-safe modular hash-consing", 2006).
+Every ``||`` node that ``_steps`` or ``sys_deliver`` builds comes from
+``_join``, which keeps it under ``(SysPar, id(left), id(right))``, and
+the bang left beside an unfolded copy comes from ``_unfolded``, kept
+under ``(Bang, id(body), fuel)``.  A key of ids is safe because the node
+kept under it holds the objects whose ids make the key, so none of those
+ids can pass to another object while the entry lives; and since equal
+operands are one object per memo, so are equal joins of them.  A move
+to a state built before therefore allocates nothing, and a walk's index
+finds the state by its cached hash and its identity.  Under a ``||`` node
+itself (compared by structure, as a component is) the memo keeps the
+node's steps, so an inner ``A || B`` shared by many states is stepped
+once.  Ids key lookups only: steps come in the order of the rules.
 """
 
 from __future__ import annotations
@@ -103,9 +118,17 @@ def msg_names(pred: Predicate, values) -> frozenset[str]:
     return free_names(pred).union(*map(free_names, values))
 
 
+def restricted(sys: System) -> bool:
+    """Whether a restriction occurs in a system (no component holds one)."""
+    return any(type(s) is Nu for s in spine(sys))
+
+
 def freshen_binders(sys: System) -> System:
     """Rename binders so restriction names are pairwise distinct and do
-    not collide with any free name of the whole term."""
+    not collide with any free name of the whole term.  A system without a
+    restriction comes back as it is."""
+    if not restricted(sys):
+        return sys
     return _freshen(sys, set(free_names(sys)))
 
 
@@ -165,6 +188,28 @@ def _canonical(c: Comp, memo: dict) -> Comp:
     return memo.setdefault((), {}).setdefault(form, form)
 
 
+def _join(left: System, right: System, memo: dict) -> SysPar:
+    """The one ``left || right`` node of ``memo``, kept under the
+    operands' identities; the node holds both operands, so neither id can
+    be reused while the entry lives."""
+    key = (SysPar, id(left), id(right))
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = SysPar(left, right)
+    return node
+
+
+def _unfolded(bang: Bang, memo: dict) -> Bang:
+    """The one bang of ``memo`` that is left beside a copy unfolded from
+    ``bang``: the same body with one unfolding less."""
+    fuel = None if bang.fuel is None else bang.fuel - 1
+    key = (Bang, id(bang.inner), fuel)
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = Bang(bang.inner, fuel)
+    return node
+
+
 def _steps(sys, defs, universe, memo):
     if isinstance(sys, Comp):
         out = memo.get(sys)
@@ -178,27 +223,27 @@ def _steps(sys, defs, universe, memo):
         return out
 
     if isinstance(sys, SysPar):
-        out = []
-        for mine, other, join in (
-            (sys.left, sys.right, SysPar),
-            (sys.right, sys.left, lambda r, l: SysPar(l, r)),
-        ):
-            for lab, mine2 in _steps(mine, defs, universe, memo):
-                if lab is TAU:
-                    out.append((TAU, join(mine2, other)))
-                    continue
-                for other2 in sys_deliver(other, lab.pred, lab.values, defs, memo):
-                    out.append((lab, join(mine2, other2)))
+        out = memo.get(sys)
+        if out is None:
+            out = []
+            left, right = sys.left, sys.right
+            for lab, left2 in _steps(left, defs, universe, memo):
+                rights = [right] if lab is TAU else sys_deliver(
+                    right, lab.pred, lab.values, defs, memo)
+                out += [(lab, _join(left2, r, memo)) for r in rights]
+            for lab, right2 in _steps(right, defs, universe, memo):
+                lefts = [left] if lab is TAU else sys_deliver(
+                    left, lab.pred, lab.values, defs, memo)
+                out += [(lab, _join(l, right2, memo)) for l in lefts]
+            memo[sys] = out  # once complete: a term too deep to step raises midway
         return out
 
     if isinstance(sys, Bang):
         if sys.fuel == 0:
             return []
-        fuel = None if sys.fuel is None else sys.fuel - 1
-        out = []
-        for lab, inner2 in _steps(sys.inner, defs, universe, memo):
-            out.append((lab, SysPar(inner2, Bang(sys.inner, fuel))))
-        return out
+        rest = _unfolded(sys, memo)
+        return [(lab, _join(inner2, rest, memo))
+                for lab, inner2 in _steps(sys.inner, defs, universe, memo)]
 
     if isinstance(sys, Nu):
         y = sys.name
@@ -255,7 +300,7 @@ def sys_deliver(
         rights = sys_deliver(sys.right, pred, values, defs, memo)
         left, right = sys.left, sys.right
         return [
-            sys if l is left and r is right else SysPar(l, r)
+            sys if l is left and r is right else _join(l, r, memo)
             for l in lefts
             for r in rights
         ]
@@ -263,15 +308,11 @@ def sys_deliver(
     if isinstance(sys, Bang):
         if sys.fuel == 0:
             return [sys]
-        fuel = None if sys.fuel is None else sys.fuel - 1
-        out = []
-        for inner2 in sys_deliver(sys.inner, pred, values, defs, memo):
-            if inner2 == sys.inner:
-                # a copy that ignores the message is folded back into the bang
-                out.append(sys)
-            else:
-                out.append(SysPar(inner2, Bang(sys.inner, fuel)))
-        return out
+        # a copy that ignores the message is folded back into the bang
+        return [
+            sys if inner2 == sys.inner else _join(inner2, _unfolded(sys, memo), memo)
+            for inner2 in sys_deliver(sys.inner, pred, values, defs, memo)
+        ]
 
     if isinstance(sys, Nu):
         y, inner = sys.name, sys.inner

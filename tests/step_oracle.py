@@ -6,12 +6,19 @@ mentions or binds is renamed away from it (``_avoid_clash``), and when
 the new name is that of a restriction further out, the restriction is
 vacuous and keeps its place under yet another name.  The two give the
 same steps up to the spelling of the extruded names, which tests check.
+
+Above the components this module keeps its own ``||``, ``!`` and ``nu``
+rules and its own ``sys_deliver``, which build every ``SysPar`` and
+``Bang`` anew and keep no steps of any system node, so the library's
+interned nodes and memoised ``||`` steps are checked against a path that
+has neither.  Only a component's prefixes and receptions come from
+``abcwb.system``.
 """
 
 from abcwb.attributes import is_ff, restrict_predicate
 from abcwb.component import output_steps
-from abcwb.syntax import Bang, Comp, Nu, SysPar, System, bound_names, free_names, gensym
-from abcwb.system import SOut, TAU, comp_prefixes, freshen_binders, msg_names, sys_deliver
+from abcwb.syntax import Bang, Comp, Nu, SysPar, System, bound_names, free_names, gensym, rename
+from abcwb.system import SOut, TAU, comp_prefixes, freshen_binders, msg_names, receives
 
 from rename_oracle import rename_free
 
@@ -91,6 +98,48 @@ def _steps(sys, defs, universe, memo):
             else:
                 out.append((lab, Nu(y, inner2)))
         return out
+
+    raise TypeError(sys)
+
+
+def sys_deliver(sys, pred, values, defs, memo):
+    if isinstance(sys, Comp):
+        return receives(sys, pred, values, defs, memo) or [sys]
+
+    if isinstance(sys, SysPar):
+        lefts = sys_deliver(sys.left, pred, values, defs, memo)
+        rights = sys_deliver(sys.right, pred, values, defs, memo)
+        left, right = sys.left, sys.right
+        return [
+            sys if l is left and r is right else SysPar(l, r)
+            for l in lefts
+            for r in rights
+        ]
+
+    if isinstance(sys, Bang):
+        if sys.fuel == 0:
+            return [sys]
+        fuel = None if sys.fuel is None else sys.fuel - 1
+        out = []
+        for inner2 in sys_deliver(sys.inner, pred, values, defs, memo):
+            if inner2 == sys.inner:
+                # a copy that ignores the message is folded back into the bang
+                out.append(sys)
+            else:
+                out.append(SysPar(inner2, Bang(sys.inner, fuel)))
+        return out
+
+    if isinstance(sys, Nu):
+        y, inner = sys.name, sys.inner
+        names = msg_names(pred, values)
+        if y in names:
+            fresh = gensym(free_names(inner) | names | {y})
+            inner = rename(inner, {y: fresh})
+            y = fresh
+        return [
+            sys if inner2 is sys.inner and y == sys.name else Nu(y, inner2)
+            for inner2 in sys_deliver(inner, pred, values, defs, memo)
+        ]
 
     raise TypeError(sys)
 

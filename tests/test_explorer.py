@@ -1,14 +1,16 @@
 """Bounded exploration: canonical states, bounds, determinism, witnesses."""
 
 import gc
-from collections import deque
+from collections import Counter, deque
 
+from abcwb import explorer
 from abcwb.attributes import Universe
 from abcwb.explorer import (
     build_lts,
     canon_label,
     env_has,
     label_text,
+    lts_to_dict,
     lts_to_json,
     lts_to_text,
     random_trace,
@@ -162,6 +164,27 @@ def test_result_does_not_depend_on_the_seed(robotics):
         assert text.startswith(f"seed: {seed}\n")
         texts.add(text.split("\n", 1)[1])
     assert len(texts) == 1
+
+
+def test_each_label_is_formatted_once_per_render(robotics, monkeypatch):
+    lts = build_lts(robotics.main, robotics.defs, Universe.for_program(robotics),
+                    repl_bound=2, max_states=300)
+    want = [label_text(lab) for _, lab, _ in lts.transitions]
+    formatted = Counter()
+
+    def counting(lab):
+        formatted[id(lab)] += 1
+        return label_text(lab)
+
+    monkeypatch.setattr(explorer, "label_text", counting)
+    lines = lts_to_text(lts).split("\n")[4 + len(lts.states):]
+    blob = lts_to_dict(lts)
+    # the walk interns labels: far fewer label objects than moves
+    assert len(formatted) < len(lts.transitions) // 10
+    assert set(formatted) == {id(lab) for _, lab, _ in lts.transitions}
+    assert set(formatted.values()) == {2}  # once for the text, once for the dict
+    assert [t["label"] for t in blob["transitions"]] == want
+    assert lines == [f"  [{i}] --{t}--> [{j}]" for (i, _, j), t in zip(lts.transitions, want)]
 
 
 def test_exploring_and_printing_leave_no_reference_cycles():

@@ -1,12 +1,15 @@
 """System semantics: synchronization, discards, hiding, opening,
 replication fuel, and the behavior of the shipped example systems."""
 
+import gc
 import random
 from collections import Counter
+from operator import is_
 
 from abcwb.attributes import TT_KEY, Universe, fingerprint, is_ff
 from abcwb.bpi import encode
-from abcwb.explorer import build_lts, canon_label
+from abcwb import system
+from abcwb.explorer import Walk, build_lts, canon_label
 from abcwb.parser import parse_process, parse_system
 from abcwb.syntax import (
     Attr,
@@ -29,11 +32,13 @@ from abcwb.syntax import (
     canonicalize,
     free_names,
     pretty_system,
+    spine,
 )
 from abcwb.system import SOut, TAU, freshen_binders, set_fuel, sys_deliver, system_steps
 
 import step_oracle
 from bpigen import gen_term
+from conftest import load_corpus
 from debruijn import debruijn
 
 
@@ -237,6 +242,23 @@ def test_freshen_binders_separates_equal_restrictions():
         assert debruijn(fresh) == debruijn(s)
 
 
+def test_freshen_binders_returns_a_restriction_free_system_as_it_is(monkeypatch):
+    # nothing to rename: no free names are gathered and no spine is rebuilt
+    prog = load_corpus("pool.abc")
+    states = build_lts(prog.main, prog.defs, Universe.for_program(prog)).states
+    called = []
+    free = system.free_names
+
+    def counting(node):
+        called.append(node)
+        return free(node)
+
+    monkeypatch.setattr(system, "free_names", counting)
+    for s in [prog.main, *states]:
+        assert freshen_binders(s) is s
+    assert not called
+
+
 def test_a_discarded_message_returns_the_system_itself():
     listener = Comp(AttributeEnv.of({}), In(Cmp("=", Var("x"), Lit(Name("go"))), ("x",), NIL))
     s = Nu("y", SysPar(listener, Comp(AttributeEnv.of({}), NIL)))
@@ -398,3 +420,127 @@ def test_adaptation_message_taken_or_missed(adaptation):
         for i in terminal
     )
     assert taken and missed
+
+
+# -- interned || nodes and their memoised steps ------------------------------
+
+
+def _differential_systems():
+    """(system, defs, universe, max_states) for the differential tests:
+    corpus systems and encoded broadcast-pi terms."""
+    for name, max_states in (
+        ("robotics.abc", 300), ("pool.abc", 10_000),
+        ("channels.abc", 10_000), ("pubsub.abc", 10_000),
+    ):
+        prog = load_corpus(name)
+        yield prog.main, prog.defs, Universe.for_program(prog), max_states
+    for seed in range(300):
+        sys, defs = encode(gen_term(random.Random(seed), 4))
+        yield sys, defs, Universe.for_systems([sys], defs), 60
+
+
+def test_steps_and_deliveries_match_the_oracle_that_builds_every_node_anew():
+    # the library shares one memo across a walk; the oracle gets a fresh
+    # memo for every state and builds every || and ! node anew
+    for sys, defs, universe, max_states in _differential_systems():
+        states = build_lts(sys, defs, universe, max_states=max_states).states
+        memo = {}
+        for s in states:
+            got = system_steps(s, defs, universe, memo)
+            want = step_oracle.system_steps(s, defs, universe, {})
+            assert [lab for lab, _ in got] == [lab for lab, _ in want], s
+            assert [canonicalize(t) for _, t in got] == [canonicalize(t) for _, t in want], s
+            # every message a state sends, offered to the state itself
+            for msg in dict.fromkeys((lab.pred, lab.values) for lab, _ in got if lab is not TAU):
+                assert sys_deliver(s, *msg, defs, memo) == step_oracle.sys_deliver(
+                    s, *msg, defs, {}), (s, msg)
+
+
+def _robotics_walk(max_states=300):
+    prog = load_corpus("robotics.abc")
+    universe = Universe.for_program(prog)
+    walk = Walk([prog.main], prog.defs, universe, repl_bound=2, max_states=max_states)
+    walk.step()
+    return walk
+
+
+def test_the_same_operands_give_the_same_par_node():
+    walk = _robotics_walk()
+    defs, universe, memo = walk.defs, walk.universe, walk.memo
+    joins = {}  # every node checked here stays alive in the memo
+
+    def check(sys):
+        for p in spine(sys):
+            if type(p) is SysPar:
+                assert joins.setdefault((id(p.left), id(p.right)), p) is p
+
+    delivered = 0
+    for s in walk.states:
+        check(s)
+        steps = system_steps(s, defs, universe, memo)
+        for _, t in steps:
+            check(t)
+        for msg in dict.fromkeys((lab.pred, lab.values) for lab, _ in steps if lab is not TAU):
+            outcomes = sys_deliver(s, *msg, defs, memo)
+            assert all(map(is_, outcomes, sys_deliver(s, *msg, defs, memo)))
+            for t in outcomes:
+                check(t)
+                delivered += t is not s
+    assert delivered and len(joins) > len(walk.states)
+
+
+def test_every_interned_node_holds_the_operands_it_was_asked_for(monkeypatch):
+    join = system._join
+
+    def checked(left, right, memo):
+        node = join(left, right, memo)
+        assert node.left is left and node.right is right
+        return node
+
+    monkeypatch.setattr(system, "_join", checked)
+    _robotics_walk()
+    prog = load_corpus("pool.abc")
+    build_lts(prog.main, prog.defs, Universe.for_program(prog))
+    # operands dropped and rebuilt: the table holds the old ones, so no
+    # new operand can take an old one's id while its entry lives
+    memo = {}
+    for k in range(50):
+        left = Comp(AttributeEnv.of({"a": Int(k)}), NIL)
+        right = Comp(AttributeEnv.of({"b": Int(k)}), NIL)
+        checked(left, right, memo)
+        del left, right
+        gc.collect()
+
+
+def test_a_dropped_node_lends_its_steps_to_no_other():
+    # the steps of a || node are kept under the node itself: a copy that
+    # is dropped and collected must not hand its steps on to a later node
+    # built where it lay
+    walk = _robotics_walk(50)
+    defs, universe, memo = walk.defs, walk.universe, {}
+    for s in walk.states:
+        copy = SysPar(s.left, s.right)
+        assert system_steps(copy, defs, universe, memo) == system_steps(s, defs, universe, {})
+        del copy
+        gc.collect()
+
+
+def test_a_robotics_walk_builds_few_par_nodes(robotics, monkeypatch):
+    made = Counter()
+    init, steps = SysPar.__init__, system._steps
+
+    def counting_init(self, *args):
+        made["||"] += 1
+        init(self, *args)
+
+    def counting_steps(*args):
+        made["steps"] += 1
+        return steps(*args)
+
+    monkeypatch.setattr(SysPar, "__init__", counting_init)
+    monkeypatch.setattr(system, "_steps", counting_steps)
+    lts = build_lts(robotics.main, robotics.defs, Universe.for_program(robotics), repl_bound=2)
+    assert (len(lts.states), len(lts.transitions)) == (2750, 14100)
+    # 23,250 nodes and 13,750 calls before || nodes were interned and their
+    # steps kept; 3,023 and 8,800 when this was written
+    assert made["||"] <= 3100 and made["steps"] <= 8800, made
